@@ -4,8 +4,11 @@ For each multidegree b inside the generator box, let K be the simplicial
 complex of squarefree vectors tau with x^(b - tau) in I.  The reduced homology
 of K over the coefficient field gives the Betti numbers of R/I in multidegree
 b (homological index = simplex dimension + 2); summing over total degree fills
-the diagram.  Ranks are computed by exact Gaussian elimination, over the
-rationals in characteristic 0 or modulo p otherwise.
+the diagram.  Membership is read from the ideal's dense table, and homology is
+computed once per distinct complex: few complexes occur (18 in three
+variables), so the rank work is memoized by face set.  Ranks are computed by
+exact Gaussian elimination, over the rationals in characteristic 0 or modulo p
+otherwise.
 """
 
 from __future__ import annotations
@@ -15,11 +18,11 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .monomials import (
     DegreeList,
     HilbertFunction,
-    Monomial,
     MonomialIdeal,
     NotArtinianError,
     colon,
@@ -139,8 +142,11 @@ def _rank(rows: list[list[int]], p: int) -> int:
     return rank
 
 
-def _reduced_homology_dims(faces: set[tuple[int, ...]], p: int) -> list[int]:
-    """Reduced homology dimensions [H_{-1}, H_0, H_1, ...] of a complex.
+@lru_cache(maxsize=4096)
+def _reduced_homology_dims(
+    faces: frozenset[tuple[int, ...]], p: int
+) -> tuple[int, ...]:
+    """Reduced homology dimensions (H_{-1}, H_0, H_1, ...) of a complex.
 
     ``faces`` holds the nonempty faces as sorted vertex tuples; the empty face
     is implicit.  Boundary ranks are computed over the requested field.
@@ -170,7 +176,61 @@ def _reduced_homology_dims(faces: set[tuple[int, ...]], p: int) -> list[int]:
     dims = [1 - ranks[0]]  # H_{-1}
     for k in range(max_dim + 1):
         dims.append(counts[k] - ranks[k] - ranks[k + 1])
-    return dims
+    return tuple(dims)
+
+
+@lru_cache(maxsize=256)
+def _face_offsets(strides: tuple[int, ...]):
+    """Per support bitmask: the offset of 1_supp, and (tau, offset(tau)) for
+    every nonempty tau inside the support."""
+    n = len(strides)
+    by_supp = []
+    for mask in range(1 << n):
+        supp = [k for k in range(n) if mask >> k & 1]
+        taus = tuple(
+            (tau, sum(strides[k] for k in tau))
+            for size in range(1, len(supp) + 1)
+            for tau in itertools.combinations(supp, size)
+        )
+        by_supp.append((sum(strides[k] for k in supp), taus))
+    return tuple(by_supp)
+
+
+def _koszul_homology(i: MonomialIdeal, p: int):
+    """Yield (b, dims) for every multidegree b of the generator box whose
+    complex K^b has nonzero reduced homology dims (as _reduced_homology_dims).
+
+    Each face b - tau is one table lookup at idx - offset(tau).  Rows run
+    along the last variable; in a row, b - 1_supp(b) is in I (K^b is the full
+    simplex, so acyclic) from one past the start of the row below on.
+    """
+    sides, table = i.membership_table()
+    n = len(sides)
+    last = sides[-1]
+    strides = tuple(math.prod(sides[k + 1 :]) for k in range(n))
+    by_supp = _face_offsets(strides)
+    last_bit = 1 << (n - 1)
+    for r, prefix in enumerate(itertools.product(*(range(s) for s in sides[:-1]))):
+        base = r * last
+        start = table.find(1, base, base + last)
+        if start < 0:
+            continue
+        mask = 0
+        below = base  # the row of prefix - 1_supp(prefix)
+        for k in range(n - 1):
+            if prefix[k]:
+                mask |= 1 << k
+                below -= strides[k]
+        stop = table.find(1, below, below + last)
+        stop = base + last if stop < 0 else min(base + last, stop - below + base + 1)
+        for idx in range(start, stop):
+            full, taus = by_supp[mask | last_bit if idx > base else mask]
+            if table[idx - full]:
+                continue
+            faces = frozenset([tau for tau, off in taus if table[idx - off]])
+            dims = _reduced_homology_dims(faces, p)
+            if any(dims):
+                yield prefix + (idx - base,), dims
 
 
 def betti_diagram(i: MonomialIdeal, f: FieldSpec = QQ) -> BettiDiagram:
@@ -180,32 +240,14 @@ def betti_diagram(i: MonomialIdeal, f: FieldSpec = QQ) -> BettiDiagram:
     prof = i.pure_power_profile()
     if any(p is None for p in prof):
         raise NotArtinianError("Betti diagram needs an Artinian ideal")
-    n = i.n
-    p = f.characteristic
-    box = [max(g.exps[k] for g in i.gens) for k in range(n)]
     beta: Counter[tuple[int, int]] = Counter()
     beta[(0, 0)] = 1
-    for b in itertools.product(*(range(c + 1) for c in box)):
-        if not i.contains(Monomial(b)):
-            continue
-        supp = tuple(k for k in range(n) if b[k] > 0)
-        full = tuple(e - 1 if k in supp else e for k, e in enumerate(b))
-        if supp and i.contains(Monomial(full)):
-            continue  # full simplex: acyclic
-        faces: set[tuple[int, ...]] = set()
-        for size in range(1, len(supp) + 1):
-            for tau in itertools.combinations(supp, size):
-                e = list(b)
-                for k in tau:
-                    e[k] -= 1
-                if i.contains(Monomial(tuple(e))):
-                    faces.add(tau)
-        dims = _reduced_homology_dims(faces, p)
+    for b, dims in _koszul_homology(i, f.characteristic):
         total = sum(b)
         for k, hd in enumerate(dims, start=-1):
             if hd:
                 beta[(k + 2, total)] += hd
-    return BettiDiagram(n, dict(beta))
+    return BettiDiagram(i.n, dict(beta))
 
 
 def socle_dims(i: MonomialIdeal, f: FieldSpec = QQ) -> dict[int, int]:
@@ -336,25 +378,9 @@ def betti_euler_by_multidegree(
     """Alternating Betti sums per multidegree, for the Taylor cross-check."""
     if i.is_unit:
         return {}
-    n = i.n
-    p = f.characteristic
-    box = [max(g.exps[k] for g in i.gens) for k in range(n)]
-    out: dict[tuple[int, ...], int] = defaultdict(int)
-    out[(0,) * n] = 1
-    for b in itertools.product(*(range(c + 1) for c in box)):
-        if not i.contains(Monomial(b)):
-            continue
-        supp = tuple(k for k in range(n) if b[k] > 0)
-        faces: set[tuple[int, ...]] = set()
-        for size in range(1, len(supp) + 1):
-            for tau in itertools.combinations(supp, size):
-                e = list(b)
-                for k in tau:
-                    e[k] -= 1
-                if i.contains(Monomial(tuple(e))):
-                    faces.add(tau)
-        dims = _reduced_homology_dims(faces, p)
-        for k, hd in enumerate(dims, start=-1):
-            if hd:
-                out[b] += (-1) ** (k + 2) * hd
-    return {k: v for k, v in out.items() if v}
+    out = {(0,) * i.n: 1}
+    for b, dims in _koszul_homology(i, f.characteristic):
+        chi = sum((-1) ** (k + 2) * hd for k, hd in enumerate(dims, start=-1))
+        if chi:
+            out[b] = chi
+    return out

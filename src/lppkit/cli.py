@@ -10,12 +10,26 @@ import click
 
 from . import growth, harness, monomials, vectors
 from .betti import FieldSpec, betti_diagram
-from .monomials import DegreeList, HilbertFunction, MonomialIdeal, format_ideal
+from .monomials import (
+    DegreeList,
+    GuardExceeded,
+    HilbertFunction,
+    MonomialIdeal,
+    format_ideal,
+)
 from .vectors import format_vector, parse_vector
 
 
 def _fail(message: str):
     raise click.ClickException(message)
+
+
+def _echo(message: str, err: bool = False):
+    """click.echo to the current standard stream.  click.echo's own lookup
+    caches a wrapper per stream object, which keeps alive every stream of an
+    in-process invocation (click.testing.CliRunner); get_text_stream does not
+    cache."""
+    click.echo(message, file=click.get_text_stream("stderr" if err else "stdout"))
 
 
 def _degree_list(text: str) -> DegreeList:
@@ -58,6 +72,17 @@ def _field(char: int) -> FieldSpec:
         _fail(str(exc))
 
 
+def _guarded(fn):
+    """Run fn: a guard exits with code 3, a bad input is a clean error."""
+    try:
+        return fn()
+    except GuardExceeded as exc:
+        _echo(f"guard exceeded: {exc}", err=True)
+        sys.exit(3)
+    except ValueError as exc:
+        _fail(str(exc))
+
+
 @click.group()
 def main():
     """Exact computations with Artinian monomial ideals and lex-plus-powers
@@ -71,14 +96,11 @@ def main():
 def hf(ideal_text: str, as_json: bool):
     """Hilbert function of an Artinian monomial quotient."""
     ideal = _ideal(ideal_text)
-    try:
-        h = ideal.hilbert_function()
-    except monomials.NotArtinianError as exc:
-        _fail(str(exc))
+    h = _guarded(ideal.hilbert_function)
     if as_json:
-        click.echo(json.dumps({"values": list(h.values), "sigma": h.sigma, "rho": h.rho}))
+        _echo(json.dumps({"values": list(h.values), "sigma": h.sigma, "rho": h.rho}))
     else:
-        click.echo(str(h))
+        _echo(str(h))
 
 
 @main.command()
@@ -91,9 +113,9 @@ def bound(a_text: str, d: int, h: int, as_json: bool):
     a = _degree_list(a_text)
     if h == 0:
         if as_json:
-            click.echo(json.dumps({"A": list(a.degrees), "d": d, "h": 0, "terms": [], "bound": 0}))
+            _echo(json.dumps({"A": list(a.degrees), "d": d, "h": 0, "terms": [], "bound": 0}))
         else:
-            click.echo("bound: 0")
+            _echo("bound: 0")
         return
     try:
         expansion = growth.gk_expansion(h, d, a)
@@ -101,7 +123,7 @@ def bound(a_text: str, d: int, h: int, as_json: bool):
         _fail(str(exc))
     b = expansion.bound()
     if as_json:
-        click.echo(
+        _echo(
             json.dumps(
                 {
                     "A": list(a.degrees),
@@ -117,12 +139,12 @@ def bound(a_text: str, d: int, h: int, as_json: bool):
             )
         )
         return
-    click.echo(_render_rectangle(a, expansion))
-    click.echo("")
-    click.echo(
+    _echo(_render_rectangle(a, expansion))
+    _echo("")
+    _echo(
         f"expansion: {h} = " + " + ".join(str(v) for v in expansion.term_values())
     )
-    click.echo(f"bound: {b}")
+    _echo(f"bound: {b}")
 
 
 def _render_rectangle(a: DegreeList, expansion) -> str:
@@ -157,9 +179,9 @@ def validseq(a_text: str, hf_text: str, as_json: bool):
     h = _hilbert(hf_text)
     ok = growth.is_lpp_sequence(h, a)
     if as_json:
-        click.echo(json.dumps({"A": list(a.degrees), "H": str(h), "valid": ok}))
+        _echo(json.dumps({"A": list(a.degrees), "H": str(h), "valid": ok}))
     else:
-        click.echo("valid" if ok else "invalid")
+        _echo("valid" if ok else "invalid")
     if not ok:
         sys.exit(2)
 
@@ -177,9 +199,9 @@ def colon(j_text: str, i_text: str, as_json: bool):
     except monomials.DimensionError as exc:
         _fail(str(exc))
     if as_json:
-        click.echo(json.dumps(monomials.ideal_to_json_dict(result)))
+        _echo(json.dumps(monomials.ideal_to_json_dict(result)))
     else:
-        click.echo(format_ideal(result))
+        _echo(format_ideal(result))
 
 
 @main.command()
@@ -189,14 +211,12 @@ def colon(j_text: str, i_text: str, as_json: bool):
 def betti(ideal_text: str, char: int, as_json: bool):
     """Betti diagram of an Artinian monomial quotient."""
     ideal = _ideal(ideal_text)
-    try:
-        diagram = betti_diagram(ideal, _field(char))
-    except monomials.NotArtinianError as exc:
-        _fail(str(exc))
+    field = _field(char)
+    diagram = _guarded(lambda: betti_diagram(ideal, field))
     if as_json:
-        click.echo(json.dumps(diagram.to_json_dict()))
+        _echo(json.dumps(diagram.to_json_dict()))
     else:
-        click.echo(diagram.render())
+        _echo(diagram.render())
 
 
 @main.command()
@@ -205,19 +225,16 @@ def betti(ideal_text: str, char: int, as_json: bool):
 def socle(ideal_text: str, as_json: bool):
     """Socle monomials of an Artinian monomial quotient, by degree."""
     ideal = _ideal(ideal_text)
-    try:
-        soc = ideal.socle_monomials()
-    except monomials.NotArtinianError as exc:
-        _fail(str(exc))
+    soc = _guarded(ideal.socle_monomials)
     if as_json:
-        click.echo(
+        _echo(
             json.dumps(
                 {str(d): [list(m.exps) for m in ms] for d, ms in soc.items()}
             )
         )
     else:
         for d, ms in soc.items():
-            click.echo(f"{d}: " + ", ".join(monomials.format_monomial(m) for m in ms))
+            _echo(f"{d}: " + ", ".join(monomials.format_monomial(m) for m in ms))
 
 
 @main.group()
@@ -237,9 +254,9 @@ def vec_validate(a_text: str, vec_text: str):
     a, t = _vec_common(a_text, vec_text)
     verdict = vectors.validate(t, a)
     if verdict:
-        click.echo("valid")
+        _echo("valid")
     else:
-        click.echo(f"invalid: {verdict.reason}")
+        _echo(f"invalid: {verdict.reason}")
         sys.exit(2)
 
 
@@ -255,13 +272,13 @@ def vec_stats(a_text: str, vec_text: str, as_json: bool):
     st = vectors.stats(t, a)
     alpha = None if st.alpha == vectors.INF else int(st.alpha)
     if as_json:
-        click.echo(
+        _echo(
             json.dumps(
                 {"l": st.length, "sigma": st.sigma, "alpha": alpha, "ci": st.is_ci}
             )
         )
     else:
-        click.echo(
+        _echo(
             f"l={st.length} sigma={st.sigma} "
             f"alpha={'inf' if alpha is None else alpha} ci={str(st.is_ci).lower()}"
         )
@@ -278,9 +295,9 @@ def vec_to_ideal(a_text: str, vec_text: str, as_json: bool):
     except ValueError as exc:
         _fail(str(exc))
     if as_json:
-        click.echo(json.dumps(monomials.ideal_to_json_dict(ideal)))
+        _echo(json.dumps(monomials.ideal_to_json_dict(ideal)))
     else:
-        click.echo(format_ideal(ideal))
+        _echo(format_ideal(ideal))
 
 
 @vec.command("to-hf")
@@ -291,7 +308,7 @@ def vec_to_hf(a_text: str, vec_text: str):
     verdict = vectors.validate(t, a)
     if not verdict:
         _fail(f"invalid vector: {verdict.reason}")
-    click.echo(str(vectors.hf_of_vector(t)))
+    _echo(str(vectors.hf_of_vector(t)))
 
 
 @vec.command("from-hf")
@@ -304,7 +321,7 @@ def vec_from_hf(a_text: str, hf_text: str):
         t = vectors.vector_of_hf(h, a)
     except ValueError as exc:
         _fail(str(exc))
-    click.echo(format_vector(t))
+    _echo(format_vector(t))
 
 
 @vec.command("dual")
@@ -313,7 +330,7 @@ def vec_from_hf(a_text: str, hf_text: str):
 def vec_dual(a_text: str, vec_text: str):
     a, t = _vec_common(a_text, vec_text)
     try:
-        click.echo(format_vector(vectors.dual(t, a)))
+        _echo(format_vector(vectors.dual(t, a)))
     except ValueError as exc:
         _fail(str(exc))
 
@@ -345,7 +362,7 @@ def staircase(a_text: str, vec_text: str | None, ideal_text: str | None):
             for ye in range(bb)
         )
         lines.append(row)
-    click.echo("\n".join(lines))
+    _echo("\n".join(lines))
 
 
 @main.group()
@@ -355,28 +372,21 @@ def check():
 
 def _emit_report(report: harness.CheckReport, as_json: bool):
     if as_json:
-        click.echo(report.to_json())
+        _echo(report.to_json())
     else:
-        click.echo(f"check: {report.check}")
-        click.echo(f"instance: {json.dumps(report.instance)}")
+        _echo(f"check: {report.check}")
+        _echo(f"instance: {json.dumps(report.instance)}")
         for key, value in report.details.items():
-            click.echo(f"{key}: {value}")
-        click.echo(f"verdict: {report.verdict}")
+            _echo(f"{key}: {value}")
+        _echo(f"verdict: {report.verdict}")
         for w in report.witnesses:
-            click.echo(f"witness: {json.dumps(w)}")
+            _echo(f"witness: {json.dumps(w)}")
     if report.verdict != "pass":
         sys.exit(2)
 
 
 def _run_guarded(fn, as_json: bool):
-    try:
-        report = fn()
-    except harness.GuardExceeded as exc:
-        click.echo(f"guard exceeded: {exc}", err=True)
-        sys.exit(3)
-    except ValueError as exc:
-        _fail(str(exc))
-    _emit_report(report, as_json)
+    _emit_report(_guarded(fn), as_json)
 
 
 @check.command("growth")

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .monomials import (
     DegreeList,
+    GuardExceeded,
     HilbertFunction,
     Monomial,
     MonomialIdeal,
@@ -33,10 +34,6 @@ from .growth import (
 )
 from .vectors import enumerate_vectors, format_vector, ideal_of_vector, dual, vector_of_hf
 from .betti import FieldSpec, QQ, betti_diagram
-
-
-class GuardExceeded(RuntimeError):
-    """The instance is larger than the configured enumeration guard."""
 
 
 DEFAULT_GUARD = 100_000

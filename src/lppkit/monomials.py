@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -20,6 +21,15 @@ class DimensionError(ValueError):
 
 class NotArtinianError(ValueError):
     """Operation requires an ideal containing a power of every variable."""
+
+
+class GuardExceeded(RuntimeError):
+    """The instance is larger than a guard on the work allows."""
+
+
+# Most points a dense membership table may cover (one byte each).  Every box
+# scan goes through the table, so this bounds both memory and time.
+BOX_GUARD = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -309,6 +319,62 @@ class MonomialIdeal:
     def is_artinian(self) -> bool:
         return self.is_unit or all(p is not None for p in self.pure_power_profile())
 
+    def membership_table(self) -> tuple[tuple[int, ...], bytes]:
+        """Dense membership of the box prod [0, box_k], box_k the largest
+        generator exponent in variable k, as ``(sides, table)``.
+
+        ``table[idx]`` is 1 when the point is in the ideal; points are indexed
+        in mixed radix with the last variable fastest, so x_k * m sits at
+        ``idx + stride_k``.  Along the last axis the members of a row form a
+        suffix, so each row is one slice fill after the least member exponent
+        of the row, which comes from the generators in the row and the rows
+        one step below.  Raises GuardExceeded before allocating when the box
+        has more than BOX_GUARD points.
+        """
+        cached = self._cache.get("table")
+        if cached is not None:
+            return cached
+        n = self.n
+        sides = tuple(max(g.exps[k] for g in self.gens) + 1 for k in range(n))
+        volume = math.prod(sides)
+        if volume > BOX_GUARD:
+            raise GuardExceeded(f"box of {volume} points exceeds {BOX_GUARD}")
+        last = sides[-1]
+        own: dict[tuple[int, ...], int] = {}
+        for g in self.gens:
+            key = g.exps[:-1]
+            own[key] = min(own.get(key, last), g.exps[-1])
+        row_strides = [math.prod(sides[k + 1 : -1]) for k in range(n - 1)]
+        ones = b"\x01" * last
+        table = bytearray(volume)
+        starts: list[int] = []  # per row, the least member exponent (last if none)
+        for r, prefix in enumerate(itertools.product(*(range(s) for s in sides[:-1]))):
+            t = own.get(prefix, last)
+            for k, stride in enumerate(row_strides):
+                if prefix[k] and starts[r - stride] < t:
+                    t = starts[r - stride]
+            starts.append(t)
+            table[r * last + t : (r + 1) * last] = ones[t:]
+        result = (sides, bytes(table))
+        self._cache["table"] = result
+        return result
+
+    def _box_rows(self):
+        """The membership table and, per row, (prefix, base index, least
+        member exponent), rows in lex-descending order.  Requires an Artinian
+        ideal, so every row ends inside the ideal."""
+        prof = self.pure_power_profile()
+        if any(p is None for p in prof):
+            raise NotArtinianError("ideal is not Artinian")
+        sides, table = self.membership_table()
+        last = sides[-1]
+        prefixes = list(itertools.product(*(range(s) for s in sides[:-1])))
+        rows = []
+        for r in range(len(prefixes) - 1, -1, -1):
+            base = r * last
+            rows.append((prefixes[r], base, table.find(1, base, base + last) - base))
+        return sides, table, rows
+
     def standard_monomials(self) -> dict[int, tuple[Monomial, ...]]:
         """Monomials outside the ideal, grouped by degree (lex-descending).
 
@@ -318,17 +384,12 @@ class MonomialIdeal:
         cached = self._cache.get("std")
         if cached is not None:
             return cached
-        prof = self.pure_power_profile()
-        if any(p is None for p in prof):
-            raise NotArtinianError("ideal is not Artinian")
         by_degree: dict[int, list[Monomial]] = {}
-        for exps in itertools.product(*(range(p) for p in prof)):
-            m = Monomial(exps)
-            if not self.contains(m):
-                by_degree.setdefault(m.degree, []).append(m)
-        result = {
-            d: tuple(sorted(ms, reverse=True)) for d, ms in sorted(by_degree.items())
-        }
+        for prefix, _, t in self._box_rows()[2]:
+            d0 = sum(prefix)
+            for c in range(t - 1, -1, -1):
+                by_degree.setdefault(d0 + c, []).append(Monomial(prefix + (c,)))
+        result = {d: tuple(ms) for d, ms in sorted(by_degree.items())}
         self._cache["std"] = result
         return result
 
@@ -349,13 +410,20 @@ class MonomialIdeal:
         return hf
 
     def socle_monomials(self) -> dict[int, tuple[Monomial, ...]]:
-        """Monomials m outside I with x_i * m in I for every i, by degree."""
+        """Monomials m outside I with x_i * m in I for every i, by degree.
+
+        Only the last standard monomial of a row can have x_n * m in I; for
+        it, x_k * m in I is the table entry one stride_k further on.
+        """
+        sides, table, rows = self._box_rows()
+        strides = [math.prod(sides[k + 1 :]) for k in range(self.n - 1)]
         out: dict[int, list[Monomial]] = {}
-        for d, ms in self.standard_monomials().items():
-            for m in ms:
-                if all(self.contains(m.times_var(i)) for i in range(self.n)):
-                    out.setdefault(d, []).append(m)
-        return {d: tuple(sorted(ms, reverse=True)) for d, ms in sorted(out.items())}
+        for prefix, base, t in rows:
+            idx = base + t - 1
+            if t and all(table[idx + stride] for stride in strides):
+                exps = prefix + (t - 1,)
+                out.setdefault(sum(exps), []).append(Monomial(exps))
+        return {d: tuple(ms) for d, ms in sorted(out.items())}
 
     def __str__(self) -> str:
         return format_ideal(self)

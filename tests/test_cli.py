@@ -1,5 +1,7 @@
 import json
+import time
 
+import pytest
 from click.testing import CliRunner
 
 from lppkit.cli import main
@@ -124,6 +126,29 @@ class TestIdealCommands:
         r = CliRunner().invoke(main, ["hf", "--ideal", "x1^2, bogus"])
         assert r.exit_code == 1
         assert "bogus" in r.output
+
+
+class TestBoxGuard:
+    @pytest.mark.parametrize("command", ["betti", "hf", "socle"])
+    def test_huge_box_exits_3_fast(self, command):
+        start = time.perf_counter()
+        r = CliRunner().invoke(main, [command, "--ideal", "x1^400, x2^400, x3^400"])
+        assert time.perf_counter() - start < 0.5
+        assert r.exit_code == 3
+        assert "guard exceeded" in r.output
+
+    def test_23_cubed_box_answers(self):
+        text = "x1^22, x2^22, x3^22, x1^11*x2^11, x1^10*x2^6*x3^17, x2^12*x3^9"
+        betti = run("betti", "--ideal", text, "--json")
+        assert betti.exit_code == 0
+        entries = {(i, j): v for i, j, v in json.loads(betti.output)["betti"]}
+        assert sum(v for (i, _), v in entries.items() if i == 1) == 6
+        socle = run("socle", "--ideal", text, "--json")
+        assert socle.exit_code == 0
+        assert sum(len(ms) for ms in json.loads(socle.output).values()) == sum(
+            v for (i, _), v in entries.items() if i == 3
+        )
+        assert run("hf", "--ideal", text).exit_code == 0
 
 
 class TestStaircase:
