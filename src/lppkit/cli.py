@@ -194,10 +194,7 @@ def colon(j_text: str, i_text: str, as_json: bool):
     """Colon (residual) ideal (J : I)."""
     j = _ideal(j_text)
     i = _ideal(i_text, n=j.n)
-    try:
-        result = monomials.colon(j, i)
-    except monomials.DimensionError as exc:
-        _fail(str(exc))
+    result = _guarded(lambda: monomials.colon(j, i))
     if as_json:
         _echo(json.dumps(monomials.ideal_to_json_dict(result)))
     else:
@@ -346,6 +343,8 @@ def staircase(a_text: str, vec_text: str | None, ideal_text: str | None):
         _fail("staircase rendering needs exactly two variables")
     if (vec_text is None) == (ideal_text is None):
         _fail("provide exactly one of --vec or --ideal")
+    aa, bb = a.degrees
+    _guarded(lambda: _check_staircase_size(aa * bb))
     if vec_text is not None:
         t = _vector(vec_text, 2)
         try:
@@ -354,15 +353,19 @@ def staircase(a_text: str, vec_text: str | None, ideal_text: str | None):
             _fail(str(exc))
     else:
         ideal = _ideal(ideal_text, n=2)
-    aa, bb = a.degrees
+    sides, starts = _guarded(ideal._row_starts)
     lines = []
     for xe in range(aa - 1, -1, -1):
-        row = "".join(
-            "○" if ideal.contains(monomials.Monomial((xe, ye))) else "•"
-            for ye in range(bb)
-        )
-        lines.append(row)
+        # the row's members run from its start on; past the box nothing changes
+        t = starts[min(xe, sides[0] - 1)]
+        t = bb if t == sides[1] else min(t, bb)
+        lines.append("•" * t + "○" * (bb - t))
     _echo("\n".join(lines))
+
+
+def _check_staircase_size(cells: int):
+    if cells > monomials.BOX_GUARD:
+        raise GuardExceeded(f"staircase of {cells} cells exceeds {monomials.BOX_GUARD}")
 
 
 @main.group()

@@ -19,12 +19,12 @@ from .monomials import (
     HilbertFunction,
     Monomial,
     MonomialIdeal,
+    _ideal_outside,
     add_maximal_power,
     colon,
     ideal_to_json_dict,
     is_lex_segment,
     is_lpp,
-    pure_power,
 )
 from .growth import (
     ci_hilbert_function,
@@ -88,28 +88,14 @@ def enumerate_ideals(h: HilbertFunction, a: DegreeList, max_ideals: int | None =
         raise GuardExceeded(f"{h.total} standard monomials exceeds {CELL_GUARD}")
     guard = default_guard() if max_ideals is None else max_ideals
     box_by_degree: dict[int, list[Monomial]] = {}
-    for d in range(h.sigma + 1):  # generators may sit one degree past the last
+    for d in range(h.sigma):
         box_by_degree[d] = standard_monomials_of_degree(a, d)
+    sides = tuple(deg + 1 for deg in a.degrees)
     count = 0
     chosen: dict[int, set[tuple[int, ...]]] = {}
 
     def emit() -> MonomialIdeal:
-        kept = set().union(*chosen.values()) if chosen else set()
-        gens = []
-        for d, pool in box_by_degree.items():
-            for m in pool:
-                if m.exps in kept:
-                    continue
-                if all(
-                    _step_down(m.exps, k) in kept
-                    for k in range(a.n)
-                    if m.exps[k] > 0
-                ):
-                    gens.append(m)
-        for k, deg in enumerate(a.degrees):
-            if pure_power(a.n, k, deg - 1).exps in kept:
-                gens.append(pure_power(a.n, k, deg))
-        return MonomialIdeal.from_gens(a.n, gens)
+        return _ideal_outside(sides, itertools.chain(*chosen.values()))
 
     def walk(d: int):
         nonlocal count

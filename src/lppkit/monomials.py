@@ -100,12 +100,6 @@ def lex_compare(m1: Monomial, m2: Monomial) -> int:
     return 1 if m1.exps > m2.exps else -1
 
 
-def lcm(m1: Monomial, m2: Monomial) -> Monomial:
-    if m1.n != m2.n:
-        raise DimensionError(f"{m1.n} vs {m2.n} variables")
-    return Monomial(tuple(max(a, b) for a, b in zip(m1.exps, m2.exps)))
-
-
 def unit_monomial(n: int) -> Monomial:
     return Monomial((0,) * n)
 
@@ -319,19 +313,19 @@ class MonomialIdeal:
     def is_artinian(self) -> bool:
         return self.is_unit or all(p is not None for p in self.pure_power_profile())
 
-    def membership_table(self) -> tuple[tuple[int, ...], bytes]:
-        """Dense membership of the box prod [0, box_k], box_k the largest
-        generator exponent in variable k, as ``(sides, table)``.
+    def _row_starts(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Row starts of the box prod [0, box_k], box_k the largest generator
+        exponent in variable k, as ``(sides, starts)``.
 
-        ``table[idx]`` is 1 when the point is in the ideal; points are indexed
-        in mixed radix with the last variable fastest, so x_k * m sits at
-        ``idx + stride_k``.  Along the last axis the members of a row form a
-        suffix, so each row is one slice fill after the least member exponent
-        of the row, which comes from the generators in the row and the rows
-        one step below.  Raises GuardExceeded before allocating when the box
-        has more than BOX_GUARD points.
+        A row is a prefix of all coordinates but the last; rows are indexed in
+        mixed radix, last prefix coordinate fastest.  A row's start is the
+        least exponent of the last variable that puts the point in the ideal,
+        or ``sides[-1]`` when none in the box does; the members of a row are
+        exactly the points from its start on.  Each start comes from the
+        generators in the row and the starts of the rows one step below.
+        Raises GuardExceeded when the box has more than BOX_GUARD points.
         """
-        cached = self._cache.get("table")
+        cached = self._cache.get("rows")
         if cached is not None:
             return cached
         n = self.n
@@ -344,36 +338,49 @@ class MonomialIdeal:
         for g in self.gens:
             key = g.exps[:-1]
             own[key] = min(own.get(key, last), g.exps[-1])
-        row_strides = [math.prod(sides[k + 1 : -1]) for k in range(n - 1)]
-        ones = b"\x01" * last
-        table = bytearray(volume)
-        starts: list[int] = []  # per row, the least member exponent (last if none)
+        row_strides = _row_strides(sides)
+        starts: list[int] = []
         for r, prefix in enumerate(itertools.product(*(range(s) for s in sides[:-1]))):
             t = own.get(prefix, last)
             for k, stride in enumerate(row_strides):
                 if prefix[k] and starts[r - stride] < t:
                     t = starts[r - stride]
             starts.append(t)
-            table[r * last + t : (r + 1) * last] = ones[t:]
-        result = (sides, bytes(table))
+        result = (sides, tuple(starts))
+        self._cache["rows"] = result
+        return result
+
+    def membership_table(self) -> tuple[tuple[int, ...], bytes]:
+        """Dense membership of the box of :meth:`_row_starts` as
+        ``(sides, table)``.
+
+        ``table[idx]`` is 1 when the point is in the ideal; points are indexed
+        in mixed radix with the last variable fastest, so x_k * m sits at
+        ``idx + stride_k``.  Each row is its start's worth of zeros, then
+        ones.  Raises GuardExceeded before allocating when the box has more
+        than BOX_GUARD points.
+        """
+        cached = self._cache.get("table")
+        if cached is not None:
+            return cached
+        sides, starts = self._row_starts()
+        last = sides[-1]
+        ones = b"\x01" * last
+        rows = {t: bytes(t) + ones[t:] for t in set(starts)}
+        result = (sides, b"".join([rows[t] for t in starts]))
         self._cache["table"] = result
         return result
 
     def _box_rows(self):
-        """The membership table and, per row, (prefix, base index, least
-        member exponent), rows in lex-descending order.  Requires an Artinian
-        ideal, so every row ends inside the ideal."""
+        """The box sides and, per row, (row index, prefix, start), rows in
+        lex-descending order.  Requires an Artinian ideal, so every row ends
+        inside the ideal."""
         prof = self.pure_power_profile()
         if any(p is None for p in prof):
             raise NotArtinianError("ideal is not Artinian")
-        sides, table = self.membership_table()
-        last = sides[-1]
-        prefixes = list(itertools.product(*(range(s) for s in sides[:-1])))
-        rows = []
-        for r in range(len(prefixes) - 1, -1, -1):
-            base = r * last
-            rows.append((prefixes[r], base, table.find(1, base, base + last) - base))
-        return sides, table, rows
+        sides, starts = self._row_starts()
+        prefixes = itertools.product(*(range(s - 1, -1, -1) for s in sides[:-1]))
+        return sides, zip(range(len(starts) - 1, -1, -1), prefixes, reversed(starts))
 
     def standard_monomials(self) -> dict[int, tuple[Monomial, ...]]:
         """Monomials outside the ideal, grouped by degree (lex-descending).
@@ -385,7 +392,7 @@ class MonomialIdeal:
         if cached is not None:
             return cached
         by_degree: dict[int, list[Monomial]] = {}
-        for prefix, _, t in self._box_rows()[2]:
+        for _, prefix, t in self._box_rows()[1]:
             d0 = sum(prefix)
             for c in range(t - 1, -1, -1):
                 by_degree.setdefault(d0 + c, []).append(Monomial(prefix + (c,)))
@@ -394,18 +401,26 @@ class MonomialIdeal:
         return result
 
     def hilbert_function(self) -> HilbertFunction:
-        """H(R/I, d) = number of degree-d monomials outside I, down to 0."""
+        """H(R/I, d) = number of degree-d monomials outside I, down to 0.
+
+        Row p holds the standard monomials of degrees |p| to |p| + start - 1,
+        so the counts are the running sum of +1 at |p| and -1 at |p| + start
+        over the rows.
+        """
         cached = self._cache.get("hf")
         if cached is not None:
             return cached
         if self.is_unit:
             hf = HilbertFunction((0,))
         else:
-            std = self.standard_monomials()
-            top = max(std)
-            hf = HilbertFunction(
-                tuple(len(std.get(d, ())) for d in range(top + 1)) + (0,)
-            )
+            sides, rows = self._box_rows()
+            diff = [0] * (sum(sides) + 1)
+            for _, prefix, t in rows:
+                d0 = sum(prefix)
+                diff[d0] += 1
+                diff[d0 + t] -= 1
+            counts = list(itertools.accumulate(diff))
+            hf = HilbertFunction(tuple(counts[: counts.index(0) + 1]))
         self._cache["hf"] = hf
         return hf
 
@@ -413,13 +428,16 @@ class MonomialIdeal:
         """Monomials m outside I with x_i * m in I for every i, by degree.
 
         Only the last standard monomial of a row can have x_n * m in I; for
-        it, x_k * m in I is the table entry one stride_k further on.
+        it, x_k * m in I is the membership table entry one stride_k further
+        on.
         """
-        sides, table, rows = self._box_rows()
+        sides, rows = self._box_rows()
+        table = self.membership_table()[1]
+        last = sides[-1]
         strides = [math.prod(sides[k + 1 :]) for k in range(self.n - 1)]
         out: dict[int, list[Monomial]] = {}
-        for prefix, base, t in rows:
-            idx = base + t - 1
+        for r, prefix, t in rows:
+            idx = r * last + t - 1
             if t and all(table[idx + stride] for stride in strides):
                 exps = prefix + (t - 1,)
                 out.setdefault(sum(exps), []).append(Monomial(exps))
@@ -442,34 +460,74 @@ def minimalize(n: int, gens) -> MonomialIdeal:
     return MonomialIdeal(n, tuple(sorted(minimal, reverse=True)))
 
 
-def intersect(i1: MonomialIdeal, i2: MonomialIdeal) -> MonomialIdeal:
-    if i1.n != i2.n:
-        raise DimensionError(f"{i1.n} vs {i2.n} variables")
-    return minimalize(i1.n, (lcm(a, b) for a in i1.gens for b in i2.gens))
+def _row_strides(sides: tuple[int, ...]) -> list[int]:
+    """Index step between rows one step apart in each prefix coordinate."""
+    return [math.prod(sides[k + 1 : -1]) for k in range(len(sides) - 1)]
 
 
-def _quotient_by_monomial(j: MonomialIdeal, g: Monomial) -> MonomialIdeal:
-    gens = (
-        Monomial(tuple(max(u - v, 0) for u, v in zip(m.exps, g.exps)))
-        for m in j.gens
-    )
-    return minimalize(j.n, gens)
+def _ideal_of_rows(n: int, sides: tuple[int, ...], starts) -> MonomialIdeal:
+    """The ideal whose row starts in the box prod [0, sides_k) are ``starts``
+    (as in :meth:`MonomialIdeal._row_starts`), by its minimal generators,
+    lex-descending.
+
+    A row's start is a minimal generator when it lies in the box and is below
+    the start of every row one step down; no other point is.  Rows are read
+    from the last, so the generators come out lex-descending.
+    """
+    last = sides[-1]
+    row_strides = _row_strides(sides)
+    prefixes = itertools.product(*(range(s - 1, -1, -1) for s in sides[:-1]))
+    gens = []
+    for r, prefix in zip(range(len(starts) - 1, -1, -1), prefixes):
+        t = starts[r]
+        if t < last and all(
+            not p or starts[r - stride] > t for p, stride in zip(prefix, row_strides)
+        ):
+            gens.append(Monomial(prefix + (t,)))
+    return MonomialIdeal(n, tuple(gens))
+
+
+def _ideal_outside(sides: tuple[int, ...], kept) -> MonomialIdeal:
+    """The ideal of the points of the box prod [0, sides_k) outside ``kept``,
+    a down-set of the box that leaves out its top face in every variable.
+
+    The kept points of a row are a prefix of it, so the row's start is their
+    count.
+    """
+    row_strides = _row_strides(sides)
+    starts = [0] * math.prod(sides[:-1])
+    for exps in kept:
+        starts[sum(e * s for e, s in zip(exps, row_strides))] += 1
+    return _ideal_of_rows(len(sides), sides, starts)
 
 
 def colon(j: MonomialIdeal, i: MonomialIdeal) -> MonomialIdeal:
     """The residual (J : I) = { f : f*I inside J }, as a minimal monomial ideal.
 
-    Computed as the intersection over generators g of I of the monomial
-    quotients (J : g).
+    Read from J's row starts.  The generators of (J : I) lie in J's box, and
+    beyond the box membership does not change, so shifted rows are clamped
+    to it.  Point (p, c) is in (J : I) when, for every generator (g', g_n)
+    of I, the row p + g' of J is not empty and c >= its start - g_n.  With J
+    the pure powers this is the reflection b -> a - 1 - b.  Raises
+    GuardExceeded when J's box has more than BOX_GUARD points.
     """
     if j.n != i.n:
         raise DimensionError(f"{j.n} vs {i.n} variables")
-    result: MonomialIdeal | None = None
+    sides, starts = j._row_starts()
+    last = sides[-1]
+    # an empty row stays at or past `last` whatever g_n is subtracted
+    empty = last + max(g.exps[-1] for g in i.gens)
+    need = [t if t < last else empty for t in starts]
+    axes = list(zip(sides[:-1], _row_strides(sides)))
+    out = [0] * len(starts)
     for g in i.gens:
-        q = _quotient_by_monomial(j, g)
-        result = q if result is None else intersect(result, q)
-    assert result is not None
-    return result
+        rows = [0]  # J's row of p + g', clamped, for every row p in order
+        for e, (s, stride) in zip(g.exps, axes):
+            steps = [min(p + e, s - 1) * stride for p in range(s)]
+            rows = [r + step for r in rows for step in steps]
+        gn = g.exps[-1]
+        out = [max(o, need[r] - gn) for o, r in zip(out, rows)]
+    return _ideal_of_rows(j.n, sides, [min(o, last) for o in out])
 
 
 def add_maximal_power(i: MonomialIdeal, t: int) -> MonomialIdeal:

@@ -25,7 +25,6 @@ from .monomials import (
     HilbertFunction,
     Monomial,
     MonomialIdeal,
-    minimalize,
     pure_power,
     unit_monomial,
 )
@@ -85,7 +84,8 @@ def ci_vector(a: DegreeList) -> LppVector:
     return _ci_vector(a.degrees)
 
 
-@lru_cache(maxsize=None)
+# one key per degree list and its tails: 7 in a sweep benchmark pass
+@lru_cache(maxsize=32)
 def _ci_vector(degrees: tuple[int, ...]) -> LppVector:
     if len(degrees) == 1:
         return Leaf(degrees[0])
@@ -189,14 +189,19 @@ def _ideal(t: LppVector, a: DegreeList) -> MonomialIdeal:
         return MonomialIdeal(a.n, (unit_monomial(a.n),))
     if isinstance(t, Leaf):
         return MonomialIdeal(1, (pure_power(1, 0, t.degree),))
+    # The children's ideals descend, so x_1^(u-i) * g is a minimal generator
+    # unless g lies in the next child's ideal; only a unit first child (an
+    # empty vector) swallows x_1^u.  The generators come out lex-descending.
     u = len(t.children)
-    gens: list[Monomial] = [pure_power(a.n, 0, u)]
-    for i, child in enumerate(t.children, start=1):
-        sub = _ideal(child, a.tail())
+    a2 = a.tail()
+    subs = [_ideal(child, a2) for child in t.children]
+    gens: list[Monomial] = [] if subs[0].is_unit else [pure_power(a.n, 0, u)]
+    for i, sub in enumerate(subs, start=1):
+        below = subs[i] if i < u else None
         for g in sub.gens:
-            exps = (u - i,) + g.exps
-            gens.append(Monomial(exps))
-    return minimalize(a.n, gens)
+            if below is None or not below.contains(g):
+                gens.append(Monomial((u - i,) + g.exps))
+    return MonomialIdeal(a.n, tuple(gens))
 
 
 def hf_of_vector(t: LppVector) -> HilbertFunction:
@@ -341,7 +346,8 @@ def enumerate_vectors(a: DegreeList) -> list[LppVector]:
     return list(_enumerate(a.degrees))
 
 
-@lru_cache(maxsize=None)
+# one key per degree list and its tails: 7 in a sweep benchmark pass
+@lru_cache(maxsize=32)
 def _enumerate(degrees: tuple[int, ...]) -> tuple[LppVector, ...]:
     if len(degrees) == 1:
         return tuple(Leaf(d) for d in range(1, degrees[0] + 1))

@@ -137,6 +137,21 @@ class TestBoxGuard:
         assert r.exit_code == 3
         assert "guard exceeded" in r.output
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["colon", "--ideal", "x1^400, x2^400, x3^400", "--by", "x1*x2"],
+            ["staircase", "--A", "3000,3000", "--ideal", "x1^3000, x2^3000"],
+        ],
+        ids=["colon", "staircase"],
+    )
+    def test_huge_colon_and_staircase_exit_3_fast(self, args):
+        start = time.perf_counter()
+        r = CliRunner().invoke(main, args)
+        assert time.perf_counter() - start < 0.5
+        assert r.exit_code == 3
+        assert "guard exceeded" in r.output
+
     def test_23_cubed_box_answers(self):
         text = "x1^22, x2^22, x3^22, x1^11*x2^11, x1^10*x2^6*x3^17, x2^12*x3^9"
         betti = run("betti", "--ideal", text, "--json")

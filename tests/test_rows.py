@@ -1,0 +1,213 @@
+"""Ideals built from and read from their row starts: the row starts
+themselves, colon, vector ideals, the Hilbert function and the enumeration,
+each against an independent route; plus the bounds on lppkit's caches."""
+
+import importlib
+import itertools
+import json
+import math
+import pkgutil
+import time
+from collections import Counter
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import lppkit
+from lppkit import DegreeList, Monomial, MonomialIdeal, parse_vector
+from lppkit.harness import enumerate_ideals, valid_hilbert_functions
+from lppkit.monomials import (
+    BOX_GUARD,
+    GuardExceeded,
+    _ideal_of_rows,
+    colon,
+    minimalize,
+    parse_ideal,
+    pure_power,
+    unit_monomial,
+)
+from lppkit.vectors import enumerate_vectors, ideal_of_vector
+
+from conftest import brute_colon, hf_by_inclusion_exclusion
+from oracles import colon_by_intersection, ideal_of_vector_by_minimalize
+
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+
+
+def exponents(n: int, top: int):
+    return st.tuples(*(st.integers(0, top) for _ in range(n)))
+
+
+@st.composite
+def ideals(draw, max_n=4, top=4, artinian=None):
+    """Up to five monomials of the box [0, top]^n, plus pure powers when
+    ``artinian`` (drawn when None); the unit ideal can come up too."""
+    n = draw(st.integers(1, max_n))
+    gens = [Monomial(e) for e in draw(st.lists(exponents(n, top), min_size=1, max_size=5))]
+    if artinian if artinian is not None else draw(st.booleans()):
+        gens += [pure_power(n, k, draw(st.integers(1, top))) for k in range(n)]
+    return minimalize(n, gens)
+
+
+@st.composite
+def colon_pairs(draw):
+    """(J, I) with J Artinian or not and I's exponents reaching past J's box."""
+    j = draw(ideals(max_n=4, top=3))
+    i_gens = draw(st.lists(exponents(j.n, 5), min_size=1, max_size=4))
+    return j, minimalize(j.n, [Monomial(e) for e in i_gens])
+
+
+def unit(n: int) -> MonomialIdeal:
+    return MonomialIdeal(n, (unit_monomial(n),))
+
+
+class TestRowStarts:
+    @settings(max_examples=80, deadline=None)
+    @given(ideals())
+    def test_definition(self, i):
+        sides, starts = i._row_starts()
+        assert sides == tuple(max(g.exps[k] for g in i.gens) + 1 for k in range(i.n))
+        rows = list(itertools.product(*(range(s) for s in sides[:-1])))
+        assert len(starts) == len(rows)
+        for prefix, t in zip(rows, starts):
+            members = [c for c in range(sides[-1]) if i.contains(Monomial(prefix + (c,)))]
+            assert members == list(range(t, sides[-1]))
+
+    @settings(max_examples=80, deadline=None)
+    @given(ideals())
+    def test_ideal_of_rows_gives_the_minimal_generators_back(self, i):
+        assert _ideal_of_rows(i.n, *i._row_starts()) == i
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_unit_ideal(self, n):
+        assert _ideal_of_rows(n, *unit(n)._row_starts()) == unit(n)
+
+    def test_table_of_one_long_row(self):
+        # the table costs its size in bytes, not the row length squared
+        start = time.perf_counter()
+        sides, table = parse_ideal("x1^1500000").membership_table()
+        assert time.perf_counter() - start < 0.5
+        assert sides == (1500001,) and table == bytes(1500000) + b"\x01"
+
+    @settings(max_examples=60, deadline=None)
+    @given(ideals(max_n=3, artinian=True))
+    def test_hilbert_function_by_inclusion_exclusion(self, i):
+        assert i.hilbert_function() == hf_by_inclusion_exclusion(i)
+
+    def test_hilbert_function_builds_no_table(self):
+        i = parse_ideal("x1^2, x2^3, x3^4, x1*x2^2, x1*x2*x3, x1*x3^2, x2^2*x3^2")
+        assert str(i.hilbert_function()) == "1 3 5 3 1 0"
+        assert "table" not in i._cache and "std" not in i._cache
+
+
+class TestColon:
+    @settings(max_examples=120, deadline=None)
+    @given(colon_pairs())
+    def test_matches_intersection_and_brute_force(self, pair):
+        j, i = pair
+        got = colon(j, i)
+        assert got == colon_by_intersection(j, i)
+        # the generators of (J : I) lie in J's generator box
+        bound = sum(max(g.exps[k] for g in j.gens) for k in range(j.n))
+        assert got == brute_colon(j, i, bound)
+
+    @pytest.mark.parametrize(
+        "j_text, i_text",
+        [
+            ("1", "x1^2*x2"),
+            ("x1^2, x1*x2, x2^3", "1"),
+            ("1", "1"),
+            ("x1*x2^2, x2*x3", "x1^7*x3^9"),
+            ("x1^3", "x1^5"),
+        ],
+    )
+    def test_unit_and_non_artinian(self, j_text, i_text):
+        j = parse_ideal(j_text, 3)
+        i = parse_ideal(i_text, 3)
+        assert colon(j, i) == colon_by_intersection(j, i)
+
+    def test_pure_powers_reflect(self):
+        # (x1^5, x2^7) : W is the reflection b -> (4, 6) - b of W's box points
+        w = parse_ideal("x1^5, x1^4*x2, x1^3*x2^3, x1^2*x2^4, x2^7")
+        powers = parse_ideal("x1^5, x2^7")
+        outside = [b for b in itertools.product(range(5), range(7)) if not w.contains(Monomial(b))]
+        reflected = {(4 - b1, 6 - b2) for b1, b2 in outside}
+        got = colon(powers, w)
+        for b in itertools.product(range(5), range(7)):
+            assert got.contains(Monomial(b)) == (b in reflected)
+
+    def test_guard_on_the_box_of_j(self):
+        side = round(BOX_GUARD ** (1 / 3)) + 2
+        j = parse_ideal(f"x1^{side}, x2^{side}, x3^{side}")
+        with pytest.raises(GuardExceeded):
+            colon(j, parse_ideal("x1*x2", 3))
+
+
+class TestVectorIdeals:
+    @pytest.mark.parametrize("degrees", [(2, 2, 2), (3, 4, 5), (2, 2, 3, 3), (2, 3, 3, 4)])
+    def test_every_vector_matches_minimalize(self, degrees):
+        a = DegreeList(degrees)
+        for t in enumerate_vectors(a):
+            assert ideal_of_vector(t, a) == ideal_of_vector_by_minimalize(t, a)
+
+    @pytest.mark.parametrize("text", ["[[],3]", "[[],2,3]"])
+    def test_empty_first_child(self, text):
+        a = DegreeList((3, 3))
+        t = parse_vector(text, 2)
+        assert ideal_of_vector(t, a) == ideal_of_vector_by_minimalize(t, a)
+
+
+def macmahon(a: int, b: int, c: int) -> int:
+    """Plane partitions in an a x b x c box: the down-sets of the box."""
+    num = den = 1
+    for i, j, k in itertools.product(range(1, a + 1), range(1, b + 1), range(1, c + 1)):
+        num *= i + j + k - 1
+        den *= i + j + k - 2
+    return num // den
+
+
+# Every ideal containing the A-powers is the complement of a nonempty down-set
+# of the box prod [0, a_k); summed over all valid h, the counts are the number
+# of such down-sets.
+COUNTS = [((a, b, c), macmahon(a, b, c) - 1) for a, b, c in
+          [(2, 2, 2), (2, 3, 3), (3, 3, 3), (3, 3, 4), (2, 3, 4)]]
+COUNTS += [((a1, a2), math.comb(a1 + a2, a1) - 1) for a1, a2 in [(1, 1), (2, 3), (3, 5), (4, 4)]]
+COUNTS += [((2, 2, 2, 2), 167)]  # the Dedekind number M(4) - 1
+COUNTS += [((2, 2, 3, 3), None)]  # its per-h counts are in the reference file
+
+
+class TestEnumeration:
+    @pytest.mark.parametrize("degrees, total", COUNTS)
+    def test_counts_and_emitted_ideals(self, degrees, total):
+        a = DegreeList(degrees)
+        powers = a.powers_ideal().gens
+        per_h: Counter[str] = Counter()
+        for h in valid_hilbert_functions(a, a.sigma_ci):
+            seen = set()
+            for ideal in enumerate_ideals(h, a):
+                assert minimalize(a.n, ideal.gens).gens == ideal.gens
+                assert ideal.hilbert_function() == h
+                assert all(ideal.contains(p) for p in powers)
+                seen.add(ideal.gens)
+                per_h[str(h)] += 1
+            assert len(seen) == per_h[str(h)]
+        recorded = json.loads(REFERENCE.read_text())["enumerated_ideals"].get(
+            ",".join(map(str, degrees))
+        )
+        if recorded is not None:
+            assert dict(per_h) == recorded
+        if total is not None:
+            assert sum(per_h.values()) == total
+
+
+def test_every_lru_cache_is_bounded():
+    caches = []
+    for info in pkgutil.iter_modules(lppkit.__path__):
+        module = importlib.import_module(f"lppkit.{info.name}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_info") and hasattr(value, "cache_parameters"):
+                caches.append((f"{info.name}.{name}", value.cache_parameters()["maxsize"]))
+    assert len(caches) >= 5
+    assert [name for name, maxsize in caches if maxsize is None] == []
