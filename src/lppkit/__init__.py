@@ -18,7 +18,6 @@ from .monomials import (
     format_monomial,
     is_lex_segment,
     is_lpp,
-    lex_compare,
     minimalize,
     monomials_of_degree,
     parse_ideal,
@@ -34,7 +33,6 @@ from .growth import (
     gk_expansion,
     is_lpp_sequence,
     lpp_bound,
-    lpp_bound_oracle,
     monomial_from_codim,
 )
 from .vectors import (
@@ -44,7 +42,6 @@ from .vectors import (
     Node,
     VectorStats,
     ci_vector,
-    containment_chain_check,
     decompose,
     dual,
     enumerate_vectors,
@@ -53,7 +50,6 @@ from .vectors import (
     ideal_of_vector,
     parse_vector,
     sequence_alpha,
-    sequence_sigma,
     stats,
     validate,
     vector_of_hf,

@@ -351,36 +351,3 @@ def mapping_cone_check(
     return MappingConeReport(
         not failures, minimal, omega, t_by_degree, tuple(failures)
     )
-
-
-def taylor_euler_by_multidegree(i: MonomialIdeal) -> dict[tuple[int, ...], int]:
-    """Debug oracle: alternating face counts of the Taylor complex per lcm.
-
-    Must match the alternating sum of Betti numbers in every multidegree.
-    """
-    out: dict[tuple[int, ...], int] = defaultdict(int)
-    gens = [g.exps for g in i.gens]
-    n = i.n
-    for bits in itertools.product((0, 1), repeat=len(gens)):
-        chosen = [g for g, bit in zip(gens, bits) if bit]
-        size = len(chosen)
-        if size == 0:
-            key = (0,) * n
-        else:
-            key = tuple(max(g[k] for g in chosen) for k in range(n))
-        out[key] += (-1) ** size
-    return {k: v for k, v in out.items() if v}
-
-
-def betti_euler_by_multidegree(
-    i: MonomialIdeal, f: FieldSpec = QQ
-) -> dict[tuple[int, ...], int]:
-    """Alternating Betti sums per multidegree, for the Taylor cross-check."""
-    if i.is_unit:
-        return {}
-    out = {(0,) * i.n: 1}
-    for b, dims in _koszul_homology(i, f.characteristic):
-        chi = sum((-1) ** (k + 2) * hd for k, hd in enumerate(dims, start=-1))
-        if chi:
-            out[b] = chi
-    return out

@@ -32,16 +32,14 @@ def _echo(message: str, err: bool = False):
     click.echo(message, file=click.get_text_stream("stderr" if err else "stdout"))
 
 
-def _degree_list(text: str) -> DegreeList:
+def _guarded(fn, *args):
+    """Run fn(*args): a guard exits with code 3, a bad input is a clean
+    error."""
     try:
-        return DegreeList.from_string(text)
-    except ValueError as exc:
-        _fail(str(exc))
-
-
-def _hilbert(text: str) -> HilbertFunction:
-    try:
-        return HilbertFunction.from_string(text)
+        return fn(*args)
+    except GuardExceeded as exc:
+        _echo(f"guard exceeded: {exc}", err=True)
+        sys.exit(3)
     except ValueError as exc:
         _fail(str(exc))
 
@@ -52,35 +50,7 @@ def _ideal(text: str, n: int | None = None) -> MonomialIdeal:
     elif os.path.isfile(text):
         with open(text) as fh:
             text = fh.read()
-    try:
-        return monomials.parse_ideal(text, n)
-    except ValueError as exc:
-        _fail(str(exc))
-
-
-def _vector(text: str, n: int):
-    try:
-        return parse_vector(text, n)
-    except ValueError as exc:
-        _fail(str(exc))
-
-
-def _field(char: int) -> FieldSpec:
-    try:
-        return FieldSpec(char)
-    except ValueError as exc:
-        _fail(str(exc))
-
-
-def _guarded(fn):
-    """Run fn: a guard exits with code 3, a bad input is a clean error."""
-    try:
-        return fn()
-    except GuardExceeded as exc:
-        _echo(f"guard exceeded: {exc}", err=True)
-        sys.exit(3)
-    except ValueError as exc:
-        _fail(str(exc))
+    return _guarded(monomials.parse_ideal, text, n)
 
 
 @click.group()
@@ -110,17 +80,14 @@ def hf(ideal_text: str, as_json: bool):
 @click.option("--json", "as_json", is_flag=True)
 def bound(a_text: str, d: int, h: int, as_json: bool):
     """Growth bound from degree d to d+1, with the expansion rectangle."""
-    a = _degree_list(a_text)
+    a = _guarded(DegreeList.from_string, a_text)
     if h == 0:
         if as_json:
             _echo(json.dumps({"A": list(a.degrees), "d": d, "h": 0, "terms": [], "bound": 0}))
         else:
             _echo("bound: 0")
         return
-    try:
-        expansion = growth.gk_expansion(h, d, a)
-    except ValueError as exc:
-        _fail(str(exc))
+    expansion = _guarded(growth.gk_expansion, h, d, a)
     b = expansion.bound()
     if as_json:
         _echo(
@@ -175,8 +142,8 @@ def _render_rectangle(a: DegreeList, expansion) -> str:
 @click.option("--json", "as_json", is_flag=True)
 def validseq(a_text: str, hf_text: str, as_json: bool):
     """Is the sequence a valid Hilbert function for the degree list?"""
-    a = _degree_list(a_text)
-    h = _hilbert(hf_text)
+    a = _guarded(DegreeList.from_string, a_text)
+    h = _guarded(HilbertFunction.from_string, hf_text)
     ok = growth.is_lpp_sequence(h, a)
     if as_json:
         _echo(json.dumps({"A": list(a.degrees), "H": str(h), "valid": ok}))
@@ -194,7 +161,7 @@ def colon(j_text: str, i_text: str, as_json: bool):
     """Colon (residual) ideal (J : I)."""
     j = _ideal(j_text)
     i = _ideal(i_text, n=j.n)
-    result = _guarded(lambda: monomials.colon(j, i))
+    result = _guarded(monomials.colon, j, i)
     if as_json:
         _echo(json.dumps(monomials.ideal_to_json_dict(result)))
     else:
@@ -208,8 +175,8 @@ def colon(j_text: str, i_text: str, as_json: bool):
 def betti(ideal_text: str, char: int, as_json: bool):
     """Betti diagram of an Artinian monomial quotient."""
     ideal = _ideal(ideal_text)
-    field = _field(char)
-    diagram = _guarded(lambda: betti_diagram(ideal, field))
+    field = _guarded(FieldSpec, char)
+    diagram = _guarded(betti_diagram, ideal, field)
     if as_json:
         _echo(json.dumps(diagram.to_json_dict()))
     else:
@@ -240,8 +207,8 @@ def vec():
 
 
 def _vec_common(a_text: str, vec_text: str):
-    a = _degree_list(a_text)
-    return a, _vector(vec_text, a.n)
+    a = _guarded(DegreeList.from_string, a_text)
+    return a, _guarded(parse_vector, vec_text, a.n)
 
 
 @vec.command("validate")
@@ -287,10 +254,7 @@ def vec_stats(a_text: str, vec_text: str, as_json: bool):
 @click.option("--json", "as_json", is_flag=True)
 def vec_to_ideal(a_text: str, vec_text: str, as_json: bool):
     a, t = _vec_common(a_text, vec_text)
-    try:
-        ideal = vectors.ideal_of_vector(t, a)
-    except ValueError as exc:
-        _fail(str(exc))
+    ideal = _guarded(vectors.ideal_of_vector, t, a)
     if as_json:
         _echo(json.dumps(monomials.ideal_to_json_dict(ideal)))
     else:
@@ -312,12 +276,9 @@ def vec_to_hf(a_text: str, vec_text: str):
 @click.option("--A", "a_text", required=True)
 @click.option("--hf", "hf_text", required=True)
 def vec_from_hf(a_text: str, hf_text: str):
-    a = _degree_list(a_text)
-    h = _hilbert(hf_text)
-    try:
-        t = vectors.vector_of_hf(h, a)
-    except ValueError as exc:
-        _fail(str(exc))
+    a = _guarded(DegreeList.from_string, a_text)
+    h = _guarded(HilbertFunction.from_string, hf_text)
+    t = _guarded(vectors.vector_of_hf, h, a)
     _echo(format_vector(t))
 
 
@@ -326,10 +287,7 @@ def vec_from_hf(a_text: str, hf_text: str):
 @click.option("--vec", "vec_text", required=True)
 def vec_dual(a_text: str, vec_text: str):
     a, t = _vec_common(a_text, vec_text)
-    try:
-        _echo(format_vector(vectors.dual(t, a)))
-    except ValueError as exc:
-        _fail(str(exc))
+    _echo(format_vector(_guarded(vectors.dual, t, a)))
 
 
 @main.command()
@@ -338,19 +296,16 @@ def vec_dual(a_text: str, vec_text: str):
 @click.option("--ideal", "ideal_text", default=None)
 def staircase(a_text: str, vec_text: str | None, ideal_text: str | None):
     """Two-variable staircase: filled circles are monomials outside the ideal."""
-    a = _degree_list(a_text)
+    a = _guarded(DegreeList.from_string, a_text)
     if a.n != 2:
         _fail("staircase rendering needs exactly two variables")
     if (vec_text is None) == (ideal_text is None):
         _fail("provide exactly one of --vec or --ideal")
     aa, bb = a.degrees
-    _guarded(lambda: _check_staircase_size(aa * bb))
+    _guarded(_check_staircase_size, aa * bb)
     if vec_text is not None:
-        t = _vector(vec_text, 2)
-        try:
-            ideal = vectors.ideal_of_vector(t, a)
-        except ValueError as exc:
-            _fail(str(exc))
+        t = _guarded(parse_vector, vec_text, 2)
+        ideal = _guarded(vectors.ideal_of_vector, t, a)
     else:
         ideal = _ideal(ideal_text, n=2)
     sides, starts = _guarded(ideal._row_starts)
@@ -388,19 +343,15 @@ def _emit_report(report: harness.CheckReport, as_json: bool):
         sys.exit(2)
 
 
-def _run_guarded(fn, as_json: bool):
-    _emit_report(_guarded(fn), as_json)
-
-
 @check.command("growth")
 @click.option("--A", "a_text", required=True)
 @click.option("--hf", "hf_text", required=True)
 @click.option("--max-count", "max_count", type=int, default=None)
 @click.option("--json", "as_json", is_flag=True)
 def check_growth(a_text, hf_text, max_count, as_json):
-    a = _degree_list(a_text)
-    h = _hilbert(hf_text)
-    _run_guarded(lambda: harness.growth_check(h, a, max_count), as_json)
+    a = _guarded(DegreeList.from_string, a_text)
+    h = _guarded(HilbertFunction.from_string, hf_text)
+    _emit_report(_guarded(harness.growth_check, h, a, max_count), as_json)
 
 
 @check.command("lpp")
@@ -410,27 +361,26 @@ def check_growth(a_text, hf_text, max_count, as_json):
 @click.option("--max-count", "max_count", type=int, default=None)
 @click.option("--json", "as_json", is_flag=True)
 def check_lpp(a_text, hf_text, char, max_count, as_json):
-    a = _degree_list(a_text)
-    h = _hilbert(hf_text)
-    _run_guarded(
-        lambda: harness.lpp_dominance_check(h, a, _field(char), max_count), as_json
-    )
+    a = _guarded(DegreeList.from_string, a_text)
+    h = _guarded(HilbertFunction.from_string, hf_text)
+    f = _guarded(FieldSpec, char)
+    _emit_report(_guarded(harness.lpp_dominance_check, h, a, f, max_count), as_json)
 
 
 @check.command("residual")
 @click.option("--A", "a_text", required=True)
 @click.option("--json", "as_json", is_flag=True)
 def check_residual(a_text, as_json):
-    a = _degree_list(a_text)
-    _run_guarded(lambda: harness.residual_lpp_check(a), as_json)
+    a = _guarded(DegreeList.from_string, a_text)
+    _emit_report(_guarded(harness.residual_lpp_check, a), as_json)
 
 
 @check.command("lexseg")
 @click.option("--A", "a_text", required=True)
 @click.option("--json", "as_json", is_flag=True)
 def check_lexseg(a_text, as_json):
-    a = _degree_list(a_text)
-    _run_guarded(lambda: harness.lexseg_lemma_check(a), as_json)
+    a = _guarded(DegreeList.from_string, a_text)
+    _emit_report(_guarded(harness.lexseg_lemma_check, a), as_json)
 
 
 @check.command("socle-equiv")
@@ -440,10 +390,11 @@ def check_lexseg(a_text, as_json):
 @click.option("--max-count", "max_count", type=int, default=None)
 @click.option("--json", "as_json", is_flag=True)
 def check_socle_equiv(a_text, hf_text, char, max_count, as_json):
-    a = _degree_list(a_text)
-    h = _hilbert(hf_text)
-    _run_guarded(
-        lambda: harness.socle_equivalence_check(h, a, _field(char), max_count), as_json
+    a = _guarded(DegreeList.from_string, a_text)
+    h = _guarded(HilbertFunction.from_string, hf_text)
+    f = _guarded(FieldSpec, char)
+    _emit_report(
+        _guarded(harness.socle_equivalence_check, h, a, f, max_count), as_json
     )
 
 

@@ -220,22 +220,6 @@ def standard_monomials_of_degree(a: DegreeList, d: int) -> list[Monomial]:
     return out
 
 
-def lpp_bound_oracle(h: int, d: int, a: DegreeList) -> int:
-    """Independent bound: build powers + the shortest degree-d lex segment
-    reaching codimension h, then count the degree-(d+1) codimension directly.
-    """
-    std_d = standard_monomials_of_degree(a, d)
-    full = len(std_d)
-    if not 0 <= h <= full:
-        raise ValueError(f"h={h} not reachable at degree {d} for A={a}")
-    added = std_d[: full - h]  # lex-largest standard monomials join the ideal
-    count = 0
-    for m in standard_monomials_of_degree(a, d + 1):
-        if not any(g.divides(m) for g in added):
-            count += 1
-    return count
-
-
 def is_lpp_sequence(s: HilbertFunction, a: DegreeList) -> bool:
     """Is s the Hilbert function of some ideal between the A-powers and R?
 

@@ -58,6 +58,14 @@ class CheckReport:
     witnesses: list[dict] = dc_field(default_factory=list)
     details: dict = dc_field(default_factory=dict)
 
+    @classmethod
+    def from_witnesses(
+        cls, check: str, instance: dict, witnesses: list[dict], details: dict
+    ) -> CheckReport:
+        """A finished check: it passes exactly when it found no witness."""
+        verdict = "counterexample" if witnesses else "pass"
+        return cls(check, instance, verdict, witnesses, details)
+
     @property
     def ok(self) -> bool:
         return self.verdict == "pass"
@@ -169,38 +177,6 @@ def lpp_ideal_for(h: HilbertFunction, a: DegreeList) -> MonomialIdeal | None:
     return ideal
 
 
-def direct_lpp_ideal(h: HilbertFunction, a: DegreeList) -> MonomialIdeal | None:
-    """Independent construction of the A-lex-plus-powers ideal for h.
-
-    Keeps the lex-smallest h(d) standard monomials at each degree; fails
-    (None) if the kept set is not closed under division or some pure power
-    would not be a minimal generator.
-    """
-    if not is_lpp_sequence(h, a):
-        return None
-    kept: set[tuple[int, ...]] = set()
-    for d in range(h.sigma):
-        std = standard_monomials_of_degree(a, d)
-        take = h.at(d)
-        if take > len(std):
-            return None
-        bottom = std[len(std) - take :]
-        for m in bottom:
-            for k in range(a.n):
-                if m.exps[k] > 0 and _step_down(m.exps, k) not in kept:
-                    return None
-            kept.add(m.exps)
-    gens: list[Monomial] = list(a.powers_ideal().gens)
-    for d in range(a.sigma_ci):  # the whole box, not just below sigma(h)
-        for m in standard_monomials_of_degree(a, d):
-            if m.exps not in kept:
-                gens.append(m)
-    ideal = MonomialIdeal.from_gens(a.n, gens)
-    if ideal.pure_power_profile() != a.degrees:
-        return None
-    return ideal
-
-
 def growth_check(
     h: HilbertFunction, a: DegreeList, max_ideals: int | None = None
 ) -> CheckReport:
@@ -210,6 +186,7 @@ def growth_check(
     instance = {"A": list(a.degrees), "H": str(h)}
     witnesses = []
     count = 0
+    violations = None  # of h itself; every ideal with Hilbert function h shares them
     for ideal in enumerate_ideals(h, a, max_ideals):
         count += 1
         actual = ideal.hilbert_function()
@@ -222,30 +199,32 @@ def growth_check(
                 }
             )
             continue
-        if h.at(1) > ci_hilbert_function(a).at(1):
-            witnesses.append(
-                {
-                    "reason": "degree-1 value exceeds the embedding bound",
-                    "ideal": ideal_to_json_dict(ideal),
-                }
-            )
-        for d in range(1, h.sigma):
-            if h.at(d + 1) > lpp_bound(h.at(d), d, a):
-                witnesses.append(
-                    {
-                        "reason": f"growth bound violated at degree {d}",
-                        "ideal": ideal_to_json_dict(ideal),
-                        "bound": lpp_bound(h.at(d), d, a),
-                        "value": h.at(d + 1),
-                    }
+        if violations is None:
+            violations = _growth_violations(h, a)
+        witnesses.extend(
+            {"reason": reason, "ideal": ideal_to_json_dict(ideal), **extra}
+            for reason, extra in violations
+        )
+    return CheckReport.from_witnesses("growth", instance, witnesses, {"ideals": count})
+
+
+def _growth_violations(h: HilbertFunction, a: DegreeList) -> list[tuple[str, dict]]:
+    """The degree-1 ceiling and the growth bound at each degree, checked on h;
+    h must have passed the enumeration's validity check, so that every bound
+    is defined."""
+    out: list[tuple[str, dict]] = []
+    if h.at(1) > ci_hilbert_function(a).at(1):
+        out.append(("degree-1 value exceeds the embedding bound", {}))
+    for d in range(1, h.sigma):
+        bound = lpp_bound(h.at(d), d, a)
+        if h.at(d + 1) > bound:
+            out.append(
+                (
+                    f"growth bound violated at degree {d}",
+                    {"bound": bound, "value": h.at(d + 1)},
                 )
-    return CheckReport(
-        "growth",
-        instance,
-        "pass" if not witnesses else "counterexample",
-        witnesses,
-        {"ideals": count},
-    )
+            )
+    return out
 
 
 def lpp_dominance_check(
@@ -280,13 +259,8 @@ def lpp_dominance_check(
                     "beta_ideal": b.beta(i, j),
                 }
             )
-    return CheckReport(
-        "lpp-dominance",
-        instance,
-        "pass" if not witnesses else "counterexample",
-        witnesses,
-        {"ideals": count, "first_betti_dominance": first_betti_ok},
-    )
+    details = {"ideals": count, "first_betti_dominance": first_betti_ok}
+    return CheckReport.from_witnesses("lpp-dominance", instance, witnesses, details)
 
 
 def residual_lpp_check(a: DegreeList) -> CheckReport:
@@ -337,12 +311,8 @@ def residual_lpp_check(a: DegreeList) -> CheckReport:
                         "residual": ideal_to_json_dict(actual),
                     }
                 )
-    return CheckReport(
-        "residual-lpp",
-        instance,
-        "pass" if not witnesses else "counterexample",
-        witnesses,
-        {"vectors": count},
+    return CheckReport.from_witnesses(
+        "residual-lpp", instance, witnesses, {"vectors": count}
     )
 
 
@@ -372,12 +342,8 @@ def lexseg_lemma_check(a: DegreeList) -> CheckReport:
                         "position": s + 1,
                     }
                 )
-    return CheckReport(
-        "lexseg",
-        instance,
-        "pass" if not witnesses else "counterexample",
-        witnesses,
-        {"lpp_ideals": count},
+    return CheckReport.from_witnesses(
+        "lexseg", instance, witnesses, {"lpp_ideals": count}
     )
 
 
@@ -439,10 +405,6 @@ def socle_equivalence_check(
                             "ideal": ideal_to_json_dict(ideal),
                         }
                     )
-    return CheckReport(
-        "socle-equivalence",
-        instance,
-        "pass" if not witnesses else "counterexample",
-        witnesses,
-        {"ideals": count},
+    return CheckReport.from_witnesses(
+        "socle-equivalence", instance, witnesses, {"ideals": count}
     )

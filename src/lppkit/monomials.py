@@ -68,10 +68,6 @@ class Monomial:
         e[i] += 1
         return Monomial(tuple(e))
 
-    def shifted(self) -> Monomial:
-        """Image under x_i -> x_{i+1}, i.e. prepend a zero exponent."""
-        return Monomial((0,) + self.exps)
-
     # lex order on exponent vectors; total on fixed n
     def __lt__(self, other: Monomial) -> bool:
         if self.n != other.n:
@@ -86,18 +82,6 @@ class Monomial:
 
     def __ge__(self, other: Monomial) -> bool:
         return other <= self
-
-
-def lex_compare(m1: Monomial, m2: Monomial) -> int:
-    """Lex comparison: +1 if m1 > m2, 0 if equal, -1 if m1 < m2.
-
-    Higher exponent on an earlier variable wins.
-    """
-    if m1.n != m2.n:
-        raise DimensionError(f"{m1.n} vs {m2.n} variables")
-    if m1.exps == m2.exps:
-        return 0
-    return 1 if m1.exps > m2.exps else -1
 
 
 def unit_monomial(n: int) -> Monomial:
@@ -308,10 +292,6 @@ class MonomialIdeal:
         if any(p is None for p in prof):
             raise NotArtinianError(f"no pure power for some variable: {prof}")
         return DegreeList(tuple(sorted(prof)))  # type: ignore[arg-type]
-
-    @property
-    def is_artinian(self) -> bool:
-        return self.is_unit or all(p is not None for p in self.pure_power_profile())
 
     def _row_starts(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Row starts of the box prod [0, box_k], box_k the largest generator

@@ -7,10 +7,11 @@ constraints that make the associated monomial ideal lex-plus-powers.  The
 distinguished complete-intersection vector corresponds to the pure-powers
 ideal; its dual is the empty vector, standing for the unit ideal.
 
-The calculus here provides: validity checking, the ``length / sigma / alpha``
-statistics, the ideal and Hilbert function of a vector, the inverse map from
-Hilbert functions to vectors, and the dual vector whose ideal is the residual
-of the original inside the pure-powers complete intersection.
+The calculus here provides: validity checking and the ``length / sigma /
+alpha`` statistics (one bottom-up walk computes both), the ideal and Hilbert
+function of a vector, the inverse map from Hilbert functions to vectors, and
+the dual vector whose ideal is the residual of the original inside the
+pure-powers complete intersection.
 """
 
 from __future__ import annotations
@@ -98,79 +99,77 @@ def stats(t: LppVector, a: DegreeList) -> VectorStats:
     sigma - 1 is the top degree outside the associated ideal; alpha is the
     least degree of an ideal element outside the pure powers (infinite exactly
     for the complete-intersection vector).  alpha(empty) = sigma(empty) = 0.
+    Raises ValueError when some part of t is a leaf where a node is needed or
+    a node where a leaf is needed.
     """
-    if isinstance(t, Empty):
-        return VectorStats(0, 0, 0, False)
-    if isinstance(t, Leaf):
-        if a.n != 1:
-            raise ValueError(f"leaf against {a.n} variables")
-        if t.degree == a.degrees[0]:
-            return VectorStats(t.degree, t.degree, INF, True)
-        return VectorStats(t.degree, t.degree, t.degree, False)
-    if a.n == 1:
-        raise ValueError("node against a single variable")
-    a2 = a.tail()
-    u = len(t.children)
-    last = t.children[-1]
-    last_stats = stats(last, a2)
-    if last_stats.is_ci:
-        s = sum(1 for c in t.children if c == last)
-        sigma = last_stats.sigma + s - 1
-    else:
-        sigma = last_stats.sigma
-    if u < a.degrees[0]:
-        alpha: int | float = u
-    else:
-        alpha = u + stats(t.children[0], a2).alpha - 1
-    is_ci = u == a.degrees[0] and all(stats(c, a2).is_ci for c in t.children)
-    return VectorStats(u, sigma, alpha, is_ci)
+    st, reason = _measure(t, a.degrees)
+    if st is None:
+        raise ValueError(f"malformed vector for A={a}: {reason}")
+    return st
 
 
 def validate(t: LppVector, a: DegreeList) -> Validation:
     """Check the defining conditions; the reason names the first failure."""
-    if isinstance(t, Empty):
-        return Validation(True)
-    if isinstance(t, Leaf):
-        if a.n != 1:
-            return Validation(False, f"leaf where a {a.n}-variable vector is needed")
-        if t.degree < 1:
-            return Validation(False, f"leaf degree {t.degree} is not positive")
-        if t.degree > a.degrees[0]:
-            return Validation(
-                False, f"leaf degree {t.degree} exceeds the bound {a.degrees[0]}"
-            )
-        return Validation(True)
-    if a.n == 1:
-        return Validation(False, "node where a one-variable vector is needed")
-    a2 = a.tail()
-    u = len(t.children)
-    if u > a.degrees[0]:
-        return Validation(False, f"length {u} exceeds a_1 = {a.degrees[0]}")
-    for idx, child in enumerate(t.children, start=1):
-        sub = validate(child, a2)
-        if not sub:
-            return Validation(False, f"child {idx}: {sub.reason}")
-    last_len = stats(t.children[-1], a2).length
-    if u > last_len:
-        return Validation(
-            False, f"length {u} exceeds the last child's length {last_len}"
-        )
-    for idx in range(u - 1):
-        left = stats(t.children[idx], a2)
-        right = stats(t.children[idx + 1], a2)
-        if not left.sigma < right.alpha:
-            return Validation(
-                False,
-                f"sigma of child {idx + 1} ({left.sigma}) not below "
-                f"alpha of child {idx + 2} ({right.alpha})",
-            )
-    return Validation(True)
+    reason = _measure(t, a.degrees)[1]
+    return Validation(reason is None, reason)
 
 
 def _require_valid(t: LppVector, a: DegreeList) -> None:
-    v = validate(t, a)
-    if not v:
-        raise ValueError(f"invalid vector for A={a}: {v.reason}")
+    reason = _measure(t, a.degrees)[1]
+    if reason is not None:
+        raise ValueError(f"invalid vector for A={a}: {reason}")
+
+
+def _measure(
+    t: LppVector, degrees: tuple[int, ...]
+) -> tuple[VectorStats | None, str | None]:
+    """Statistics and first failed condition of t, in one bottom-up walk.
+
+    A node's statistics come from its children's alone.  The statistics are
+    None when some part of t sits at the wrong depth; the reason is then set.
+    Conditions are checked in order: length against a_1, the children, length
+    against the last child's length, then sigma < alpha for neighbours.
+    """
+    if isinstance(t, Empty):
+        return VectorStats(0, 0, 0, False), None
+    n, a1 = len(degrees), degrees[0]
+    if isinstance(t, Leaf):
+        if n != 1:
+            return None, f"leaf where a {n}-variable vector is needed"
+        d = t.degree
+        st = VectorStats(d, d, INF if d == a1 else d, d == a1)
+        if d < 1:
+            return st, f"leaf degree {d} is not positive"
+        if d > a1:
+            return st, f"leaf degree {d} exceeds the bound {a1}"
+        return st, None
+    if n == 1:
+        return None, "node where a one-variable vector is needed"
+    u = len(t.children)
+    reason = f"length {u} exceeds a_1 = {a1}" if u > a1 else None
+    tail = degrees[1:]
+    subs = []
+    for idx, child in enumerate(t.children, start=1):
+        sub, why = _measure(child, tail)
+        subs.append(sub)
+        if reason is None and why is not None:
+            reason = f"child {idx}: {why}"
+    if any(sub is None for sub in subs):
+        return None, reason
+    first, last = subs[0], subs[-1]
+    if reason is None and u > last.length:
+        reason = f"length {u} exceeds the last child's length {last.length}"
+    for idx, (left, right) in enumerate(zip(subs, subs[1:]), start=1):
+        if reason is None and not left.sigma < right.alpha:
+            reason = (
+                f"sigma of child {idx} ({left.sigma}) not below "
+                f"alpha of child {idx + 1} ({right.alpha})"
+            )
+    # a child is CI exactly when it equals the CI vector, hence the last child
+    cis = sum(sub.is_ci for sub in subs)
+    sigma = last.sigma + cis - 1 if last.is_ci else last.sigma
+    alpha = u if u < a1 else u + first.alpha - 1
+    return VectorStats(u, sigma, alpha, u == a1 and cis == u), reason
 
 
 def ideal_of_vector(t: LppVector, a: DegreeList) -> MonomialIdeal:
@@ -181,27 +180,26 @@ def ideal_of_vector(t: LppVector, a: DegreeList) -> MonomialIdeal:
     empty vector gives the unit ideal.
     """
     _require_valid(t, a)
-    return _ideal(t, a)
+    return _ideal(t, a.n)
 
 
-def _ideal(t: LppVector, a: DegreeList) -> MonomialIdeal:
+def _ideal(t: LppVector, n: int) -> MonomialIdeal:
     if isinstance(t, Empty):
-        return MonomialIdeal(a.n, (unit_monomial(a.n),))
+        return MonomialIdeal(n, (unit_monomial(n),))
     if isinstance(t, Leaf):
         return MonomialIdeal(1, (pure_power(1, 0, t.degree),))
     # The children's ideals descend, so x_1^(u-i) * g is a minimal generator
     # unless g lies in the next child's ideal; only a unit first child (an
     # empty vector) swallows x_1^u.  The generators come out lex-descending.
     u = len(t.children)
-    a2 = a.tail()
-    subs = [_ideal(child, a2) for child in t.children]
-    gens: list[Monomial] = [] if subs[0].is_unit else [pure_power(a.n, 0, u)]
+    subs = [_ideal(child, n - 1) for child in t.children]
+    gens: list[Monomial] = [] if subs[0].is_unit else [pure_power(n, 0, u)]
     for i, sub in enumerate(subs, start=1):
         below = subs[i] if i < u else None
         for g in sub.gens:
             if below is None or not below.contains(g):
                 gens.append(Monomial((u - i,) + g.exps))
-    return MonomialIdeal(a.n, tuple(gens))
+    return MonomialIdeal(n, tuple(gens))
 
 
 def hf_of_vector(t: LppVector) -> HilbertFunction:
@@ -221,10 +219,6 @@ def hf_of_vector(t: LppVector) -> HilbertFunction:
         for i in range(top + 1)
     )
     return HilbertFunction(values)
-
-
-def sequence_sigma(s: HilbertFunction) -> int:
-    return s.sigma
 
 
 def sequence_alpha(s: HilbertFunction, a: DegreeList) -> int | float:
@@ -302,43 +296,24 @@ def dual(t: LppVector, a: DegreeList) -> LppVector:
     making the map an involution.
     """
     _require_valid(t, a)
-    return _dual(t, a)
+    return _dual(t, a.degrees)
 
 
-def _dual(t: LppVector, a: DegreeList) -> LppVector:
+def _dual(t: LppVector, degrees: tuple[int, ...]) -> LppVector:
     if isinstance(t, Empty):
-        return ci_vector(a)
+        return _ci_vector(degrees)
+    a1 = degrees[0]
     if isinstance(t, Leaf):
         d = t.degree
-        return Leaf(a.degrees[0] - d) if d < a.degrees[0] else EMPTY
-    a2 = a.tail()
-    u = len(t.children)
+        return Leaf(a1 - d) if d < a1 else EMPTY
+    tail = degrees[1:]
     children = []
     for child in reversed(t.children):
-        sub = _dual(child, a2)
+        sub = _dual(child, tail)
         if not isinstance(sub, Empty):
             children.append(sub)
-    children.extend([ci_vector(a2)] * (a.degrees[0] - u))
+    children.extend([_ci_vector(tail)] * (a1 - len(t.children)))
     return Node(tuple(children)) if children else EMPTY
-
-
-def containment_chain_check(t: LppVector, a: DegreeList) -> bool:
-    """Children's ideals descend: each strictly contains the next, with
-    equality only between structurally equal (trailing complete-intersection)
-    children."""
-    _require_valid(t, a)
-    if not isinstance(t, Node):
-        return True
-    a2 = a.tail()
-    ideals = [_ideal(c, a2) for c in t.children]
-    for (c1, i1), (c2, i2) in zip(
-        zip(t.children, ideals), zip(t.children[1:], ideals[1:])
-    ):
-        if not all(i1.contains(g) for g in i2.gens):
-            return False
-        if c1 != c2 and i1 == i2:
-            return False
-    return True
 
 
 def enumerate_vectors(a: DegreeList) -> list[LppVector]:
@@ -352,9 +327,8 @@ def _enumerate(degrees: tuple[int, ...]) -> tuple[LppVector, ...]:
     if len(degrees) == 1:
         return tuple(Leaf(d) for d in range(1, degrees[0] + 1))
     a1 = degrees[0]
-    tail = DegreeList(degrees[1:])
     pool = _enumerate(degrees[1:])
-    st = [stats(c, tail) for c in pool]
+    st = [_measure(c, degrees[1:])[0] for c in pool]
     out: list[LppVector] = []
 
     def extend(prefix: list[int]):

@@ -28,7 +28,6 @@ from lppkit import (
     ideal_of_vector,
     last_betti_consequences,
     lpp_bound,
-    lpp_bound_oracle,
     lpp_dominance_check,
     mapping_cone_check,
     parse_ideal,
@@ -43,6 +42,8 @@ from lppkit import (
 )
 from lppkit.growth import standard_monomials_of_degree
 from lppkit.vectors import enumerate_vectors
+
+from oracles import lpp_bound_oracle
 
 from conftest import all_degree_lists
 

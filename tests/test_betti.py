@@ -16,13 +16,11 @@ from lppkit import (
     socle_dims,
     stanley_check,
 )
-from lppkit.betti import (
-    betti_euler_by_multidegree,
-    stanley_first_mismatch,
-    taylor_euler_by_multidegree,
-)
+from lppkit.betti import stanley_first_mismatch
 from lppkit.harness import enumerate_ideals, valid_hilbert_functions
 from lppkit.monomials import unit_monomial
+
+from oracles import betti_euler_by_multidegree, taylor_euler_by_multidegree
 
 GF2 = FieldSpec(2)
 

@@ -14,13 +14,13 @@ from lppkit import (
     gk_expansion,
     is_lpp_sequence,
     lpp_bound,
-    lpp_bound_oracle,
     monomial_from_codim,
 )
 from lppkit.growth import standard_monomials_of_degree
 from lppkit.monomials import minimalize, monomials_of_degree
 
 from conftest import all_degree_lists
+from oracles import lpp_bound_oracle
 
 
 class TestClassicalExpansion:

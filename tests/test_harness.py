@@ -20,8 +20,10 @@ from lppkit import (
     valid_hilbert_functions,
 )
 from lppkit.growth import standard_monomials_of_degree
-from lppkit.harness import direct_lpp_ideal, lpp_ideal_for
+from lppkit.harness import lpp_ideal_for
 from lppkit.vectors import ideal_of_vector, parse_vector
+
+from oracles import direct_lpp_ideal
 
 
 class TestEnumerateIdeals:

@@ -16,7 +16,6 @@ from lppkit import (
     format_ideal,
     is_lex_segment,
     is_lpp,
-    lex_compare,
     minimalize,
     parse_ideal,
 )
@@ -32,6 +31,7 @@ from lppkit.monomials import (
 )
 
 from conftest import brute_colon, hf_by_inclusion_exclusion
+from oracles import lex_compare
 
 
 def ideal(text, n=None):

@@ -11,7 +11,6 @@ from lppkit import (
     ci_hilbert_function,
     ci_vector,
     colon,
-    containment_chain_check,
     decompose,
     dual,
     enumerate_vectors,
@@ -23,7 +22,6 @@ from lppkit import (
     is_lpp_sequence,
     parse_vector,
     sequence_alpha,
-    sequence_sigma,
     stats,
     validate,
     vector_of_hf,
@@ -32,6 +30,7 @@ from lppkit.growth import gk_coefficients, lpp_bound
 from lppkit.vectors import INF
 
 from conftest import all_degree_lists
+from oracles import containment_chain_check, sequence_sigma
 
 A446 = DegreeList((4, 4, 6))
 A46 = DegreeList((4, 6))
