@@ -245,6 +245,13 @@ def decompose(
         raise ValueError(f"decomposition needs S(1) >= 2, got {b1}")
     if not is_lpp_sequence(s, a):
         raise ValueError(f"not a valid sequence for A={a}: {s}")
+    return _decompose(s, a)
+
+
+def _decompose(
+    s: HilbertFunction, a: DegreeList
+) -> tuple[HilbertFunction, HilbertFunction, int | float]:
+    b1 = s.at(1)
     n = a.n
     e_entries = [a.degrees[i] - 1 for i in range(n - b1 + 1, n)]
     top = max(s.sigma, sum(e_entries)) + 2
@@ -268,21 +275,31 @@ def decompose(
 def vector_of_hf(h: HilbertFunction, a: DegreeList) -> LppVector:
     """The unique valid vector whose Hilbert function is h.
 
-    Inverse of :func:`hf_of_vector` on valid sequences; preserves sigma and
-    alpha.  Recursion: with fewer than n independent linear forms the sequence
-    already lives in one variable less; otherwise peel one decomposition step,
-    map the primed part into the tail and recurse on the rest.
+    Inverse of :func:`hf_of_vector` on valid sequences and on the zero
+    function (the unit ideal), which maps to the empty vector; preserves sigma
+    and alpha.  h is checked once, here.
     """
+    if h.sigma == 0:
+        return EMPTY
     if not is_lpp_sequence(h, a):
         raise ValueError(f"{h} is not a valid sequence for A={a}")
+    return _vector_of_hf(h, a)
+
+
+def _vector_of_hf(h: HilbertFunction, a: DegreeList) -> LppVector:
+    """Recursion for a valid h: with fewer than n independent linear forms the
+    sequence already lives in one variable less; otherwise peel one
+    decomposition step, map the primed part into the tail and recurse on the
+    rest.  A valid h with h(1) = n splits into S1 valid for A and S1' valid
+    for A's tail, so neither is checked again."""
     n = a.n
     if n == 1:
         return Leaf(h.sigma)
     if h.at(1) < n:
-        return Node((vector_of_hf(h, a.tail()),))
-    s1, s1p, _cut = decompose(h, a)
-    tail_vec = vector_of_hf(s1p, a.tail())
-    head = vector_of_hf(s1, a)
+        return Node((_vector_of_hf(h, a.tail()),))
+    s1, s1p, _cut = _decompose(h, a)
+    tail_vec = _vector_of_hf(s1p, a.tail())
+    head = _vector_of_hf(s1, a)
     assert isinstance(head, Node)
     return Node(head.children + (tail_vec,))
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 
 import pytest
 
@@ -62,6 +63,29 @@ def brute_colon(j: MonomialIdeal, i: MonomialIdeal, degree_bound: int) -> Monomi
             if all(j.contains(m * g) for g in i.gens):
                 kept.append(m)
     return MonomialIdeal.from_gens(j.n, kept)
+
+
+def random_box_hf(rng: random.Random, sides: tuple[int, ...]) -> HilbertFunction:
+    """Hilbert function of a seeded random ideal with pure powers x_k^{sides_k}
+    plus 25 monomials of the box's middle degree, counted on a dense
+    table of the box (one flag per point, set when the point is a generator
+    or one step above a member)."""
+    n = len(sides)
+    mid = sum(s - 1 for s in sides) // 2
+    chosen: set[tuple[int, ...]] = set()
+    while len(chosen) < 25:
+        cuts = sorted(rng.randint(0, mid) for _ in range(n - 1))
+        exps = tuple(b - a for a, b in zip((0, *cuts), (*cuts, mid)))
+        if all(e < s for e, s in zip(exps, sides)):
+            chosen.add(exps)
+    member: dict[tuple[int, ...], bool] = {}
+    counts = [0] * (sum(sides) + 1)
+    for p in itertools.product(*(range(s) for s in sides)):
+        below = (p[:k] + (p[k] - 1,) + p[k + 1 :] for k in range(n) if p[k])
+        member[p] = p in chosen or any(member[q] for q in below)
+        if not member[p]:
+            counts[sum(p)] += 1
+    return HilbertFunction(tuple(counts))
 
 
 @pytest.fixture

@@ -39,6 +39,7 @@ from lppkit.vectors import (
     VectorStats,
     _ideal,
     _require_valid,
+    decompose,
 )
 
 # the homology computation itself, without the memo
@@ -233,6 +234,24 @@ def validate_by_recursion(t: LppVector, a: DegreeList) -> Validation:
                 f"alpha of child {idx + 2} ({right.alpha})",
             )
     return Validation(True)
+
+
+def vector_of_hf_by_checked_recursion(h: HilbertFunction, a: DegreeList) -> LppVector:
+    """The vector of a valid h by the recursion that checks every sequence it
+    visits: h itself, and the S1 and S1' of each split (each at its own
+    entry, and S again inside the public ``decompose``)."""
+    if not is_lpp_sequence(h, a):
+        raise ValueError(f"{h} is not a valid sequence for A={a}")
+    n = a.n
+    if n == 1:
+        return Leaf(h.sigma)
+    if h.at(1) < n:
+        return Node((vector_of_hf_by_checked_recursion(h, a.tail()),))
+    s1, s1p, _cut = decompose(h, a)
+    tail_vec = vector_of_hf_by_checked_recursion(s1p, a.tail())
+    head = vector_of_hf_by_checked_recursion(s1, a)
+    assert isinstance(head, Node)
+    return Node(head.children + (tail_vec,))
 
 
 def sequence_sigma(s: HilbertFunction) -> int:

@@ -1,10 +1,13 @@
 import json
+import random
 import time
 
 import pytest
 from click.testing import CliRunner
 
 from lppkit.cli import main
+
+from conftest import random_box_hf
 
 
 def run(*args, env=None):
@@ -42,6 +45,25 @@ class TestVec:
     def test_from_hf_golden(self):
         r = run("vec", "from-hf", "--A", "4,4,6", "--hf", "1 3 6 10 13 10 5 3")
         assert r.output == "[[1,2],[1,3,4],[2,3,6,6],[5,6,6,6]]\n"
+
+    def test_from_hf_invalid_is_a_clean_error(self):
+        r = run("vec", "from-hf", "--A", "2,2,2", "--hf", "1 4 1")
+        assert r.exit_code == 1
+        assert "is not a valid sequence for A=" in r.output
+
+    def test_from_hf_zero_function_is_the_empty_vector(self):
+        assert run("vec", "to-hf", "--A", "2,3", "--vec", "[]").output == "0\n"
+        r = run("vec", "from-hf", "--A", "2,3", "--hf", "0")
+        assert r.exit_code == 0
+        assert r.output == "[]\n"
+
+    def test_from_hf_large_box_round_trip(self):
+        h = str(random_box_hf(random.Random(3), (20, 21, 22)))
+        r = run("vec", "from-hf", "--A", "20,21,22", "--hf", h)
+        assert r.exit_code == 0
+        back = run("vec", "to-hf", "--A", "20,21,22", "--vec", r.output.strip())
+        assert back.exit_code == 0
+        assert back.output.split() == h.split()
 
     def test_dual_golden(self):
         r = run("vec", "dual", "--A", "5,7", "--vec", "[1,3,4,7,7]")
