@@ -28,12 +28,10 @@ from .growth import (
     ci_hilbert_function,
     classical_bound,
     classical_expansion,
-    codim_from_monomial,
     gk_coefficients,
     gk_expansion,
     is_lpp_sequence,
     lpp_bound,
-    monomial_from_codim,
 )
 from .vectors import (
     EMPTY,
@@ -49,7 +47,6 @@ from .vectors import (
     hf_of_vector,
     ideal_of_vector,
     parse_vector,
-    sequence_alpha,
     stats,
     validate,
     vector_of_hf,
@@ -58,10 +55,7 @@ from .betti import (
     BettiDiagram,
     FieldSpec,
     betti_diagram,
-    last_betti_consequences,
     mapping_cone_check,
-    socle_dims,
-    stanley_check,
 )
 from .harness import (
     CheckReport,

@@ -22,7 +22,6 @@ from functools import lru_cache
 
 from .monomials import (
     DegreeList,
-    HilbertFunction,
     MonomialIdeal,
     NotArtinianError,
     colon,
@@ -40,8 +39,41 @@ class FieldSpec:
         p = self.characteristic
         if p == 0:
             return
-        if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+        if p >= PRIME_LIMIT:
+            raise ValueError(
+                f"characteristic {p} is too large: primality is decided only below "
+                f"{PRIME_LIMIT}"
+            )
+        if not _is_prime(p):
             raise ValueError(f"characteristic must be 0 or prime, got {p}")
+
+
+# Miller-Rabin with the first 13 primes as bases is exact below PRIME_LIMIT,
+# the least strong pseudoprime to all of them (Sorenson and Webster, 2015).
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin for p < PRIME_LIMIT."""
+    if p < 2:
+        return False
+    if any(p % b == 0 for b in _BASES):
+        return p in _BASES
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
 
 
 QQ = FieldSpec(0)
@@ -248,61 +280,6 @@ def betti_diagram(i: MonomialIdeal, f: FieldSpec = QQ) -> BettiDiagram:
             if hd:
                 beta[(k + 2, total)] += hd
     return BettiDiagram(i.n, dict(beta))
-
-
-def socle_dims(i: MonomialIdeal, f: FieldSpec = QQ) -> dict[int, int]:
-    """Socle dimensions by degree, via the last column of the Betti diagram.
-
-    For monomial ideals these match the monomial socle count in every
-    characteristic; the agreement is checked and a mismatch raises.
-    """
-    diagram = betti_diagram(i, f)
-    n = i.n
-    dims = {
-        j - n: v for (idx, j), v in diagram.entries.items() if idx == n and v
-    }
-    expected = {d: len(ms) for d, ms in i.socle_monomials().items()}
-    if dims != expected:
-        raise AssertionError(
-            f"socle mismatch: homology {dims} vs monomial count {expected}"
-        )
-    return dims
-
-
-def stanley_first_mismatch(h: HilbertFunction, b: BettiDiagram) -> int | None:
-    """First degree where sum_i (-1)^i beta_{i,j} differs from H(t)(1-t)^n."""
-    n = b.n
-    numerator: dict[int, int] = defaultdict(int)
-    for (i, j), v in b.entries.items():
-        numerator[j] += (-1) ** i * v
-    # H(t) * (1-t)^n, exact integer convolution
-    signs = [(-1) ** k * math.comb(n, k) for k in range(n + 1)]
-    top = max(h.sigma + n, max(numerator, default=0)) + 1
-    for j in range(top + 1):
-        coeff = sum(
-            signs[k] * h.at(j - k) for k in range(min(j, n) + 1)
-        )
-        if coeff != numerator.get(j, 0):
-            return j
-    return None
-
-
-def stanley_check(h: HilbertFunction, b: BettiDiagram) -> bool:
-    return stanley_first_mismatch(h, b) is None
-
-
-def last_betti_consequences(
-    h: HilbertFunction, b1: BettiDiagram, b2: BettiDiagram
-) -> bool:
-    """Equalities at the regularity forced by a shared Hilbert function:
-    the last corner entries agree and the adjacent column differences agree."""
-    n = b1.n
-    rho = h.rho
-    if b1.beta(n, rho + n) != b2.beta(n, rho + n):
-        return False
-    lhs = b1.beta(n - 1, rho + n - 1) - b1.beta(n, rho + n - 1)
-    rhs = b2.beta(n - 1, rho + n - 1) - b2.beta(n, rho + n - 1)
-    return lhs == rhs
 
 
 @dataclass(frozen=True)

@@ -158,10 +158,12 @@ def gk_expansion(h: int, d: int, a: DegreeList) -> GKExpansion:
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
     n = a.n
-    rows = _rows(a.degrees, d + 1)
-    full = rows[n - 1][d]
+    # from sigma_ci on every monomial is a multiple of a pure power, so the
+    # rectangle, d + 2 columns wide, is not built for an empty column
+    full = _rows(a.degrees, d + 1)[n - 1][d] if d < a.sigma_ci else 0
     if not 0 < h <= full:
         raise ValueError(f"h={h} out of range 1..{full} at degree {d} for A={a}")
+    rows = _rows(a.degrees, d + 1)
     terms: list[tuple[int, int]] = []
     rem = h
     t = d
@@ -237,22 +239,3 @@ def is_lpp_sequence(s: HilbertFunction, a: DegreeList) -> bool:
         if s.at(i + 1) > lpp_bound(s.at(i), i, a):
             return False
     return True
-
-
-def codim_from_monomial(m: Monomial, a: DegreeList) -> int:
-    """Codimension slot of a standard monomial: the number of standard
-    monomials of the same degree that are lex-smaller."""
-    if m.n != a.n:
-        raise ValueError(f"{m.n} vs {a.n} variables")
-    if any(e >= cap for e, cap in zip(m.exps, a.degrees)):
-        raise ValueError(f"{m.exps} is not standard modulo the powers of {a}")
-    std = standard_monomials_of_degree(a, m.degree)
-    return sum(1 for other in std if other < m)
-
-
-def monomial_from_codim(h: int, d: int, a: DegreeList) -> Monomial:
-    """Inverse of :func:`codim_from_monomial` at degree d."""
-    std = standard_monomials_of_degree(a, d)
-    if not 0 <= h < len(std):
-        raise ValueError(f"codimension {h} out of range 0..{len(std) - 1}")
-    return std[len(std) - 1 - h]

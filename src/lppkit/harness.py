@@ -1,15 +1,17 @@
 """Exhaustive desk-scale checks over monomial ideals with a fixed Hilbert
 function and prescribed pure powers.
 
-The enumeration walks standard-monomial complements degree by degree with
-forward-closure pruning; each check consumes the stream and produces a
-CheckReport whose failures carry reproducible witnesses.
+The enumeration grows the standard monomials degree by degree as the row
+starts of the box, keeping a monomial only when its divisors are kept; each
+check consumes the stream and produces a CheckReport whose failures carry
+reproducible witnesses.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 from dataclasses import dataclass, field as dc_field
 
@@ -17,21 +19,16 @@ from .monomials import (
     DegreeList,
     GuardExceeded,
     HilbertFunction,
-    Monomial,
     MonomialIdeal,
-    _ideal_outside,
+    _ideal_of_rows,
+    _row_strides,
     add_maximal_power,
     colon,
     ideal_to_json_dict,
     is_lex_segment,
     is_lpp,
 )
-from .growth import (
-    ci_hilbert_function,
-    is_lpp_sequence,
-    lpp_bound,
-    standard_monomials_of_degree,
-)
+from .growth import ci_hilbert_function, is_lpp_sequence, lpp_bound
 from .vectors import enumerate_vectors, format_vector, ideal_of_vector, dual, vector_of_hf
 from .betti import FieldSpec, QQ, betti_diagram
 
@@ -86,24 +83,29 @@ class CheckReport:
 def enumerate_ideals(h: HilbertFunction, a: DegreeList, max_ideals: int | None = None):
     """Every monomial ideal containing the A-powers whose quotient attains h.
 
-    Complements are chosen degree by degree: a standard monomial may only be
-    kept if all its one-step divisors were kept.  The stream is deterministic
-    (candidates lex-descending, subsets in combination order).
+    The complement is grown degree by degree as row starts of the box
+    prod [0, a_k] (see :meth:`MonomialIdeal._row_starts`): the standard
+    monomial of degree d in row p is (p, c) with c = d - |p|, and it may be
+    kept only if c < a_n, the row has kept exactly c points, and each row
+    p - e_k one step below has kept more than c.  The stream is deterministic
+    (candidate rows lex-descending, subsets in combination order).
     """
     if not is_lpp_sequence(h, a):
         raise ValueError(f"{h} is not a valid sequence for A={a}")
     if h.total > CELL_GUARD:
         raise GuardExceeded(f"{h.total} standard monomials exceeds {CELL_GUARD}")
     guard = default_guard() if max_ideals is None else max_ideals
-    box_by_degree: dict[int, list[Monomial]] = {}
-    for d in range(h.sigma):
-        box_by_degree[d] = standard_monomials_of_degree(a, d)
     sides = tuple(deg + 1 for deg in a.degrees)
+    strides = _row_strides(sides)
+    last = a.degrees[-1]
+    # the rows that can hold standard monomials, lex-descending, as
+    # (row index, |p|, indices of the rows one step below)
+    rows = []
+    for prefix in itertools.product(*(range(e - 1, -1, -1) for e in a.degrees[:-1])):
+        r = sum(p * s for p, s in zip(prefix, strides))
+        rows.append((r, sum(prefix), [r - s for p, s in zip(prefix, strides) if p]))
+    starts = [0] * math.prod(sides[:-1])
     count = 0
-    chosen: dict[int, set[tuple[int, ...]]] = {}
-
-    def emit() -> MonomialIdeal:
-        return _ideal_outside(sides, itertools.chain(*chosen.values()))
 
     def walk(d: int):
         nonlocal count
@@ -112,33 +114,21 @@ def enumerate_ideals(h: HilbertFunction, a: DegreeList, max_ideals: int | None =
             count += 1
             if count > guard:
                 raise GuardExceeded(f"more than {guard} ideals; raise the guard")
-            yield emit()
+            yield _ideal_of_rows(a.n, sides, starts)
             return
-        if d == 0:
-            chosen[0] = {(0,) * a.n}
-            yield from walk(1)
-            del chosen[0]
-            return
-        prev = chosen[d - 1]
-        candidates = [
-            m
-            for m in box_by_degree.get(d, [])
-            if all(
-                _step_down(m.exps, k) in prev for k in range(a.n) if m.exps[k] > 0
-            )
-        ]
-        if len(candidates) < need:
-            return
-        for combo in itertools.combinations(range(len(candidates)), need):
-            chosen[d] = {candidates[i].exps for i in combo}
+        candidates = []
+        for r, d0, below in rows:
+            c = d - d0
+            if c < last and starts[r] == c and all(starts[q] > c for q in below):
+                candidates.append(r)
+        for combo in itertools.combinations(candidates, need):
+            for r in combo:
+                starts[r] += 1
             yield from walk(d + 1)
-            del chosen[d]
+            for r in combo:
+                starts[r] -= 1
 
     yield from walk(0)
-
-
-def _step_down(exps: tuple[int, ...], k: int) -> tuple[int, ...]:
-    return exps[:k] + (exps[k] - 1,) + exps[k + 1 :]
 
 
 def valid_hilbert_functions(a: DegreeList, sigma_max: int) -> list[HilbertFunction]:

@@ -467,20 +467,6 @@ def _ideal_of_rows(n: int, sides: tuple[int, ...], starts) -> MonomialIdeal:
     return MonomialIdeal(n, tuple(gens))
 
 
-def _ideal_outside(sides: tuple[int, ...], kept) -> MonomialIdeal:
-    """The ideal of the points of the box prod [0, sides_k) outside ``kept``,
-    a down-set of the box that leaves out its top face in every variable.
-
-    The kept points of a row are a prefix of it, so the row's start is their
-    count.
-    """
-    row_strides = _row_strides(sides)
-    starts = [0] * math.prod(sides[:-1])
-    for exps in kept:
-        starts[sum(e * s for e, s in zip(exps, row_strides))] += 1
-    return _ideal_of_rows(len(sides), sides, starts)
-
-
 def colon(j: MonomialIdeal, i: MonomialIdeal) -> MonomialIdeal:
     """The residual (J : I) = { f : f*I inside J }, as a minimal monomial ideal.
 

@@ -21,15 +21,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .monomials import (
-    DegreeList,
-    HilbertFunction,
-    Monomial,
-    MonomialIdeal,
-    pure_power,
-    unit_monomial,
-)
-from .growth import ci_hilbert_function, gk_coefficients, is_lpp_sequence
+from .monomials import DegreeList, HilbertFunction, MonomialIdeal, _ideal_of_rows
+from .growth import gk_coefficients, is_lpp_sequence
 
 INF = math.inf
 
@@ -180,26 +173,27 @@ def ideal_of_vector(t: LppVector, a: DegreeList) -> MonomialIdeal:
     empty vector gives the unit ideal.
     """
     _require_valid(t, a)
-    return _ideal(t, a.n)
+    sides = tuple(deg + 1 for deg in a.degrees)
+    return _ideal_of_rows(a.n, sides, _starts(t, a.degrees))
 
 
-def _ideal(t: LppVector, n: int) -> MonomialIdeal:
-    if isinstance(t, Empty):
-        return MonomialIdeal(n, (unit_monomial(n),))
+def _starts(t: LppVector, degrees: tuple[int, ...]) -> list[int]:
+    """Row starts of the ideal of t in the box prod [0, a_k], as in
+    :meth:`MonomialIdeal._row_starts`.
+
+    The children's ideals descend, so below x_1^u the rows at x_1-exponent
+    e_1 are those of child u - e_1 (1-based); from x_1^u on every row starts
+    at 0, as do all rows of the empty vector.
+    """
     if isinstance(t, Leaf):
-        return MonomialIdeal(1, (pure_power(1, 0, t.degree),))
-    # The children's ideals descend, so x_1^(u-i) * g is a minimal generator
-    # unless g lies in the next child's ideal; only a unit first child (an
-    # empty vector) swallows x_1^u.  The generators come out lex-descending.
-    u = len(t.children)
-    subs = [_ideal(child, n - 1) for child in t.children]
-    gens: list[Monomial] = [] if subs[0].is_unit else [pure_power(n, 0, u)]
-    for i, sub in enumerate(subs, start=1):
-        below = subs[i] if i < u else None
-        for g in sub.gens:
-            if below is None or not below.contains(g):
-                gens.append(Monomial((u - i,) + g.exps))
-    return MonomialIdeal(n, tuple(gens))
+        return [t.degree]
+    rows = math.prod(deg + 1 for deg in degrees[:-1])
+    if isinstance(t, Empty):
+        return [0] * rows
+    out: list[int] = []
+    for child in reversed(t.children):
+        out += _starts(child, degrees[1:])
+    return out + [0] * (rows - len(out))
 
 
 def hf_of_vector(t: LppVector) -> HilbertFunction:
@@ -219,15 +213,6 @@ def hf_of_vector(t: LppVector) -> HilbertFunction:
         for i in range(top + 1)
     )
     return HilbertFunction(values)
-
-
-def sequence_alpha(s: HilbertFunction, a: DegreeList) -> int | float:
-    """Least degree where s drops below the complete-intersection ceiling."""
-    ci = ci_hilbert_function(a)
-    for i in range(max(s.sigma, ci.sigma) + 1):
-        if s.at(i) < ci.at(i):
-            return i
-    return INF
 
 
 def decompose(

@@ -7,7 +7,9 @@ that the library's faster routes can be compared with it.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter, defaultdict
+from functools import lru_cache
 
 from lppkit.betti import (
     BettiDiagram,
@@ -15,9 +17,13 @@ from lppkit.betti import (
     QQ,
     _koszul_homology,
     _reduced_homology_dims,
+    betti_diagram,
 )
-from lppkit.growth import is_lpp_sequence, standard_monomials_of_degree
-from lppkit.harness import _step_down
+from lppkit.growth import (
+    ci_hilbert_function,
+    is_lpp_sequence,
+    standard_monomials_of_degree,
+)
 from lppkit.monomials import (
     DegreeList,
     DimensionError,
@@ -37,9 +43,9 @@ from lppkit.vectors import (
     Node,
     Validation,
     VectorStats,
-    _ideal,
     _require_valid,
     decompose,
+    ideal_of_vector,
 )
 
 # the homology computation itself, without the memo
@@ -131,16 +137,23 @@ def colon_by_intersection(j: MonomialIdeal, i: MonomialIdeal) -> MonomialIdeal:
 def ideal_of_vector_by_minimalize(t: LppVector, a: DegreeList) -> MonomialIdeal:
     """The ideal of a vector by its definition: x_1^u and x_1^(u-i) times the
     shifted ideal of child i, minimalized."""
+    return _ideal_by_minimalize(t, a.degrees)
+
+
+# vectors share their children; each child's ideal is built once
+@lru_cache(maxsize=4096)
+def _ideal_by_minimalize(t: LppVector, degrees: tuple[int, ...]) -> MonomialIdeal:
+    n = len(degrees)
     if isinstance(t, Empty):
-        return MonomialIdeal(a.n, (unit_monomial(a.n),))
+        return MonomialIdeal(n, (unit_monomial(n),))
     if isinstance(t, Leaf):
         return MonomialIdeal(1, (pure_power(1, 0, t.degree),))
     u = len(t.children)
-    gens: list[Monomial] = [pure_power(a.n, 0, u)]
+    gens: list[Monomial] = [pure_power(n, 0, u)]
     for i, child in enumerate(t.children, start=1):
-        sub = ideal_of_vector_by_minimalize(child, a.tail())
+        sub = _ideal_by_minimalize(child, degrees[1:])
         gens += [Monomial((u - i,) + g.exps) for g in sub.gens]
-    return minimalize(a.n, gens)
+    return minimalize(n, gens)
 
 
 def containment_chain_check(t: LppVector, a: DegreeList) -> bool:
@@ -150,7 +163,7 @@ def containment_chain_check(t: LppVector, a: DegreeList) -> bool:
     _require_valid(t, a)
     if not isinstance(t, Node):
         return True
-    ideals = [_ideal(c, a.n - 1) for c in t.children]
+    ideals = [ideal_of_vector(c, a.tail()) for c in t.children]
     for (c1, i1), (c2, i2) in zip(
         zip(t.children, ideals), zip(t.children[1:], ideals[1:])
     ):
@@ -286,6 +299,49 @@ def lpp_bound_oracle(h: int, d: int, a: DegreeList) -> int:
     return count
 
 
+def _step_down(exps: tuple[int, ...], k: int) -> tuple[int, ...]:
+    return exps[:k] + (exps[k] - 1,) + exps[k + 1 :]
+
+
+def enumerate_ideals_by_kept_points(h: HilbertFunction, a: DegreeList):
+    """The stream of ``enumerate_ideals`` by the sets of kept standard
+    monomials: at degree d a monomial may be kept when every one-step divisor
+    was kept at degree d - 1 (candidates lex-descending, subsets in
+    combination order).  Each ideal is the minimalized set of the pure powers
+    and the standard monomials left out."""
+    box = [standard_monomials_of_degree(a, d) for d in range(a.sigma_ci)]
+    powers = list(a.powers_ideal().gens)
+    chosen: dict[int, set[tuple[int, ...]]] = {}
+
+    def emit() -> MonomialIdeal:
+        kept = set().union(*chosen.values())
+        outside = [m for ms in box for m in ms if m.exps not in kept]
+        return minimalize(a.n, powers + outside)
+
+    def walk(d: int):
+        need = h.at(d)
+        if need == 0:
+            yield emit()
+            return
+        if d == 0:
+            chosen[0] = {(0,) * a.n}
+            yield from walk(1)
+            del chosen[0]
+            return
+        prev = chosen[d - 1]
+        candidates = [
+            m
+            for m in box[d]
+            if all(_step_down(m.exps, k) in prev for k in range(a.n) if m.exps[k] > 0)
+        ]
+        for combo in itertools.combinations(candidates, need):
+            chosen[d] = {m.exps for m in combo}
+            yield from walk(d + 1)
+            del chosen[d]
+
+    yield from walk(0)
+
+
 def direct_lpp_ideal(h: HilbertFunction, a: DegreeList) -> MonomialIdeal | None:
     """Independent construction of the A-lex-plus-powers ideal for h.
 
@@ -350,3 +406,86 @@ def betti_euler_by_multidegree(
         if chi:
             out[b] = chi
     return out
+
+
+def socle_dims(i: MonomialIdeal, f: FieldSpec = QQ) -> dict[int, int]:
+    """Socle dimensions by degree, via the last column of the Betti diagram.
+
+    For monomial ideals these match the monomial socle count in every
+    characteristic; the agreement is checked and a mismatch raises.
+    """
+    diagram = betti_diagram(i, f)
+    n = i.n
+    dims = {
+        j - n: v for (idx, j), v in diagram.entries.items() if idx == n and v
+    }
+    expected = {d: len(ms) for d, ms in i.socle_monomials().items()}
+    if dims != expected:
+        raise AssertionError(
+            f"socle mismatch: homology {dims} vs monomial count {expected}"
+        )
+    return dims
+
+
+def stanley_first_mismatch(h: HilbertFunction, b: BettiDiagram) -> int | None:
+    """First degree where sum_i (-1)^i beta_{i,j} differs from H(t)(1-t)^n."""
+    n = b.n
+    numerator: dict[int, int] = defaultdict(int)
+    for (i, j), v in b.entries.items():
+        numerator[j] += (-1) ** i * v
+    # H(t) * (1-t)^n, exact integer convolution
+    signs = [(-1) ** k * math.comb(n, k) for k in range(n + 1)]
+    top = max(h.sigma + n, max(numerator, default=0)) + 1
+    for j in range(top + 1):
+        coeff = sum(
+            signs[k] * h.at(j - k) for k in range(min(j, n) + 1)
+        )
+        if coeff != numerator.get(j, 0):
+            return j
+    return None
+
+
+def stanley_check(h: HilbertFunction, b: BettiDiagram) -> bool:
+    return stanley_first_mismatch(h, b) is None
+
+
+def last_betti_consequences(
+    h: HilbertFunction, b1: BettiDiagram, b2: BettiDiagram
+) -> bool:
+    """Equalities at the regularity forced by a shared Hilbert function:
+    the last corner entries agree and the adjacent column differences agree."""
+    n = b1.n
+    rho = h.rho
+    if b1.beta(n, rho + n) != b2.beta(n, rho + n):
+        return False
+    lhs = b1.beta(n - 1, rho + n - 1) - b1.beta(n, rho + n - 1)
+    rhs = b2.beta(n - 1, rho + n - 1) - b2.beta(n, rho + n - 1)
+    return lhs == rhs
+
+
+def sequence_alpha(s: HilbertFunction, a: DegreeList) -> int | float:
+    """Least degree where s drops below the complete-intersection ceiling."""
+    ci = ci_hilbert_function(a)
+    for i in range(max(s.sigma, ci.sigma) + 1):
+        if s.at(i) < ci.at(i):
+            return i
+    return INF
+
+
+def codim_from_monomial(m: Monomial, a: DegreeList) -> int:
+    """Codimension slot of a standard monomial: the number of standard
+    monomials of the same degree that are lex-smaller."""
+    if m.n != a.n:
+        raise ValueError(f"{m.n} vs {a.n} variables")
+    if any(e >= cap for e, cap in zip(m.exps, a.degrees)):
+        raise ValueError(f"{m.exps} is not standard modulo the powers of {a}")
+    std = standard_monomials_of_degree(a, m.degree)
+    return sum(1 for other in std if other < m)
+
+
+def monomial_from_codim(h: int, d: int, a: DegreeList) -> Monomial:
+    """Inverse of :func:`codim_from_monomial` at degree d."""
+    std = standard_monomials_of_degree(a, d)
+    if not 0 <= h < len(std):
+        raise ValueError(f"codimension {h} out of range 0..{len(std) - 1}")
+    return std[len(std) - 1 - h]

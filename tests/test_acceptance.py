@@ -16,7 +16,6 @@ from lppkit import (
     ci_hilbert_function,
     classical_bound,
     classical_expansion,
-    codim_from_monomial,
     colon,
     decompose,
     dual,
@@ -26,16 +25,13 @@ from lppkit import (
     growth_check,
     hf_of_vector,
     ideal_of_vector,
-    last_betti_consequences,
     lpp_bound,
     lpp_dominance_check,
     mapping_cone_check,
     parse_ideal,
     parse_vector,
     residual_lpp_check,
-    socle_dims,
     socle_equivalence_check,
-    stanley_check,
     stats,
     valid_hilbert_functions,
     vector_of_hf,
@@ -43,7 +39,13 @@ from lppkit import (
 from lppkit.growth import standard_monomials_of_degree
 from lppkit.vectors import enumerate_vectors
 
-from oracles import lpp_bound_oracle
+from oracles import (
+    codim_from_monomial,
+    last_betti_consequences,
+    lpp_bound_oracle,
+    socle_dims,
+    stanley_check,
+)
 
 from conftest import all_degree_lists
 

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import pytest
 
@@ -10,17 +11,21 @@ from lppkit import (
     HilbertFunction,
     MonomialIdeal,
     betti_diagram,
-    last_betti_consequences,
     mapping_cone_check,
     parse_ideal,
-    socle_dims,
-    stanley_check,
 )
-from lppkit.betti import stanley_first_mismatch
+from lppkit.betti import PRIME_LIMIT, _is_prime
 from lppkit.harness import enumerate_ideals, valid_hilbert_functions
 from lppkit.monomials import unit_monomial
 
-from oracles import betti_euler_by_multidegree, taylor_euler_by_multidegree
+from oracles import (
+    betti_euler_by_multidegree,
+    last_betti_consequences,
+    socle_dims,
+    stanley_check,
+    stanley_first_mismatch,
+    taylor_euler_by_multidegree,
+)
 
 GF2 = FieldSpec(2)
 
@@ -79,6 +84,35 @@ class TestBettiDiagram:
             "n": 2,
             "betti": [[0, 0, 1], [1, 1, 2], [2, 2, 1]],
         }
+
+
+class TestFieldSpec:
+    def test_primality_agrees_with_trial_division(self):
+        for p in range(-3, 20000):
+            prime = p >= 2 and all(p % q for q in range(2, math.isqrt(p) + 1))
+            assert _is_prime(p) == prime, p
+
+    @pytest.mark.parametrize("p", [2**31 - 1, 2**61 - 1, 2**64 - 59])
+    def test_accepts_large_primes(self, p):
+        assert FieldSpec(p).characteristic == p
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            3215031751,  # 151 * 751 * 28351, a strong pseudoprime to bases 2, 3, 5, 7
+            3825123056546413051,  # a strong pseudoprime to bases 2 to 23
+            318665857834031151167461,  # a strong pseudoprime to bases 2 to 37
+        ],
+    )
+    def test_rejects_strong_pseudoprimes(self, p):
+        with pytest.raises(ValueError, match="must be 0 or prime"):
+            FieldSpec(p)
+
+    # 2^89 - 1 is prime, but past the limit primality is not decided
+    @pytest.mark.parametrize("p", [PRIME_LIMIT, (2**31 - 1) * (2**61 - 1), 2**89 - 1])
+    def test_rejects_every_characteristic_from_the_limit_on(self, p):
+        with pytest.raises(ValueError, match="too large"):
+            FieldSpec(p)
 
 
 class TestTaylorOracle:

@@ -40,6 +40,13 @@ class TestBound:
         assert r.exit_code == 1
         assert "out of range" in r.output
 
+    def test_degree_past_the_box_fails_before_building_rows(self):
+        start = time.perf_counter()
+        r = run("bound", "--A", "2,3", "--d", "1000000000", "--h", "1")
+        assert time.perf_counter() - start < 0.5
+        assert r.exit_code == 1
+        assert "h=1 out of range 1..0 at degree 1000000000" in r.output
+
 
 class TestVec:
     def test_from_hf_golden(self):
@@ -139,6 +146,20 @@ class TestIdealCommands:
     def test_betti_json_with_char(self):
         r = run("betti", "--ideal", "x1, x2", "--char", "2", "--json")
         assert json.loads(r.output) == {"n": 2, "betti": [[0, 0, 1], [1, 1, 2], [2, 2, 1]]}
+
+    def test_betti_with_a_large_prime_characteristic(self):
+        start = time.perf_counter()
+        r = run("betti", "--ideal", "x1^2, x1*x2, x2^2", "--char", str(2**61 - 1), "--json")
+        assert time.perf_counter() - start < 0.5
+        assert r.exit_code == 0
+        assert json.loads(r.output)["betti"] == [[0, 0, 1], [1, 2, 3], [2, 3, 2]]
+
+    def test_betti_rejects_a_large_composite_characteristic_fast(self):
+        start = time.perf_counter()
+        r = run("betti", "--ideal", "x1, x2", "--char", str((2**31 - 1) * (2**61 - 1)))
+        assert time.perf_counter() - start < 0.5
+        assert r.exit_code == 1
+        assert "is too large" in r.output
 
     def test_socle(self):
         r = run("socle", "--ideal", "x1^3, x2^5")

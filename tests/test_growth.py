@@ -9,18 +9,16 @@ from lppkit import (
     ci_hilbert_function,
     classical_bound,
     classical_expansion,
-    codim_from_monomial,
     gk_coefficients,
     gk_expansion,
     is_lpp_sequence,
     lpp_bound,
-    monomial_from_codim,
 )
 from lppkit.growth import standard_monomials_of_degree
 from lppkit.monomials import minimalize, monomials_of_degree
 
 from conftest import all_degree_lists
-from oracles import lpp_bound_oracle
+from oracles import codim_from_monomial, lpp_bound_oracle, monomial_from_codim
 
 
 class TestClassicalExpansion:

@@ -28,10 +28,14 @@ from lppkit.monomials import (
     pure_power,
     unit_monomial,
 )
-from lppkit.vectors import enumerate_vectors, ideal_of_vector
+from lppkit.vectors import EMPTY, dual, enumerate_vectors, ideal_of_vector
 
 from conftest import brute_colon, hf_by_inclusion_exclusion
-from oracles import colon_by_intersection, ideal_of_vector_by_minimalize
+from oracles import (
+    colon_by_intersection,
+    enumerate_ideals_by_kept_points,
+    ideal_of_vector_by_minimalize,
+)
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 
@@ -146,10 +150,16 @@ class TestColon:
 
 
 class TestVectorIdeals:
-    @pytest.mark.parametrize("degrees", [(2, 2, 2), (3, 4, 5), (2, 2, 3, 3), (2, 3, 3, 4)])
+    @pytest.mark.parametrize(
+        "degrees",
+        [(2, 2, 2), (3, 4, 5), (2, 2, 3, 3), (2, 3, 3, 4), (4, 4, 6), (1, 1, 1)],
+    )
     def test_every_vector_matches_minimalize(self, degrees):
         a = DegreeList(degrees)
-        for t in enumerate_vectors(a):
+        pool = [EMPTY, *enumerate_vectors(a)]
+        # duality permutes the pool, so every dual is compared below too
+        assert {dual(t, a) for t in pool} == set(pool)
+        for t in pool:
             assert ideal_of_vector(t, a) == ideal_of_vector_by_minimalize(t, a)
 
     @pytest.mark.parametrize("text", ["[[],3]", "[[],2,3]"])
@@ -200,6 +210,17 @@ class TestEnumeration:
             assert dict(per_h) == recorded
         if total is not None:
             assert sum(per_h.values()) == total
+
+
+    @pytest.mark.parametrize(
+        "degrees", [(2, 3, 3), (3, 3, 4), (2, 3, 4), (2, 2, 2, 2), (2, 2, 3, 3)]
+    )
+    def test_stream_matches_the_kept_points_walk(self, degrees):
+        a = DegreeList(degrees)
+        for h in valid_hilbert_functions(a, a.sigma_ci):
+            assert list(enumerate_ideals(h, a)) == list(
+                enumerate_ideals_by_kept_points(h, a)
+            ), str(h)
 
 
 def test_every_lru_cache_is_bounded():

@@ -21,7 +21,6 @@ from lppkit import (
     is_lpp,
     is_lpp_sequence,
     parse_vector,
-    sequence_alpha,
     stats,
     validate,
     vector_of_hf,
@@ -30,7 +29,7 @@ from lppkit.growth import gk_coefficients, lpp_bound
 from lppkit.vectors import INF
 
 from conftest import all_degree_lists
-from oracles import containment_chain_check, sequence_sigma
+from oracles import containment_chain_check, sequence_alpha, sequence_sigma
 
 A446 = DegreeList((4, 4, 6))
 A46 = DegreeList((4, 6))
