@@ -4,17 +4,16 @@ For each multidegree b inside the generator box, let K be the simplicial
 complex of squarefree vectors tau with x^(b - tau) in I.  The reduced homology
 of K over the coefficient field gives the Betti numbers of R/I in multidegree
 b (homological index = simplex dimension + 2); summing over total degree fills
-the diagram.  Membership is read from the ideal's dense table, and homology is
-computed once per distinct complex: few complexes occur (18 in three
-variables), so the rank work is memoized by face set.  Ranks are computed by
-exact Gaussian elimination, over the rationals in characteristic 0 or modulo p
-otherwise.
+the diagram.  Membership is read from the ideal's row starts (b is in I when
+its last exponent is at least the start of its row), and homology is computed
+once per distinct complex: few complexes occur (18 in three variables), so the
+rank work is memoized by face set.  Ranks are computed by exact Gaussian
+elimination, over the rationals in characteristic 0 or modulo p otherwise.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -24,6 +23,7 @@ from .monomials import (
     DegreeList,
     MonomialIdeal,
     NotArtinianError,
+    _row_strides,
     colon,
     pure_power,
 )
@@ -89,13 +89,6 @@ class BettiDiagram:
 
     def items(self):
         return sorted(self.entries.items())
-
-    def max_j(self) -> int:
-        return max((j for (_, j) in self.entries), default=0)
-
-    def dominates(self, other: BettiDiagram) -> bool:
-        keys = set(self.entries) | set(other.entries)
-        return all(self.beta(i, j) >= other.beta(i, j) for i, j in keys)
 
     def first_violation(self, other: BettiDiagram) -> tuple[int, int] | None:
         keys = sorted(set(self.entries) | set(other.entries))
@@ -212,19 +205,25 @@ def _reduced_homology_dims(
 
 
 @lru_cache(maxsize=256)
-def _face_offsets(strides: tuple[int, ...]):
-    """Per support bitmask: the offset of 1_supp, and (tau, offset(tau)) for
-    every nonempty tau inside the support."""
-    n = len(strides)
+def _face_offsets(row_strides: tuple[int, ...]):
+    """Per support bitmask (bit k for x_k, the last bit for x_n): the shift
+    of 1_supp, and (tau, shift of tau) for every nonempty tau inside the
+    support.  A shift is (row offset of tau without x_n, 1 if x_n is in tau
+    else 0)."""
+    n = len(row_strides) + 1
+
+    def shift(tau):
+        return sum(row_strides[k] for k in tau if k < n - 1), int(n - 1 in tau)
+
     by_supp = []
     for mask in range(1 << n):
         supp = [k for k in range(n) if mask >> k & 1]
         taus = tuple(
-            (tau, sum(strides[k] for k in tau))
+            (tau, *shift(tau))
             for size in range(1, len(supp) + 1)
             for tau in itertools.combinations(supp, size)
         )
-        by_supp.append((sum(strides[k] for k in supp), taus))
+        by_supp.append((*shift(supp), taus))
     return tuple(by_supp)
 
 
@@ -232,37 +231,35 @@ def _koszul_homology(i: MonomialIdeal, p: int):
     """Yield (b, dims) for every multidegree b of the generator box whose
     complex K^b has nonzero reduced homology dims (as _reduced_homology_dims).
 
-    Each face b - tau is one table lookup at idx - offset(tau).  Rows run
-    along the last variable; in a row, b - 1_supp(b) is in I (K^b is the full
-    simplex, so acyclic) from one past the start of the row below on.
+    Point b = (row r, column c) is in I when c >= starts[r], so each face
+    b - tau is one lookup: row r minus tau's row offset, at column c minus
+    1 if x_n is in tau.  A row is scanned from its start; from one past the
+    start of the row of prefix - 1_supp(prefix) on, b - 1_supp(b) is in I
+    (K^b is the full simplex, so acyclic).
     """
-    sides, table = i.membership_table()
+    sides, starts = i._row_starts()
     n = len(sides)
     last = sides[-1]
-    strides = tuple(math.prod(sides[k + 1 :]) for k in range(n))
-    by_supp = _face_offsets(strides)
+    row_strides = tuple(_row_strides(sides))
+    by_supp = _face_offsets(row_strides)
     last_bit = 1 << (n - 1)
     for r, prefix in enumerate(itertools.product(*(range(s) for s in sides[:-1]))):
-        base = r * last
-        start = table.find(1, base, base + last)
-        if start < 0:
-            continue
         mask = 0
-        below = base  # the row of prefix - 1_supp(prefix)
+        below = r
         for k in range(n - 1):
             if prefix[k]:
                 mask |= 1 << k
-                below -= strides[k]
-        stop = table.find(1, below, below + last)
-        stop = base + last if stop < 0 else min(base + last, stop - below + base + 1)
-        for idx in range(start, stop):
-            full, taus = by_supp[mask | last_bit if idx > base else mask]
-            if table[idx - full]:
+                below -= row_strides[k]
+        for c in range(starts[r], min(last, starts[below] + 1)):
+            full_row, full_col, taus = by_supp[mask | last_bit if c else mask]
+            if c - full_col >= starts[r - full_row]:
                 continue
-            faces = frozenset([tau for tau, off in taus if table[idx - off]])
+            faces = frozenset(
+                [tau for tau, row, col in taus if c - col >= starts[r - row]]
+            )
             dims = _reduced_homology_dims(faces, p)
             if any(dims):
-                yield prefix + (idx - base,), dims
+                yield prefix + (c,), dims
 
 
 def betti_diagram(i: MonomialIdeal, f: FieldSpec = QQ) -> BettiDiagram:

@@ -92,7 +92,7 @@ def gk_coefficients(e, upto: int) -> list[int]:
     return poly[: upto + 1]
 
 
-# one key per (degree list, top degree): ~1200 in a cli-large benchmark pass
+# one key per (degree list, top degree): ~880 in a cli-large benchmark pass
 @lru_cache(maxsize=8192)
 def _rows(degrees: tuple[int, ...], upto: int) -> tuple[tuple[int, ...], ...]:
     """Rectangle rows 1..n for A; row r uses the top r degrees."""

@@ -27,8 +27,9 @@ class GuardExceeded(RuntimeError):
     """The instance is larger than a guard on the work allows."""
 
 
-# Most points a dense membership table may cover (one byte each).  Every box
-# scan goes through the table, so this bounds both memory and time.
+# Most points an ideal's box may hold.  Every reader of the box (Hilbert
+# function, socle, colon, Betti numbers, the lex predicates) scans its row
+# starts or its points, so this bounds the time of each scan.
 BOX_GUARD = 2_000_000
 
 
@@ -62,11 +63,6 @@ class Monomial:
         if self.n != other.n:
             raise DimensionError(f"{self.n} vs {other.n} variables")
         return Monomial(tuple(a + b for a, b in zip(self.exps, other.exps)))
-
-    def times_var(self, i: int) -> Monomial:
-        e = list(self.exps)
-        e[i] += 1
-        return Monomial(tuple(e))
 
     # lex order on exponent vectors; total on fixed n
     def __lt__(self, other: Monomial) -> bool:
@@ -172,10 +168,10 @@ class HilbertFunction:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        vals = tuple(int(v) for v in self.values)
+        vals = tuple(map(int, self.values))
         if not vals:
             raise ValueError("empty Hilbert function")
-        if any(v < 0 for v in vals):
+        if min(vals) < 0:
             raise ValueError(f"negative entries: {vals}")
         if vals[0] == 0:
             if any(vals):
@@ -286,13 +282,6 @@ class MonomialIdeal:
                     prof[i] = e
         return tuple(prof)
 
-    def profile_degrees(self) -> DegreeList:
-        """Sorted pure-power profile as a DegreeList; requires Artinian."""
-        prof = self.pure_power_profile()
-        if any(p is None for p in prof):
-            raise NotArtinianError(f"no pure power for some variable: {prof}")
-        return DegreeList(tuple(sorted(prof)))  # type: ignore[arg-type]
-
     def _row_starts(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Row starts of the box prod [0, box_k], box_k the largest generator
         exponent in variable k, as ``(sides, starts)``.
@@ -330,27 +319,6 @@ class MonomialIdeal:
         self._cache["rows"] = result
         return result
 
-    def membership_table(self) -> tuple[tuple[int, ...], bytes]:
-        """Dense membership of the box of :meth:`_row_starts` as
-        ``(sides, table)``.
-
-        ``table[idx]`` is 1 when the point is in the ideal; points are indexed
-        in mixed radix with the last variable fastest, so x_k * m sits at
-        ``idx + stride_k``.  Each row is its start's worth of zeros, then
-        ones.  Raises GuardExceeded before allocating when the box has more
-        than BOX_GUARD points.
-        """
-        cached = self._cache.get("table")
-        if cached is not None:
-            return cached
-        sides, starts = self._row_starts()
-        last = sides[-1]
-        ones = b"\x01" * last
-        rows = {t: bytes(t) + ones[t:] for t in set(starts)}
-        result = (sides, b"".join([rows[t] for t in starts]))
-        self._cache["table"] = result
-        return result
-
     def _box_rows(self):
         """The box sides and, per row, (row index, prefix, start), rows in
         lex-descending order.  Requires an Artinian ideal, so every row ends
@@ -361,24 +329,6 @@ class MonomialIdeal:
         sides, starts = self._row_starts()
         prefixes = itertools.product(*(range(s - 1, -1, -1) for s in sides[:-1]))
         return sides, zip(range(len(starts) - 1, -1, -1), prefixes, reversed(starts))
-
-    def standard_monomials(self) -> dict[int, tuple[Monomial, ...]]:
-        """Monomials outside the ideal, grouped by degree (lex-descending).
-
-        Requires an Artinian ideal; the standard monomials sit inside the box
-        bounded by the pure-power profile.
-        """
-        cached = self._cache.get("std")
-        if cached is not None:
-            return cached
-        by_degree: dict[int, list[Monomial]] = {}
-        for _, prefix, t in self._box_rows()[1]:
-            d0 = sum(prefix)
-            for c in range(t - 1, -1, -1):
-                by_degree.setdefault(d0 + c, []).append(Monomial(prefix + (c,)))
-        result = {d: tuple(ms) for d, ms in sorted(by_degree.items())}
-        self._cache["std"] = result
-        return result
 
     def hilbert_function(self) -> HilbertFunction:
         """H(R/I, d) = number of degree-d monomials outside I, down to 0.
@@ -407,18 +357,17 @@ class MonomialIdeal:
     def socle_monomials(self) -> dict[int, tuple[Monomial, ...]]:
         """Monomials m outside I with x_i * m in I for every i, by degree.
 
-        Only the last standard monomial of a row can have x_n * m in I; for
-        it, x_k * m in I is the membership table entry one stride_k further
-        on.
+        Only the last standard monomial (p, t - 1) of a row can have x_n * m
+        in I; for it, x_k * m is in I when the row one step up in k starts
+        before t.  A row with t > 0 has p_k below x_k's pure power, so that
+        row is inside the box.
         """
         sides, rows = self._box_rows()
-        table = self.membership_table()[1]
-        last = sides[-1]
-        strides = [math.prod(sides[k + 1 :]) for k in range(self.n - 1)]
+        starts = self._row_starts()[1]
+        row_strides = _row_strides(sides)
         out: dict[int, list[Monomial]] = {}
         for r, prefix, t in rows:
-            idx = r * last + t - 1
-            if t and all(table[idx + stride] for stride in strides):
+            if t and all(starts[r + stride] < t for stride in row_strides):
                 exps = prefix + (t - 1,)
                 out.setdefault(sum(exps), []).append(Monomial(exps))
         return {d: tuple(ms) for d, ms in sorted(out.items())}
@@ -508,7 +457,10 @@ def is_lpp(i: MonomialIdeal, a: DegreeList) -> bool:
 
     Requires the pure powers x_i^{a_i} among the minimal generators, and for
     every other minimal generator all lex-larger monomials of the same degree
-    must already lie in the ideal.
+    must already lie in the ideal.  As a lex segment times a variable is again
+    one, that holds when, in each degree of another generator, the members
+    among the monomials below A come first in lex order.  Raises GuardExceeded
+    when I has such a generator and its box has more than BOX_GUARD points.
     """
     if i.n != a.n:
         raise DimensionError(f"{i.n} vs {a.n} variables")
@@ -516,25 +468,37 @@ def is_lpp(i: MonomialIdeal, a: DegreeList) -> bool:
     gen_set = set(i.gens)
     if not powers <= gen_set:
         return False
-    for g in gen_set - powers:
-        for m in monomials_of_degree(i.n, g.degree):
-            if m == g:
-                break
-            if not i.contains(m):
-                return False
-    return True
+    degrees = {g.degree for g in gen_set - powers}
+    return all(_members_first(i, d, a.degrees) for d in degrees)
 
 
 def is_lex_segment(i: MonomialIdeal, d: int) -> bool:
-    """Is the degree-d piece of I closed upward under lex order?"""
-    seen_gap = False
-    for m in monomials_of_degree(i.n, d):
-        if i.contains(m):
-            if seen_gap:
-                return False
-        else:
-            seen_gap = True
-    return True
+    """Is the degree-d piece of I closed upward under lex order?  Raises
+    GuardExceeded when I's box has more than BOX_GUARD points."""
+    return _members_first(i, d, None)
+
+
+def _members_first(i: MonomialIdeal, d: int, caps) -> bool:
+    """Do I's members come before its non-members among the degree-d exponent
+    tuples in lex-descending order (only the tuples below ``caps``, when
+    given)?
+
+    The tuples are built one coordinate at a time, each prefix as its degree
+    and row.  Membership is read from the row starts; beyond the box it does
+    not change, so each coordinate is clamped to the box.
+    """
+    sides, starts = i._row_starts()
+    caps = caps or (d + 1,) * i.n
+    prefixes = [(0, 0)]
+    for cap, side, stride in zip(caps, sides, _row_strides(sides)):
+        prefixes = [
+            (s + e, r + min(e, side - 1) * stride)
+            for s, r in prefixes
+            for e in range(min(cap - 1, d - s), -1, -1)
+        ]
+    top = sides[-1] - 1
+    members = [min(d - s, top) >= starts[r] for s, r in prefixes if d - s < caps[-1]]
+    return members == sorted(members, reverse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -608,9 +572,14 @@ def ideal_to_json_dict(i: MonomialIdeal) -> dict:
 
 
 def ideal_from_json_dict(data: dict) -> MonomialIdeal:
+    """The ideal of a JSON object; ``n`` and every exponent must be JSON
+    integers (not floats, booleans or strings)."""
     try:
-        n = int(data["n"])
-        gens = [Monomial(tuple(int(e) for e in g)) for g in data["gens"]]
+        n = data["n"]
+        gens = [tuple(g) for g in data["gens"]]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"bad ideal JSON object: {exc}") from None
-    return minimalize(n, gens)
+    for v in (n, *itertools.chain.from_iterable(gens)):
+        if type(v) is not int:
+            raise ValueError(f"bad ideal JSON object: {json.dumps(v)} is not an integer")
+    return minimalize(n, [Monomial(g) for g in gens])

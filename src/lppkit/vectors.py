@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .monomials import DegreeList, HilbertFunction, MonomialIdeal, _ideal_of_rows
-from .growth import gk_coefficients, is_lpp_sequence
+from .growth import _rows, is_lpp_sequence
 
 INF = math.inf
 
@@ -237,10 +237,8 @@ def _decompose(
     s: HilbertFunction, a: DegreeList
 ) -> tuple[HilbertFunction, HilbertFunction, int | float]:
     b1 = s.at(1)
-    n = a.n
-    e_entries = [a.degrees[i] - 1 for i in range(n - b1 + 1, n)]
-    top = max(s.sigma, sum(e_entries)) + 2
-    e = gk_coefficients(e_entries, top)
+    top = max(s.sigma, sum(d - 1 for d in a.degrees[1 - b1 :])) + 2
+    e = _rows(a.degrees, top)[b1 - 2]  # the row of A's top b1 - 1 degrees
     c = [s.at(i + 1) - e[i + 1] for i in range(top)]
     h: int | float = INF
     for i, ci in enumerate(c):

@@ -32,6 +32,7 @@ from lppkit.monomials import (
     MonomialIdeal,
     NotArtinianError,
     minimalize,
+    monomials_of_degree,
     pure_power,
     unit_monomial,
 )
@@ -89,6 +90,12 @@ def betti_diagram_by_contains(i: MonomialIdeal, f: FieldSpec = QQ) -> BettiDiagr
     return BettiDiagram(n, dict(beta))
 
 
+def times_var(m: Monomial, k: int) -> Monomial:
+    e = list(m.exps)
+    e[k] += 1
+    return Monomial(tuple(e))
+
+
 def socle_by_definition(i: MonomialIdeal) -> dict[int, tuple[Monomial, ...]]:
     """Monomials m of the pure-power box outside I with x_k * m in I for every
     k, by degree, lex-descending; membership by ``contains``."""
@@ -96,9 +103,60 @@ def socle_by_definition(i: MonomialIdeal) -> dict[int, tuple[Monomial, ...]]:
     out: dict[int, list[Monomial]] = {}
     for exps in itertools.product(*(range(e) for e in prof)):
         m = Monomial(exps)
-        if not i.contains(m) and all(i.contains(m.times_var(k)) for k in range(i.n)):
+        if not i.contains(m) and all(i.contains(times_var(m, k)) for k in range(i.n)):
             out.setdefault(m.degree, []).append(m)
     return {d: tuple(sorted(ms, reverse=True)) for d, ms in sorted(out.items())}
+
+
+def profile_degrees(i: MonomialIdeal) -> DegreeList:
+    """Sorted pure-power profile as a DegreeList; requires Artinian."""
+    prof = i.pure_power_profile()
+    if any(p is None for p in prof):
+        raise NotArtinianError(f"no pure power for some variable: {prof}")
+    return DegreeList(tuple(sorted(prof)))  # type: ignore[arg-type]
+
+
+def standard_monomials(i: MonomialIdeal) -> dict[int, tuple[Monomial, ...]]:
+    """Monomials outside the ideal, grouped by degree (lex-descending), read
+    from the row starts.  Requires an Artinian ideal."""
+    by_degree: dict[int, list[Monomial]] = {}
+    for _, prefix, t in i._box_rows()[1]:
+        d0 = sum(prefix)
+        for c in range(t - 1, -1, -1):
+            by_degree.setdefault(d0 + c, []).append(Monomial(prefix + (c,)))
+    return {d: tuple(ms) for d, ms in sorted(by_degree.items())}
+
+
+def is_lpp_by_contains(i: MonomialIdeal, a: DegreeList) -> bool:
+    """The lex-plus-powers predicate by its definition: the pure powers are
+    minimal generators, and for every other minimal generator each lex-larger
+    monomial of its degree passes ``contains``."""
+    if i.n != a.n:
+        raise DimensionError(f"{i.n} vs {a.n} variables")
+    powers = {pure_power(a.n, idx, e) for idx, e in enumerate(a.degrees)}
+    gen_set = set(i.gens)
+    if not powers <= gen_set:
+        return False
+    for g in gen_set - powers:
+        for m in monomials_of_degree(i.n, g.degree):
+            if m == g:
+                break
+            if not i.contains(m):
+                return False
+    return True
+
+
+def is_lex_segment_by_contains(i: MonomialIdeal, d: int) -> bool:
+    """Is the degree-d piece of I closed upward under lex order, by
+    ``contains`` on every degree-d monomial?"""
+    seen_gap = False
+    for m in monomials_of_degree(i.n, d):
+        if i.contains(m):
+            if seen_gap:
+                return False
+        else:
+            seen_gap = True
+    return True
 
 
 def lcm(m1: Monomial, m2: Monomial) -> Monomial:

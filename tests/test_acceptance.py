@@ -43,6 +43,7 @@ from oracles import (
     codim_from_monomial,
     last_betti_consequences,
     lpp_bound_oracle,
+    profile_degrees,
     socle_dims,
     stanley_check,
 )
@@ -215,7 +216,7 @@ def test_c10_mapping_cone_relation():
     count = 0
     for _a, _h, ideal in _corpus():
         sorted_ideal = _sort_variables_by_profile(ideal)
-        profile = sorted_ideal.profile_degrees()
+        profile = profile_degrees(sorted_ideal)
         rep = mapping_cone_check(sorted_ideal, profile)
         assert rep.ok and rep.minimal, format_ideal(sorted_ideal)
         count += 1

@@ -165,6 +165,21 @@ class TestIdealCommands:
         r = run("socle", "--ideal", "x1^3, x2^5")
         assert r.output == "6: x1^2*x2^4\n"
 
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            '{"n":2,"gens":[[2.7,0],[0,3]]}',
+            '{"n":2,"gens":[[true,0],[0,3]]}',
+            '{"n":2,"gens":[["2",0],[0,3]]}',
+            '{"n":"2","gens":[[2,0],[0,3]]}',
+        ],
+        ids=["float", "bool", "string", "string-n"],
+    )
+    def test_json_ideal_takes_only_integers(self, blob):
+        r = CliRunner().invoke(main, ["hf", "--ideal", blob])
+        assert r.exit_code == 1
+        assert "bad ideal JSON" in r.output
+
     def test_parse_error_names_token(self):
         r = CliRunner().invoke(main, ["hf", "--ideal", "x1^2, bogus"])
         assert r.exit_code == 1

@@ -31,7 +31,7 @@ from lppkit.monomials import (
 )
 
 from conftest import brute_colon, hf_by_inclusion_exclusion
-from oracles import lex_compare
+from oracles import lex_compare, profile_degrees
 
 
 def ideal(text, n=None):
@@ -194,6 +194,10 @@ class TestIsLexSegment:
     def test_non_segment(self):
         assert not is_lex_segment(ideal("x1^2, x2^2"), 2)  # x1*x2 missing
 
+    def test_past_the_box_of_a_non_artinian_ideal(self):
+        # x3 lies past the box of (x1) in k[x1, x2, x3] and is not in the ideal
+        assert is_lex_segment(ideal("x1", 3), 1)
+
 
 class TestSocle:
     def test_square_maximal_ideal(self):
@@ -229,7 +233,7 @@ class TestPurePowerProfile:
     def test_residual_profile(self):
         i = ideal("x1^3, x1^2*x2^3, x1*x2^4, x2^6")
         assert i.pure_power_profile() == (3, 6)
-        assert i.profile_degrees() == DegreeList((3, 6))
+        assert profile_degrees(i) == DegreeList((3, 6))
 
     def test_three_variables(self, remark_ideal_234):
         assert remark_ideal_234.pure_power_profile() == (2, 3, 4)

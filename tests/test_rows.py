@@ -16,13 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lppkit
-from lppkit import DegreeList, Monomial, MonomialIdeal, parse_vector
+from lppkit import DegreeList, Monomial, MonomialIdeal, betti_diagram, parse_vector
 from lppkit.harness import enumerate_ideals, valid_hilbert_functions
 from lppkit.monomials import (
     BOX_GUARD,
     GuardExceeded,
     _ideal_of_rows,
     colon,
+    is_lex_segment,
+    is_lpp,
     minimalize,
     parse_ideal,
     pure_power,
@@ -35,6 +37,8 @@ from oracles import (
     colon_by_intersection,
     enumerate_ideals_by_kept_points,
     ideal_of_vector_by_minimalize,
+    is_lex_segment_by_contains,
+    is_lpp_by_contains,
 )
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
@@ -88,22 +92,24 @@ class TestRowStarts:
     def test_unit_ideal(self, n):
         assert _ideal_of_rows(n, *unit(n)._row_starts()) == unit(n)
 
-    def test_table_of_one_long_row(self):
-        # the table costs its size in bytes, not the row length squared
-        start = time.perf_counter()
-        sides, table = parse_ideal("x1^1500000").membership_table()
-        assert time.perf_counter() - start < 0.5
-        assert sides == (1500001,) and table == bytes(1500000) + b"\x01"
+    def test_one_long_row_answers_fast(self):
+        # a row is read through its start, whatever its length
+        reads = [
+            (lambda i: i.hilbert_function().values, (1,) * 1500000 + (0,)),
+            (lambda i: i.socle_monomials(), {1499999: (Monomial((1499999,)),)}),
+            (lambda i: betti_diagram(i).items(), [((0, 0), 1), ((1, 1500000), 1)]),
+        ]
+        for read, want in reads:
+            i = parse_ideal("x1^1500000")
+            start = time.perf_counter()
+            got = read(i)
+            assert time.perf_counter() - start < 0.5
+            assert got == want
 
     @settings(max_examples=60, deadline=None)
     @given(ideals(max_n=3, artinian=True))
     def test_hilbert_function_by_inclusion_exclusion(self, i):
         assert i.hilbert_function() == hf_by_inclusion_exclusion(i)
-
-    def test_hilbert_function_builds_no_table(self):
-        i = parse_ideal("x1^2, x2^3, x3^4, x1*x2^2, x1*x2*x3, x1*x3^2, x2^2*x3^2")
-        assert str(i.hilbert_function()) == "1 3 5 3 1 0"
-        assert "table" not in i._cache and "std" not in i._cache
 
 
 class TestColon:
@@ -167,6 +173,39 @@ class TestVectorIdeals:
         a = DegreeList((3, 3))
         t = parse_vector(text, 2)
         assert ideal_of_vector(t, a) == ideal_of_vector_by_minimalize(t, a)
+
+
+def assert_lex_predicates_match(i: MonomialIdeal, a: DegreeList):
+    """is_lpp for A and for I's own profile, and is_lex_segment in every
+    degree through A's sigma_ci, agree with their contains-based oracles."""
+    lists = [a]
+    prof = i.pure_power_profile()
+    if None not in prof and 0 not in prof:
+        lists.append(DegreeList(tuple(sorted(prof))))
+    for degrees in lists:
+        assert is_lpp(i, degrees) == is_lpp_by_contains(i, degrees), degrees
+    for d in range(a.sigma_ci + 1):
+        assert is_lex_segment(i, d) == is_lex_segment_by_contains(i, d), d
+
+
+class TestLexPredicates:
+    @pytest.mark.parametrize("degrees", [(2, 2, 2), (3, 3, 4), (2, 2, 3, 3), (3, 4, 5)])
+    def test_vector_ideals_and_residuals(self, degrees):
+        a = DegreeList(degrees)
+        powers = a.powers_ideal()
+        # the residuals are vector ideals again, so each ideal is checked once
+        ideals = set()
+        for t in enumerate_vectors(a):
+            ideal = ideal_of_vector(t, a)
+            ideals |= {ideal, colon(powers, ideal)}
+        for i in ideals:
+            assert_lex_predicates_match(i, a)
+
+    @settings(max_examples=100, deadline=None)
+    @given(ideals(), st.data())
+    def test_any_ideal(self, i, data):
+        degrees = data.draw(st.lists(st.integers(1, 5), min_size=i.n, max_size=i.n))
+        assert_lex_predicates_match(i, DegreeList(tuple(sorted(degrees))))
 
 
 def macmahon(a: int, b: int, c: int) -> int:

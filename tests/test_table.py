@@ -1,19 +1,20 @@
-"""The dense membership table and what reads it: Betti diagrams, socle and
-standard monomials, and the box-volume guard."""
+"""What reads an ideal's row starts point by point: Betti diagrams, socle
+and standard monomials, and the box-volume guard."""
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lppkit import DegreeList, FieldSpec, Monomial, betti_diagram, minimalize
+from lppkit import DegreeList, FieldSpec, Monomial, betti_diagram, is_lpp, minimalize
 from lppkit.betti import _reduced_homology_dims
 from lppkit.harness import enumerate_ideals, valid_hilbert_functions
 from lppkit.monomials import BOX_GUARD, GuardExceeded, parse_ideal, pure_power
 
-from oracles import betti_diagram_by_contains, socle_by_definition
+from oracles import betti_diagram_by_contains, socle_by_definition, standard_monomials
 
 GF2 = FieldSpec(2)
 GF32003 = FieldSpec(32003)
@@ -48,13 +49,7 @@ def seeded_corpus():
 
 
 class TestMembershipTable:
-    @settings(max_examples=60, deadline=None)
-    @given(artinian_ideals())
-    def test_matches_contains_on_the_box(self, i):
-        sides, table = i.membership_table()
-        assert sides == tuple(max(g.exps[k] for g in i.gens) + 1 for k in range(i.n))
-        points = itertools.product(*(range(s) for s in sides))
-        assert [i.contains(Monomial(b)) for b in points] == [bool(v) for v in table]
+    """Membership read from the row starts, point by point."""
 
     @settings(max_examples=60, deadline=None)
     @given(artinian_ideals())
@@ -64,7 +59,7 @@ class TestMembershipTable:
             m = Monomial(exps)
             if not i.contains(m):
                 want.setdefault(m.degree, []).append(m)
-        assert i.standard_monomials() == {
+        assert standard_monomials(i) == {
             d: tuple(sorted(ms, reverse=True)) for d, ms in sorted(want.items())
         }
 
@@ -76,7 +71,7 @@ def test_socle_monomials_by_definition(i):
 
 
 class TestBettiMatchesReference:
-    """The table loop gives the same diagrams as the contains-based loop."""
+    """The row-start loop gives the same diagrams as the contains-based loop."""
 
     @pytest.mark.parametrize("f", [FieldSpec(0), GF2], ids=["QQ", "GF2"])
     def test_every_ideal_of_233(self, f):
@@ -110,12 +105,18 @@ class TestBoxGuard:
 
     @pytest.mark.parametrize(
         "compute",
-        [betti_diagram, lambda i: i.socle_monomials(), lambda i: i.standard_monomials()],
+        [betti_diagram, lambda i: i.socle_monomials(), standard_monomials],
         ids=["betti", "socle", "standard"],
     )
     def test_raises_before_scanning(self, compute):
         with pytest.raises(GuardExceeded):
             compute(parse_ideal(self.HUGE))
+
+    def test_lpp_predicate_raises_fast(self):
+        start = time.perf_counter()
+        with pytest.raises(GuardExceeded):
+            is_lpp(parse_ideal(self.HUGE + ", x1^200*x2^200"), DegreeList((400,) * 3))
+        assert time.perf_counter() - start < 0.5
 
     def test_harness_exports_the_same_error(self):
         from lppkit import harness
