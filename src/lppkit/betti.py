@@ -7,8 +7,9 @@ b (homological index = simplex dimension + 2); summing over total degree fills
 the diagram.  Membership is read from the ideal's row starts (b is in I when
 its last exponent is at least the start of its row), and homology is computed
 once per distinct complex: few complexes occur (18 in three variables), so the
-rank work is memoized by face set.  Ranks are computed by exact Gaussian
-elimination, over the rationals in characteristic 0 or modulo p otherwise.
+rank work is memoized by an integer face mask, bit v set when the face with
+vertex bitmask v is in K.  Ranks are computed by exact Gaussian elimination,
+over the rationals in characteristic 0 or modulo p otherwise.
 """
 
 from __future__ import annotations
@@ -167,14 +168,12 @@ def _rank(rows: list[list[int]], p: int) -> int:
     return rank
 
 
-@lru_cache(maxsize=4096)
-def _reduced_homology_dims(
-    faces: frozenset[tuple[int, ...]], p: int
-) -> tuple[int, ...]:
+def _reduced_homology_dims(faces: list[tuple[int, ...]], p: int) -> tuple[int, ...]:
     """Reduced homology dimensions (H_{-1}, H_0, H_1, ...) of a complex.
 
-    ``faces`` holds the nonempty faces as sorted vertex tuples; the empty face
-    is implicit.  Boundary ranks are computed over the requested field.
+    ``faces`` holds the nonempty faces as sorted vertex tuples, each once; the
+    empty face is implicit.  Boundary ranks are computed over the requested
+    field.
     """
     by_dim: dict[int, list[tuple[int, ...]]] = defaultdict(list)
     for f in faces:
@@ -204,12 +203,24 @@ def _reduced_homology_dims(
     return tuple(dims)
 
 
+@lru_cache(maxsize=4096)
+def _homology_of_mask(mask: int, p: int) -> tuple[int, ...]:
+    """:func:`_reduced_homology_dims` of the complex whose faces are the
+    vertex bitmasks v with bit v of ``mask`` set."""
+    faces = [
+        tuple(k for k in range(v.bit_length()) if v >> k & 1)
+        for v in range(mask.bit_length())
+        if mask >> v & 1
+    ]
+    return _reduced_homology_dims(faces, p)
+
+
 @lru_cache(maxsize=256)
 def _face_offsets(row_strides: tuple[int, ...]):
     """Per support bitmask (bit k for x_k, the last bit for x_n): the shift
-    of 1_supp, and (tau, shift of tau) for every nonempty tau inside the
-    support.  A shift is (row offset of tau without x_n, 1 if x_n is in tau
-    else 0)."""
+    of 1_supp, and (1 << vertex bitmask of tau, shift of tau) for every
+    nonempty tau inside the support.  A shift is (row offset of tau without
+    x_n, 1 if x_n is in tau else 0)."""
     n = len(row_strides) + 1
 
     def shift(tau):
@@ -219,7 +230,7 @@ def _face_offsets(row_strides: tuple[int, ...]):
     for mask in range(1 << n):
         supp = [k for k in range(n) if mask >> k & 1]
         taus = tuple(
-            (tau, *shift(tau))
+            (1 << sum(1 << k for k in tau), *shift(tau))
             for size in range(1, len(supp) + 1)
             for tau in itertools.combinations(supp, size)
         )
@@ -235,7 +246,9 @@ def _koszul_homology(i: MonomialIdeal, p: int):
     b - tau is one lookup: row r minus tau's row offset, at column c minus
     1 if x_n is in tau.  A row is scanned from its start; from one past the
     start of the row of prefix - 1_supp(prefix) on, b - 1_supp(b) is in I
-    (K^b is the full simplex, so acyclic).
+    (K^b is the full simplex, so acyclic).  K^b is looked up by its face
+    mask, the OR of the bits of its faces; the bits are distinct, so their
+    sum is that OR.
     """
     sides, starts = i._row_starts()
     n = len(sides)
@@ -254,10 +267,8 @@ def _koszul_homology(i: MonomialIdeal, p: int):
             full_row, full_col, taus = by_supp[mask | last_bit if c else mask]
             if c - full_col >= starts[r - full_row]:
                 continue
-            faces = frozenset(
-                [tau for tau, row, col in taus if c - col >= starts[r - row]]
-            )
-            dims = _reduced_homology_dims(faces, p)
+            face_mask = sum([bit for bit, row, col in taus if c - col >= starts[r - row]])
+            dims = _homology_of_mask(face_mask, p)
             if any(dims):
                 yield prefix + (c,), dims
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass, field as dc_field
 
@@ -217,24 +218,59 @@ def _growth_violations(h: HilbertFunction, a: DegreeList) -> list[tuple[str, dic
     return out
 
 
+def _orbit_memo(a: DegreeList, compute):
+    """``lookup(ideal)``: ``compute(ideal)``, computed once per orbit of the
+    permutations of variables of equal degree in A, and the memo dict, whose
+    size is the number of orbits seen.
+
+    ``compute`` must give the same value on every ideal of an orbit, as
+    graded Betti numbers do.  An orbit is keyed by its canonical form: over
+    the permutations within each block of equal degrees (the identity
+    included), the lex-largest of the permuted, re-sorted generator tuples.
+    """
+    blocks = [tuple(g) for _, g in itertools.groupby(range(a.n), key=a.degrees.__getitem__)]
+    perms = itertools.product(*map(itertools.permutations, blocks))
+    next(perms)  # the identity, whose image is the generator tuple itself
+    # itemgetter of two or more indices returns a tuple; a lone index has no
+    # other permutation
+    moves = [operator.itemgetter(*itertools.chain.from_iterable(p)) for p in perms]
+    memo: dict = {}
+
+    def lookup(ideal: MonomialIdeal):
+        gens = tuple(g.exps for g in ideal.gens)
+        key = max([gens] + [tuple(sorted(map(move, gens), reverse=True)) for move in moves])
+        if key not in memo:
+            memo[key] = compute(ideal)
+        return memo[key]
+
+    return lookup, memo
+
+
 def lpp_dominance_check(
     h: HilbertFunction,
     a: DegreeList,
     f: FieldSpec = QQ,
     max_ideals: int | None = None,
 ) -> CheckReport:
-    """Betti dominance of the lex-plus-powers ideal over the enumerated class."""
+    """Betti dominance of the lex-plus-powers ideal over the enumerated class.
+
+    Every enumerated ideal is compared (``details["ideals"]``), but Betti
+    diagrams are computed once per orbit of the permutations of variables of
+    equal degree in A (``details["orbits"]``), which preserve the class and
+    the diagram.
+    """
     instance = {"A": list(a.degrees), "H": str(h), "char": f.characteristic}
     lpp = lpp_ideal_for(h, a)
     if lpp is None:
         return CheckReport("lpp-dominance", instance, "not-valid", [], {})
     b_lpp = betti_diagram(lpp, f)
+    diagram, orbits = _orbit_memo(a, lambda ideal: betti_diagram(ideal, f))
     witnesses = []
     count = 0
     first_betti_ok = True
     for ideal in enumerate_ideals(h, a, max_ideals):
         count += 1
-        b = betti_diagram(ideal, f)
+        b = diagram(ideal)
         violation = b_lpp.first_violation(b)
         if violation is not None:
             i, j = violation
@@ -249,7 +285,11 @@ def lpp_dominance_check(
                     "beta_ideal": b.beta(i, j),
                 }
             )
-    details = {"ideals": count, "first_betti_dominance": first_betti_ok}
+    details = {
+        "ideals": count,
+        "orbits": len(orbits),
+        "first_betti_dominance": first_betti_ok,
+    }
     return CheckReport.from_witnesses("lpp-dominance", instance, witnesses, details)
 
 
@@ -344,7 +384,13 @@ def socle_equivalence_check(
     max_ideals: int | None = None,
 ) -> CheckReport:
     """Socle dominance of the lex-plus-powers ideal, the single-degree variant
-    at regularity, and truncation consistency of the last column."""
+    at regularity, and truncation consistency of the last column.
+
+    As in :func:`lpp_dominance_check`, every ideal is compared but the Betti
+    diagrams of an ideal and of its truncation are computed once per orbit
+    (``details["orbits"]``); ``(x_1, ..., x_n)^rho`` is symmetric, so the
+    truncation commutes with the permutations.
+    """
     instance = {"A": list(a.degrees), "H": str(h), "char": f.characteristic}
     lpp = lpp_ideal_for(h, a)
     if lpp is None:
@@ -352,11 +398,18 @@ def socle_equivalence_check(
     n = a.n
     rho = h.rho
     b_lpp = betti_diagram(lpp, f)
+
+    def diagrams(ideal):
+        if rho < 1:
+            return betti_diagram(ideal, f), None
+        return betti_diagram(ideal, f), betti_diagram(add_maximal_power(ideal, rho), f)
+
+    diagram, orbits = _orbit_memo(a, diagrams)
     witnesses = []
     count = 0
     for ideal in enumerate_ideals(h, a, max_ideals):
         count += 1
-        b = betti_diagram(ideal, f)
+        b, b_tr = diagram(ideal)
         for j in {jj for (i, jj) in set(b.entries) | set(b_lpp.entries) if i == n}:
             if b_lpp.beta(n, j) < b.beta(n, j):
                 witnesses.append(
@@ -384,9 +437,7 @@ def socle_equivalence_check(
                     "beta_ideal": b.beta(n, rho + n),
                 }
             )
-        if rho >= 1:
-            truncated = add_maximal_power(ideal, rho)
-            b_tr = betti_diagram(truncated, f)
+        if b_tr is not None:
             for j in range(rho + n - 1):
                 if b.beta(n, j) != b_tr.beta(n, j):
                     witnesses.append(
@@ -396,5 +447,5 @@ def socle_equivalence_check(
                         }
                     )
     return CheckReport.from_witnesses(
-        "socle-equivalence", instance, witnesses, {"ideals": count}
+        "socle-equivalence", instance, witnesses, {"ideals": count, "orbits": len(orbits)}
     )

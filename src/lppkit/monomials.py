@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 
@@ -53,11 +54,6 @@ class Monomial:
     @property
     def degree(self) -> int:
         return sum(self.exps)
-
-    def divides(self, other: Monomial) -> bool:
-        if self.n != other.n:
-            raise DimensionError(f"{self.n} vs {other.n} variables")
-        return all(a <= b for a, b in zip(self.exps, other.exps))
 
     def __mul__(self, other: Monomial) -> Monomial:
         if self.n != other.n:
@@ -379,10 +375,13 @@ class MonomialIdeal:
 def minimalize(n: int, gens) -> MonomialIdeal:
     """Drop generators divisible by another; canonical lex-descending order."""
     pool = {Monomial(g.exps if isinstance(g, Monomial) else tuple(g)) for g in gens}
+    if any(m.n != n for m in pool):
+        raise DimensionError(f"generator with wrong variable count for {n} variables")
     minimal: list[Monomial] = []
     # ascending degree scan: a divisor always has smaller-or-equal degree
     for m in sorted(pool, key=lambda m: (m.degree, m.exps)):
-        if not any(g.divides(m) for g in minimal):
+        e = m.exps
+        if not any(all(map(operator.le, g.exps, e)) for g in minimal):
             minimal.append(m)
     if not minimal:
         raise ValueError("zero ideal is not representable here")
@@ -404,14 +403,17 @@ def _ideal_of_rows(n: int, sides: tuple[int, ...], starts) -> MonomialIdeal:
     from the last, so the generators come out lex-descending.
     """
     last = sides[-1]
-    row_strides = _row_strides(sides)
+    axes = list(enumerate(_row_strides(sides)))
     prefixes = itertools.product(*(range(s - 1, -1, -1) for s in sides[:-1]))
     gens = []
     for r, prefix in zip(range(len(starts) - 1, -1, -1), prefixes):
         t = starts[r]
-        if t < last and all(
-            not p or starts[r - stride] > t for p, stride in zip(prefix, row_strides)
-        ):
+        if t >= last:
+            continue
+        for k, stride in axes:
+            if prefix[k] and starts[r - stride] <= t:
+                break
+        else:
             gens.append(Monomial(prefix + (t,)))
     return MonomialIdeal(n, tuple(gens))
 

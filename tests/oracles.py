@@ -11,6 +11,7 @@ import math
 from collections import Counter, defaultdict
 from functools import lru_cache
 
+from lppkit import harness
 from lppkit.betti import (
     BettiDiagram,
     FieldSpec,
@@ -31,6 +32,8 @@ from lppkit.monomials import (
     Monomial,
     MonomialIdeal,
     NotArtinianError,
+    add_maximal_power,
+    ideal_to_json_dict,
     minimalize,
     monomials_of_degree,
     pure_power,
@@ -49,8 +52,8 @@ from lppkit.vectors import (
     ideal_of_vector,
 )
 
-# the homology computation itself, without the memo
-_homology_uncached = _reduced_homology_dims.__wrapped__
+# the homology computation itself, without the face-mask memo
+_homology_uncached = _reduced_homology_dims
 
 
 def betti_diagram_by_contains(i: MonomialIdeal, f: FieldSpec = QQ) -> BettiDiagram:
@@ -82,12 +85,18 @@ def betti_diagram_by_contains(i: MonomialIdeal, f: FieldSpec = QQ) -> BettiDiagr
                     e[k] -= 1
                 if i.contains(Monomial(tuple(e))):
                     faces.add(tau)
-        dims = _homology_uncached(frozenset(faces), p)
+        dims = _homology_uncached(sorted(faces), p)
         total = sum(b)
         for k, hd in enumerate(dims, start=-1):
             if hd:
                 beta[(k + 2, total)] += hd
     return BettiDiagram(n, dict(beta))
+
+
+def divides(m1: Monomial, m2: Monomial) -> bool:
+    if m1.n != m2.n:
+        raise DimensionError(f"{m1.n} vs {m2.n} variables")
+    return all(a <= b for a, b in zip(m1.exps, m2.exps))
 
 
 def times_var(m: Monomial, k: int) -> Monomial:
@@ -352,7 +361,7 @@ def lpp_bound_oracle(h: int, d: int, a: DegreeList) -> int:
     added = std_d[: full - h]  # lex-largest standard monomials join the ideal
     count = 0
     for m in standard_monomials_of_degree(a, d + 1):
-        if not any(g.divides(m) for g in added):
+        if not any(divides(g, m) for g in added):
             count += 1
     return count
 
@@ -547,3 +556,97 @@ def monomial_from_codim(h: int, d: int, a: DegreeList) -> Monomial:
     if not 0 <= h < len(std):
         raise ValueError(f"codimension {h} out of range 0..{len(std) - 1}")
     return std[len(std) - 1 - h]
+
+
+def lpp_dominance_check_every_ideal(
+    h: HilbertFunction, a: DegreeList, f: FieldSpec = QQ
+) -> harness.CheckReport:
+    """``harness.lpp_dominance_check`` computing one Betti diagram per
+    enumerated ideal, with no orbit memo; its report has no ``orbits`` key."""
+    instance = {"A": list(a.degrees), "H": str(h), "char": f.characteristic}
+    lpp = harness.lpp_ideal_for(h, a)
+    if lpp is None:
+        return harness.CheckReport("lpp-dominance", instance, "not-valid", [], {})
+    b_lpp = betti_diagram(lpp, f)
+    witnesses = []
+    count = 0
+    first_betti_ok = True
+    for ideal in harness.enumerate_ideals(h, a):
+        count += 1
+        b = betti_diagram(ideal, f)
+        violation = b_lpp.first_violation(b)
+        if violation is not None:
+            i, j = violation
+            if i == 1:
+                first_betti_ok = False
+            witnesses.append(
+                {
+                    "reason": f"beta_({i},{j}) exceeds the lex-plus-powers value",
+                    "ideal": ideal_to_json_dict(ideal),
+                    "lpp": ideal_to_json_dict(lpp),
+                    "beta_lpp": b_lpp.beta(i, j),
+                    "beta_ideal": b.beta(i, j),
+                }
+            )
+    details = {"ideals": count, "first_betti_dominance": first_betti_ok}
+    return harness.CheckReport.from_witnesses("lpp-dominance", instance, witnesses, details)
+
+
+def socle_equivalence_check_every_ideal(
+    h: HilbertFunction, a: DegreeList, f: FieldSpec = QQ
+) -> harness.CheckReport:
+    """``harness.socle_equivalence_check`` computing the diagrams of every
+    enumerated ideal and of its truncation, with no orbit memo."""
+    instance = {"A": list(a.degrees), "H": str(h), "char": f.characteristic}
+    lpp = harness.lpp_ideal_for(h, a)
+    if lpp is None:
+        return harness.CheckReport("socle-equivalence", instance, "not-valid", [], {})
+    n = a.n
+    rho = h.rho
+    b_lpp = betti_diagram(lpp, f)
+    witnesses = []
+    count = 0
+    for ideal in harness.enumerate_ideals(h, a):
+        count += 1
+        b = betti_diagram(ideal, f)
+        for j in {jj for (i, jj) in set(b.entries) | set(b_lpp.entries) if i == n}:
+            if b_lpp.beta(n, j) < b.beta(n, j):
+                witnesses.append(
+                    {
+                        "reason": f"socle dominance fails at beta_({n},{j})",
+                        "ideal": ideal_to_json_dict(ideal),
+                        "beta_lpp": b_lpp.beta(n, j),
+                        "beta_ideal": b.beta(n, j),
+                    }
+                )
+        j_last = rho + n - 1
+        if b_lpp.beta(n, j_last) < b.beta(n, j_last):
+            witnesses.append(
+                {
+                    "reason": f"dominance fails at the regularity degree beta_({n},{j_last})",
+                    "ideal": ideal_to_json_dict(ideal),
+                }
+            )
+        if b_lpp.beta(n, rho + n) != b.beta(n, rho + n):
+            witnesses.append(
+                {
+                    "reason": "last-corner Betti numbers differ despite equal Hilbert functions",
+                    "ideal": ideal_to_json_dict(ideal),
+                    "beta_lpp": b_lpp.beta(n, rho + n),
+                    "beta_ideal": b.beta(n, rho + n),
+                }
+            )
+        if rho >= 1:
+            truncated = add_maximal_power(ideal, rho)
+            b_tr = betti_diagram(truncated, f)
+            for j in range(rho + n - 1):
+                if b.beta(n, j) != b_tr.beta(n, j):
+                    witnesses.append(
+                        {
+                            "reason": f"truncation changed beta_({n},{j}) below the last two rows",
+                            "ideal": ideal_to_json_dict(ideal),
+                        }
+                    )
+    return harness.CheckReport.from_witnesses(
+        "socle-equivalence", instance, witnesses, {"ideals": count}
+    )

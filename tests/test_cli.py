@@ -292,6 +292,15 @@ class TestChecks:
         r = run("check", "lexseg", "--A", "5,7")
         assert r.exit_code == 0
 
+    @pytest.mark.parametrize("name", ["lpp", "socle-equiv"])
+    def test_reports_the_orbit_count(self, name):
+        # x1 <-> x2 pairs up four of the five ideals of (2,2,3) with h = 1 3 3 1
+        args = ("check", name, "--A", "2,2,3", "--hf", "1 3 3 1")
+        lines = run(*args).output.splitlines()
+        assert "ideals: 5" in lines and "orbits: 3" in lines
+        details = json.loads(run(*args, "--json").output)["details"]
+        assert details["ideals"] == 5 and details["orbits"] == 3
+
 
 class TestValidseq:
     def test_valid(self):

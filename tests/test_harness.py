@@ -19,11 +19,18 @@ from lppkit import (
     socle_equivalence_check,
     valid_hilbert_functions,
 )
+from lppkit import harness
+from lppkit.betti import FieldSpec
 from lppkit.growth import standard_monomials_of_degree
 from lppkit.harness import lpp_ideal_for
 from lppkit.vectors import ideal_of_vector, parse_vector
 
-from oracles import direct_lpp_ideal, standard_monomials
+from oracles import (
+    direct_lpp_ideal,
+    lpp_dominance_check_every_ideal,
+    socle_equivalence_check_every_ideal,
+    standard_monomials,
+)
 
 
 class TestEnumerateIdeals:
@@ -183,3 +190,74 @@ class TestSocleEquivalenceCheck:
     def test_singleton_class(self):
         a = DegreeList((2, 2, 2))
         assert socle_equivalence_check(ci_hilbert_function(a), a).ok
+
+
+ORBIT_CASES = [((3, 3, 4), 0), ((2, 2, 3, 3), 0), ((2, 3, 3), 2)]
+CHECKS = [
+    (lpp_dominance_check, lpp_dominance_check_every_ideal),
+    (socle_equivalence_check, socle_equivalence_check_every_ideal),
+]
+
+
+def _without_orbits(report) -> str:
+    report.details.pop("orbits", None)
+    return report.to_json()
+
+
+class TestOrbitMemo:
+    """The dominance and socle checks compute one Betti diagram per orbit of
+    the permutations of equal-degree variables; their reports must equal
+    those of the checks that compute one per ideal."""
+
+    @pytest.mark.parametrize("degrees,char", ORBIT_CASES, ids=str)
+    @pytest.mark.parametrize("check,oracle", CHECKS, ids=["lpp", "socle"])
+    def test_same_reports_as_one_diagram_per_ideal(self, degrees, char, check, oracle):
+        a, f = DegreeList(degrees), FieldSpec(char)
+        for h in valid_hilbert_functions(a, a.sigma_ci):
+            assert _without_orbits(check(h, a, f)) == oracle(h, a, f).to_json(), str(h)
+
+    @pytest.mark.parametrize("degrees,char", ORBIT_CASES, ids=str)
+    @pytest.mark.parametrize("check,oracle", CHECKS, ids=["lpp", "socle"])
+    def test_same_witnesses_against_a_non_lpp_comparator(
+        self, degrees, char, check, oracle, monkeypatch
+    ):
+        # comparing with the first ideal of the class instead of the LPP
+        # ideal makes witnesses appear, so their content and order count
+        monkeypatch.setattr(
+            harness, "lpp_ideal_for", lambda h, a: next(enumerate_ideals(h, a))
+        )
+        a, f = DegreeList(degrees), FieldSpec(char)
+        witnesses = 0
+        for h in valid_hilbert_functions(a, a.sigma_ci):
+            expected = oracle(h, a, f)
+            assert _without_orbits(check(h, a, f)) == expected.to_json(), str(h)
+            witnesses += len(expected.witnesses)
+        assert witnesses > 0
+
+    @pytest.mark.parametrize("degrees,orbits", [((3, 3, 4), 1535), ((2, 2, 3, 3), 2478)])
+    def test_orbit_count_of_the_non_vacuous_sweep(self, degrees, orbits):
+        a = DegreeList(degrees)
+        reports = [lpp_dominance_check(h, a) for h in valid_hilbert_functions(a, a.sigma_ci)]
+        assert sum(r.details.get("orbits", 0) for r in reports) == orbits
+
+    def test_distinct_degrees_have_singleton_orbits(self):
+        a = DegreeList((2, 3, 4))
+        for h in valid_hilbert_functions(a, a.sigma_ci):
+            for check in (lpp_dominance_check, socle_equivalence_check):
+                details = check(h, a).details
+                assert details.get("orbits") == details.get("ideals"), str(h)
+
+    def test_diagrams_go_through_the_module_global(self, monkeypatch):
+        # perfbench traces Betti by rebinding harness.betti_diagram
+        calls = []
+        original = harness.betti_diagram
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(harness, "betti_diagram", counting)
+        a = DegreeList((3, 3, 4))
+        r = lpp_dominance_check(HilbertFunction.from_string("1 3 6 8 7 4 1"), a)
+        assert r.ok and r.details["orbits"] < r.details["ideals"]
+        assert len(calls) == r.details["orbits"] + 1

@@ -31,7 +31,7 @@ from lppkit.monomials import (
 )
 
 from conftest import brute_colon, hf_by_inclusion_exclusion
-from oracles import lex_compare, profile_degrees
+from oracles import divides, lex_compare, profile_degrees
 
 
 def ideal(text, n=None):
@@ -89,6 +89,16 @@ class TestMinimalize:
         i = ideal("x1^2, x1*x2^3, x2^4")
         again = minimalize(i.n, i.gens)
         assert again == i
+
+    @pytest.mark.parametrize(
+        "gens",
+        [[(1, 0), (1, 0, 5)], [(1, 0), (2, 1, 0)], [(2,), (0, 1)], [(1, 2, 0), (0, 1, 1)]],
+    )
+    def test_wrong_variable_count_raises(self, gens):
+        # a longer generator that a kept one divides on the first two
+        # coordinates must not be dropped silently
+        with pytest.raises(DimensionError):
+            minimalize(2, gens)
 
 
 class TestHilbertFunction:
@@ -285,7 +295,7 @@ def test_minimalize_preserves_membership(exp_lists):
     i = minimalize(3, gens)
     probes = list(monomials_of_degree(3, 3)) + list(monomials_of_degree(3, 5))
     for m in probes:
-        raw = any(g.divides(m) for g in gens)
+        raw = any(divides(g, m) for g in gens)
         assert raw == i.contains(m)
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lppkit import DegreeList, FieldSpec, Monomial, betti_diagram, is_lpp, minimalize
-from lppkit.betti import _reduced_homology_dims
+from lppkit.betti import _homology_of_mask
 from lppkit.harness import enumerate_ideals, valid_hilbert_functions
 from lppkit.monomials import BOX_GUARD, GuardExceeded, parse_ideal, pure_power
 
@@ -93,8 +93,17 @@ class TestBettiMatchesReference:
     def test_small_random_ideals(self, i):
         assert betti_diagram(i) == betti_diagram_by_contains(i)
 
+    @settings(max_examples=60, deadline=None)
+    @given(artinian_ideals(max_n=4, max_power=4))
+    def test_unchanged_by_permuting_the_variables(self, i):
+        # the dominance sweeps compute one diagram per orbit of permutations
+        b = betti_diagram(i)
+        for perm in itertools.permutations(range(i.n)):
+            gens = [Monomial(tuple(g.exps[k] for k in perm)) for g in i.gens]
+            assert betti_diagram(minimalize(i.n, gens)) == b, perm
+
     def test_homology_cache_is_bounded(self):
-        assert _reduced_homology_dims.cache_info().maxsize is not None
+        assert _homology_of_mask.cache_info().maxsize is not None
 
 
 class TestBoxGuard:
