@@ -277,8 +277,7 @@ def betti_diagram(i: MonomialIdeal, f: FieldSpec = QQ) -> BettiDiagram:
     """Full Betti diagram of R/I for an Artinian monomial ideal I."""
     if i.is_unit:
         return BettiDiagram(i.n, {})
-    prof = i.pure_power_profile()
-    if any(p is None for p in prof):
+    if not i._is_artinian():
         raise NotArtinianError("Betti diagram needs an Artinian ideal")
     beta: Counter[tuple[int, int]] = Counter()
     beta[(0, 0)] = 1

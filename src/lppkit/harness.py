@@ -15,6 +15,7 @@ import math
 import operator
 import os
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 from .monomials import (
     DegreeList,
@@ -30,7 +31,14 @@ from .monomials import (
     is_lpp,
 )
 from .growth import ci_hilbert_function, is_lpp_sequence, lpp_bound
-from .vectors import enumerate_vectors, format_vector, ideal_of_vector, dual, vector_of_hf
+from .vectors import (
+    _dual,
+    _ideal,
+    enumerate_vectors,
+    format_vector,
+    ideal_of_vector,
+    vector_of_hf,
+)
 from .betti import FieldSpec, QQ, betti_diagram
 
 
@@ -173,14 +181,15 @@ def growth_check(
 ) -> CheckReport:
     """Growth bound holds for every enumerated ideal (a theorem here; any
     failure means an implementation bug).  Re-verifies each ideal's Hilbert
-    function on the way."""
+    function on the way, from its generators: the row starts that the
+    enumeration built it from would only repeat the enumeration's count."""
     instance = {"A": list(a.degrees), "H": str(h)}
     witnesses = []
     count = 0
     violations = None  # of h itself; every ideal with Hilbert function h shares them
     for ideal in enumerate_ideals(h, a, max_ideals):
         count += 1
-        actual = ideal.hilbert_function()
+        actual = MonomialIdeal(ideal.n, ideal.gens).hilbert_function()
         if actual != h:
             witnesses.append(
                 {
@@ -218,30 +227,100 @@ def _growth_violations(h: HilbertFunction, a: DegreeList) -> list[tuple[str, dic
     return out
 
 
+# one key per degree list: 2 in a sweep benchmark pass
+@lru_cache(maxsize=32)
+def _orbit_moves(degrees: tuple[int, ...]):
+    """The permutations of variables of equal degree in A, acting on the row
+    starts of the ideals that contain the powers of A: ``(inner, moves, axes)``.
+
+    In such an ideal a row with p_k >= a_k for some k starts at 0, so only
+    the rows of prod [0, a_k) over the prefix coordinates tell the ideals
+    apart: ``inner`` picks them, in row order, out of the row starts in the
+    box prod [0, a_k].  ``moves`` holds one getter per permutation that fixes
+    x_n (the identity left out): it permutes the prefix coordinates, so it
+    permutes the inner rows.  ``axes`` holds the inner-row stride of each
+    prefix axis k with a_k = a_n; the transpositions of x_k and x_n, followed
+    by the moves, give the other permutations.
+    """
+    n = len(degrees)
+    strides = _row_strides(tuple(deg + 1 for deg in degrees))
+    inner_strides = _row_strides(degrees)
+    prefixes = list(itertools.product(*(range(deg) for deg in degrees[:-1])))
+    inner = _getter([sum(map(operator.mul, prefix, strides)) for prefix in prefixes])
+    blocks = [
+        [k for k in block if k < n - 1]
+        for _, block in itertools.groupby(range(n), key=degrees.__getitem__)
+    ]
+    perms = itertools.product(*map(itertools.permutations, blocks))
+    next(perms)  # the identity
+    moves = []
+    for perm in perms:
+        perm = list(itertools.chain.from_iterable(perm))
+        source = [0] * len(prefixes)
+        for r, prefix in enumerate(prefixes):
+            source[sum(prefix[k] * stride for k, stride in zip(perm, inner_strides))] = r
+        moves.append(_getter(source))
+    axes = [inner_strides[k] for k in range(n - 1) if degrees[k] == degrees[-1]]
+    return inner, moves, axes
+
+
+def _getter(indices: list[int]):
+    """``operator.itemgetter(*indices)``, giving a tuple also for one index."""
+    get = operator.itemgetter(*indices)
+    return get if len(indices) > 1 else lambda seq: (get(seq),)
+
+
+def _swap_with_last(starts: tuple[int, ...], side: int, stride: int):
+    """Row starts of the ideal with x_k and x_n swapped, where axis k has
+    ``side`` rows, as many as a row has points, and rows one step apart in
+    x_k are ``stride`` apart.  The starts along a line of axis k are a
+    non-increasing sequence; the swap replaces it by its conjugate: the row
+    at x_k-exponent c starts at the number of starts in the line above c."""
+    out = list(starts)
+    span = side * stride
+    for outer in range(0, len(starts), span):
+        for base in range(outer, outer + stride):
+            line = starts[base : base + span : stride]
+            out[base : base + span : stride] = [sum(map(c.__lt__, line)) for c in range(side)]
+    return tuple(out)
+
+
+def _orbit_key(a: DegreeList):
+    """``key(ideal)``, the same on exactly the ideals of one orbit of the
+    permutations of variables of equal degree in A: the largest of the
+    permuted inner row starts (see :func:`_orbit_moves`).  The ideal must
+    contain the powers of A and have its row starts in the box
+    prod [0, a_k], as :func:`enumerate_ideals`' ideals do."""
+    box = tuple(deg + 1 for deg in a.degrees)
+    side = a.degrees[-1]
+    power_rows = [deg * stride for deg, stride in zip(a.degrees, _row_strides(box))]
+    inner, moves, axes = _orbit_moves(a.degrees)
+
+    def key(ideal: MonomialIdeal) -> tuple[int, ...]:
+        sides, starts = ideal._row_starts()
+        if sides != box or starts[0] > side or any(starts[r] for r in power_rows):
+            raise ValueError(f"not row starts in the box {box} of an ideal holding A's powers")
+        rows = inner(starts)
+        images = [rows] + [_swap_with_last(rows, side, stride) for stride in axes]
+        return max(images + [move(image) for image in images for move in moves])
+
+    return key
+
+
 def _orbit_memo(a: DegreeList, compute):
     """``lookup(ideal)``: ``compute(ideal)``, computed once per orbit of the
-    permutations of variables of equal degree in A, and the memo dict, whose
-    size is the number of orbits seen.
-
-    ``compute`` must give the same value on every ideal of an orbit, as
-    graded Betti numbers do.  An orbit is keyed by its canonical form: over
-    the permutations within each block of equal degrees (the identity
-    included), the lex-largest of the permuted, re-sorted generator tuples.
-    """
-    blocks = [tuple(g) for _, g in itertools.groupby(range(a.n), key=a.degrees.__getitem__)]
-    perms = itertools.product(*map(itertools.permutations, blocks))
-    next(perms)  # the identity, whose image is the generator tuple itself
-    # itemgetter of two or more indices returns a tuple; a lone index has no
-    # other permutation
-    moves = [operator.itemgetter(*itertools.chain.from_iterable(p)) for p in perms]
+    permutations of variables of equal degree in A (keyed by
+    :func:`_orbit_key`), and the memo dict, whose size is the number of
+    orbits seen.  ``compute`` must give the same value on every ideal of an
+    orbit, as graded Betti numbers do."""
+    key = _orbit_key(a)
     memo: dict = {}
 
     def lookup(ideal: MonomialIdeal):
-        gens = tuple(g.exps for g in ideal.gens)
-        key = max([gens] + [tuple(sorted(map(move, gens), reverse=True)) for move in moves])
-        if key not in memo:
-            memo[key] = compute(ideal)
-        return memo[key]
+        k = key(ideal)
+        if k not in memo:
+            memo[k] = compute(ideal)
+        return memo[k]
 
     return lookup, memo
 
@@ -301,11 +380,11 @@ def residual_lpp_check(a: DegreeList) -> CheckReport:
     powers = a.powers_ideal()
     witnesses = []
     count = 0
-    for vec in enumerate_vectors(a):
+    for vec in enumerate_vectors(a):  # valid by construction
         count += 1
-        ideal = ideal_of_vector(vec, a)
-        dual_vec = dual(vec, a)
-        expected = ideal_of_vector(dual_vec, a)
+        ideal = _ideal(vec, a)
+        dual_vec = _dual(vec, a.degrees)
+        expected = ideal_of_vector(dual_vec, a)  # checks dual_vec
         actual = colon(powers, ideal)
         if actual != expected:
             witnesses.append(
@@ -317,7 +396,7 @@ def residual_lpp_check(a: DegreeList) -> CheckReport:
                 }
             )
             continue
-        if dual(dual_vec, a) != vec:
+        if _dual(dual_vec, a.degrees) != vec:
             witnesses.append(
                 {"reason": "duality is not an involution", "vector": format_vector(vec)}
             )
@@ -353,8 +432,8 @@ def lexseg_lemma_check(a: DegreeList) -> CheckReport:
     powers = a.powers_ideal()
     witnesses = []
     count = 0
-    for vec in enumerate_vectors(a):
-        ideal = ideal_of_vector(vec, a)
+    for vec in enumerate_vectors(a):  # valid by construction
+        ideal = _ideal(vec, a)
         if ideal.pure_power_profile() != a.degrees:
             continue  # lemma is about ideals with powers exactly A
         count += 1

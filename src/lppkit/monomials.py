@@ -13,7 +13,7 @@ import json
 import math
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class DimensionError(ValueError):
@@ -221,27 +221,50 @@ class HilbertFunction:
         return " ".join(str(v) for v in self.values)
 
 
-@dataclass(frozen=True)
 class MonomialIdeal:
     """A monomial ideal stored by its minimal generating set.
 
     ``gens`` is lex-descending and minimal (no generator divides another);
     build instances with :func:`minimalize` / :meth:`from_gens` unless the
     input is already canonical.  The unit ideal is generated by the monomial
-    with all-zero exponents.
+    with all-zero exponents.  An ideal built from row starts
+    (:func:`_ideal_of_rows`) keeps them and builds ``gens`` on first access.
+    Equality, hashing and ``repr`` go by ``(n, gens)``.
     """
 
-    n: int
-    gens: tuple[Monomial, ...]
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    __slots__ = ("_n", "_gens", "_cache")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, gens: tuple[Monomial, ...]):
+        if n < 1:
             raise ValueError("need at least one variable")
-        if not self.gens:
+        if not gens:
             raise ValueError("zero ideal is not representable here")
-        if any(g.n != self.n for g in self.gens):
+        if any(g.n != n for g in gens):
             raise DimensionError("generator with wrong variable count")
+        self._n = n
+        self._gens = gens
+        self._cache: dict = {}
+
+    @property
+    def n(self) -> int:
+        return self._n
+
+    @property
+    def gens(self) -> tuple[Monomial, ...]:
+        if self._gens is None:
+            self._gens = _gens_of_rows(*self._cache["rows"])
+        return self._gens
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._n, self.gens) == (other._n, other.gens)
+
+    def __hash__(self) -> int:
+        return hash((self._n, self.gens))
+
+    def __repr__(self) -> str:
+        return f"MonomialIdeal(n={self._n!r}, gens={self.gens!r})"
 
     @classmethod
     def from_gens(cls, n: int, gens) -> MonomialIdeal:
@@ -249,7 +272,10 @@ class MonomialIdeal:
 
     @property
     def is_unit(self) -> bool:
-        return self.gens[0].degree == 0
+        rows = self._cache.get("rows")
+        if rows is None:
+            return self.gens[0].degree == 0
+        return rows[1][0] == 0  # the origin's row starts at 0
 
     def contains(self, m: Monomial) -> bool:
         if m.n != self.n:
@@ -279,16 +305,23 @@ class MonomialIdeal:
         return tuple(prof)
 
     def _row_starts(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Row starts of the box prod [0, box_k], box_k the largest generator
-        exponent in variable k, as ``(sides, starts)``.
+        """Row starts of the ideal in a box prod [0, sides_k) that holds every
+        minimal generator, as ``(sides, starts)``.
 
         A row is a prefix of all coordinates but the last; rows are indexed in
         mixed radix, last prefix coordinate fastest.  A row's start is the
         least exponent of the last variable that puts the point in the ideal,
         or ``sides[-1]`` when none in the box does; the members of a row are
-        exactly the points from its start on.  Each start comes from the
-        generators in the row and the starts of the rows one step below.
-        Raises GuardExceeded when the box has more than BOX_GUARD points.
+        exactly the points from its start on.
+
+        The box is the one an ideal built from row starts
+        (:func:`_ideal_of_rows`) was built in, which may be larger than its
+        generator box; otherwise it is the generator box, box_k - 1 the
+        largest generator exponent in variable k, and each start comes from
+        the generators in the row and the starts of the rows one step below.
+        Beyond the generator box membership does not change, so every reader
+        of the row starts gives the same answer for any such box.  Raises
+        GuardExceeded when the generator box has more than BOX_GUARD points.
         """
         cached = self._cache.get("rows")
         if cached is not None:
@@ -315,12 +348,26 @@ class MonomialIdeal:
         self._cache["rows"] = result
         return result
 
+    def _is_artinian(self) -> bool:
+        """Does the ideal hold a power of every variable?
+
+        Read from the row starts when the ideal has them: x_n has a power in
+        it when row 0 starts inside the box, and x_k when the last row along
+        axis k starts at 0.  Otherwise read from the generators, so that a
+        non-Artinian ideal is told apart before its box is built.
+        """
+        rows = self._cache.get("rows")
+        if rows is None:
+            return None not in self.pure_power_profile()
+        sides, starts = rows
+        far_rows = ((s - 1) * stride for s, stride in zip(sides, _row_strides(sides)))
+        return starts[0] < sides[-1] and not any(starts[r] for r in far_rows)
+
     def _box_rows(self):
         """The box sides and, per row, (row index, prefix, start), rows in
         lex-descending order.  Requires an Artinian ideal, so every row ends
         inside the ideal."""
-        prof = self.pure_power_profile()
-        if any(p is None for p in prof):
+        if not self._is_artinian():
             raise NotArtinianError("ideal is not Artinian")
         sides, starts = self._row_starts()
         prefixes = itertools.product(*(range(s - 1, -1, -1) for s in sides[:-1]))
@@ -374,7 +421,7 @@ class MonomialIdeal:
 
 def minimalize(n: int, gens) -> MonomialIdeal:
     """Drop generators divisible by another; canonical lex-descending order."""
-    pool = {Monomial(g.exps if isinstance(g, Monomial) else tuple(g)) for g in gens}
+    pool = {g if isinstance(g, Monomial) else Monomial(tuple(g)) for g in gens}
     if any(m.n != n for m in pool):
         raise DimensionError(f"generator with wrong variable count for {n} variables")
     minimal: list[Monomial] = []
@@ -395,8 +442,18 @@ def _row_strides(sides: tuple[int, ...]) -> list[int]:
 
 def _ideal_of_rows(n: int, sides: tuple[int, ...], starts) -> MonomialIdeal:
     """The ideal whose row starts in the box prod [0, sides_k) are ``starts``
-    (as in :meth:`MonomialIdeal._row_starts`), by its minimal generators,
-    lex-descending.
+    (as in :meth:`MonomialIdeal._row_starts`).  It keeps the box and a copy
+    of the starts, and builds its generators on first access."""
+    ideal = MonomialIdeal.__new__(MonomialIdeal)
+    ideal._n = n
+    ideal._gens = None
+    ideal._cache = {"rows": (tuple(sides), tuple(starts))}
+    return ideal
+
+
+def _gens_of_rows(sides: tuple[int, ...], starts) -> tuple[Monomial, ...]:
+    """The minimal generators, lex-descending, of the ideal whose row starts
+    in the box prod [0, sides_k) are ``starts``.
 
     A row's start is a minimal generator when it lies in the box and is below
     the start of every row one step down; no other point is.  Rows are read
@@ -415,7 +472,7 @@ def _ideal_of_rows(n: int, sides: tuple[int, ...], starts) -> MonomialIdeal:
                 break
         else:
             gens.append(Monomial(prefix + (t,)))
-    return MonomialIdeal(n, tuple(gens))
+    return tuple(gens)
 
 
 def colon(j: MonomialIdeal, i: MonomialIdeal) -> MonomialIdeal:

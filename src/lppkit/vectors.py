@@ -170,9 +170,14 @@ def ideal_of_vector(t: LppVector, a: DegreeList) -> MonomialIdeal:
 
     A leaf (d) gives (x^d); a node (T_1, ..., T_u) gives the ideal generated
     by x_1^u together with x_1^{u-i} times the shifted ideal of T_i.  The
-    empty vector gives the unit ideal.
+    empty vector gives the unit ideal.  t is checked first.
     """
     _require_valid(t, a)
+    return _ideal(t, a)
+
+
+def _ideal(t: LppVector, a: DegreeList) -> MonomialIdeal:
+    """:func:`ideal_of_vector` of a vector known to be valid, unchecked."""
     sides = tuple(deg + 1 for deg in a.degrees)
     return _ideal_of_rows(a.n, sides, _starts(t, a.degrees))
 

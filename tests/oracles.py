@@ -650,3 +650,24 @@ def socle_equivalence_check_every_ideal(
     return harness.CheckReport.from_witnesses(
         "socle-equivalence", instance, witnesses, {"ideals": count}
     )
+
+
+def generator_orbit_key(a: DegreeList):
+    """``key(ideal)`` for the orbits of the permutations of variables of
+    equal degree in A, by generators: over the permutations within each
+    block of equal degrees (the identity included), the lex-largest of the
+    permuted, re-sorted generator tuples."""
+    blocks = [tuple(g) for _, g in itertools.groupby(range(a.n), key=a.degrees.__getitem__)]
+    perms = [
+        list(itertools.chain.from_iterable(p))
+        for p in itertools.product(*map(itertools.permutations, blocks))
+    ]
+
+    def key(ideal: MonomialIdeal) -> tuple[tuple[int, ...], ...]:
+        gens = [g.exps for g in ideal.gens]
+        return max(
+            tuple(sorted((tuple(e[k] for k in perm) for e in gens), reverse=True))
+            for perm in perms
+        )
+
+    return key

@@ -195,6 +195,16 @@ class TestBoxGuard:
         assert r.exit_code == 3
         assert "guard exceeded" in r.output
 
+    @pytest.mark.parametrize("command", ["betti", "hf", "socle"])
+    def test_non_artinian_is_reported_before_the_guard(self, command):
+        # the box of x1^3000*x2^3000 is over the guard: the Artinian error
+        # must come first, and without building the box
+        start = time.perf_counter()
+        r = CliRunner().invoke(main, [command, "--ideal", "x1^3000*x2^3000"])
+        assert time.perf_counter() - start < 0.5
+        assert r.exit_code == 1
+        assert "Artinian" in r.output
+
     @pytest.mark.parametrize(
         "args",
         [

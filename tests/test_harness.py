@@ -23,10 +23,12 @@ from lppkit import harness
 from lppkit.betti import FieldSpec
 from lppkit.growth import standard_monomials_of_degree
 from lppkit.harness import lpp_ideal_for
+from lppkit.monomials import parse_ideal
 from lppkit.vectors import ideal_of_vector, parse_vector
 
 from oracles import (
     direct_lpp_ideal,
+    generator_orbit_key,
     lpp_dominance_check_every_ideal,
     socle_equivalence_check_every_ideal,
     standard_monomials,
@@ -261,3 +263,30 @@ class TestOrbitMemo:
         r = lpp_dominance_check(HilbertFunction.from_string("1 3 6 8 7 4 1"), a)
         assert r.ok and r.details["orbits"] < r.details["ideals"]
         assert len(calls) == r.details["orbits"] + 1
+
+
+class TestOrbitKey:
+    """The row-start key of the orbit memo against the generator-tuple key."""
+
+    @pytest.mark.parametrize(
+        "degrees",
+        [(1, 1, 2), (2, 2, 2), (3, 3, 3), (3, 3, 4), (2, 2, 2, 2), (2, 2, 3, 3)],
+        ids=str,
+    )
+    def test_same_orbits_as_the_generator_key(self, degrees):
+        a = DegreeList(degrees)
+        key, oracle = harness._orbit_key(a), generator_orbit_key(a)
+        pairs = {
+            (key(ideal), oracle(ideal))
+            for h in valid_hilbert_functions(a, a.sigma_ci)
+            for ideal in enumerate_ideals(h, a)
+        }
+        # the pairs match the orbits of one key one-to-one with the other's
+        assert len({k for k, _ in pairs}) == len(pairs) == len({o for _, o in pairs})
+
+    def test_row_starts_in_another_box_are_refused(self):
+        a = DegreeList((2, 2, 3))
+        key = harness._orbit_key(a)
+        assert key(a.powers_ideal()) == key(next(enumerate_ideals(ci_hilbert_function(a), a)))
+        with pytest.raises(ValueError, match="box"):
+            key(parse_ideal("x1, x2^2, x3^3"))

@@ -16,11 +16,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lppkit
-from lppkit import DegreeList, Monomial, MonomialIdeal, betti_diagram, parse_vector
+from lppkit import (
+    DegreeList,
+    HilbertFunction,
+    Monomial,
+    MonomialIdeal,
+    betti_diagram,
+    growth_check,
+    harness,
+    parse_vector,
+)
+from lppkit.betti import FieldSpec
 from lppkit.harness import enumerate_ideals, valid_hilbert_functions
 from lppkit.monomials import (
     BOX_GUARD,
     GuardExceeded,
+    NotArtinianError,
     _ideal_of_rows,
     colon,
     is_lex_segment,
@@ -110,6 +121,83 @@ class TestRowStarts:
     @given(ideals(max_n=3, artinian=True))
     def test_hilbert_function_by_inclusion_exclusion(self, i):
         assert i.hilbert_function() == hf_by_inclusion_exclusion(i)
+
+
+def carried_and_twins(degrees):
+    """Every enumerated ideal for A whose row-start box is larger than its
+    generator box (some pure power below A), with its twin built from its
+    generators."""
+    a = DegreeList(degrees)
+    for h in valid_hilbert_functions(a, a.sigma_ci):
+        for ideal in enumerate_ideals(h, a):
+            twin = MonomialIdeal(ideal.n, ideal.gens)
+            if ideal._row_starts()[0] != twin._row_starts()[0]:
+                yield ideal, twin
+
+
+class TestCarriedRowStarts:
+    """An ideal built from row starts keeps them, in the box it was built in;
+    every reader must answer as for the same ideal built from generators."""
+
+    @pytest.mark.parametrize("degrees", [(2, 3, 3), (2, 2, 2, 2)], ids=str)
+    def test_agrees_with_its_generator_built_twin(self, degrees):
+        a = DegreeList(degrees)
+        powers = a.powers_ideal()
+        other = next(enumerate_ideals(HilbertFunction.from_string("1 2 1"), a))
+        pairs = list(carried_and_twins(degrees))
+        assert len(pairs) > 10
+        for ideal, twin in pairs:
+            assert ideal._row_starts()[0] == tuple(d + 1 for d in degrees)
+            assert ideal.gens == twin.gens and ideal == twin and hash(ideal) == hash(twin)
+            assert repr(ideal) == repr(twin)
+            assert ideal.is_unit is twin.is_unit is False
+            assert ideal.hilbert_function() == twin.hilbert_function()
+            assert ideal.socle_monomials() == twin.socle_monomials()
+            for p in (0, 2):
+                f = FieldSpec(p)
+                assert betti_diagram(ideal, f) == betti_diagram(twin, f)
+            for j in (powers, other):
+                assert colon(ideal, j) == colon(twin, j)
+                assert colon(j, ideal) == colon(j, twin)
+            for d in range(a.omega):
+                assert is_lex_segment(ideal, d) == is_lex_segment(twin, d)
+            assert is_lpp(ideal, a) == is_lpp(twin, a)
+            profile = DegreeList(tuple(sorted(twin.pure_power_profile())))
+            assert is_lpp(ideal, profile) == is_lpp(twin, profile)
+
+    @pytest.mark.parametrize(
+        "j_text, i_text, gens",
+        [
+            ("x1^2*x2", "x1", [(1, 1)]),  # no power of x1 or x2
+            ("x1*x2^2, x2^3", "x2", [(1, 1), (0, 2)]),  # no power of x1
+            ("x1^4, x1^3*x2", "x1", [(3, 0), (2, 1)]),  # no power of x2
+        ],
+    )
+    def test_unit_and_non_artinian_read_from_the_starts(self, j_text, i_text, gens):
+        j, i = parse_ideal(j_text, 2), parse_ideal(i_text, 2)
+        unit_rows, open_rows = colon(j, j), colon(j, i)
+        assert unit_rows.is_unit and betti_diagram(unit_rows).items() == []
+        assert not open_rows.is_unit
+        with pytest.raises(NotArtinianError):
+            betti_diagram(open_rows)
+        with pytest.raises(NotArtinianError):
+            open_rows.hilbert_function()
+        assert open_rows.gens == tuple(map(Monomial, gens))
+
+    def test_growth_check_sees_starts_that_are_not_a_down_set(self, monkeypatch):
+        # 1, x1, x2 and x1*x3 have the Hilbert function 1 2 1 but are not a
+        # down-set (x3 divides x1*x3); rows (p1, p2) are indexed 3 * p1 + p2
+        a, h = DegreeList((2, 2, 2)), HilbertFunction.from_string("1 2 1")
+        starts = [1, 1, 0, 2, 0, 0, 0, 0, 0]
+        assert _ideal_of_rows(3, (3, 3, 3), starts).hilbert_function() == h
+        monkeypatch.setattr(
+            harness, "_ideal_of_rows", lambda n, sides, _: _ideal_of_rows(n, sides, starts)
+        )
+        r = growth_check(h, a)
+        assert not r.ok
+        assert {w["reason"] for w in r.witnesses} == {
+            "enumeration emitted an ideal with the wrong Hilbert function"
+        }
 
 
 class TestColon:

@@ -74,6 +74,14 @@ class TestValidate:
         assert not validate(Node((Leaf(2),)), DegreeList((3,)))
 
 
+    @pytest.mark.parametrize("degrees", [(3, 4, 5), (2, 2, 3, 3)], ids=str)
+    def test_every_enumerated_vector_is_valid(self, degrees):
+        # the residual and lex-segment checks rely on it and do not re-check
+        a = DegreeList(degrees)
+        vectors = enumerate_vectors(a)
+        assert vectors and all(validate(t, a) for t in vectors)
+
+
 class TestStats:
     def test_child_sigma_alpha_values(self):
         t1, t2, t3, t4 = RUNNING.children
