@@ -274,11 +274,15 @@ def _koszul_homology(i: MonomialIdeal, p: int):
 
 
 def betti_diagram(i: MonomialIdeal, f: FieldSpec = QQ) -> BettiDiagram:
-    """Full Betti diagram of R/I for an Artinian monomial ideal I."""
-    if i.is_unit:
-        return BettiDiagram(i.n, {})
-    if not i._is_artinian():
+    """Full Betti diagram of R/I for an Artinian monomial ideal I.
+
+    The pure-power profile is read first, so a non-Artinian ideal is refused
+    before its box is built."""
+    profile = i.pure_power_profile()
+    if None in profile:
         raise NotArtinianError("Betti diagram needs an Artinian ideal")
+    if profile[0] == 0:  # the unit ideal
+        return BettiDiagram(i.n, {})
     beta: Counter[tuple[int, int]] = Counter()
     beta[(0, 0)] = 1
     for b, dims in _koszul_homology(i, f.characteristic):
@@ -309,16 +313,16 @@ def mapping_cone_check(
     """
     if i.n != a.n:
         raise ValueError(f"{i.n} vs {a.n} variables")
-    powers = [pure_power(a.n, k, e) for k, e in enumerate(a.degrees)]
-    for m in powers:
-        if not i.contains(m):
-            raise ValueError(f"ideal does not contain {m.exps}")
+    profile = i.pure_power_profile()
+    for k, (least, e) in enumerate(zip(profile, a.degrees)):
+        if least is None or least > e:
+            raise ValueError(f"ideal does not contain {pure_power(a.n, k, e).exps}")
     n = i.n
     omega = a.omega
     residual = colon(a.powers_ideal(), i)
     bi = betti_diagram(i, f)
     bc = betti_diagram(residual, f)
-    minimal = all(m in set(i.gens) for m in powers)
+    minimal = profile == a.degrees
     failures = []
     t_by_degree = {}
     degrees = {j for (idx, j), v in bi.entries.items() if idx == 1 and v}

@@ -76,10 +76,6 @@ class Monomial:
         return other <= self
 
 
-def unit_monomial(n: int) -> Monomial:
-    return Monomial((0,) * n)
-
-
 def pure_power(n: int, i: int, e: int) -> Monomial:
     exps = [0] * n
     exps[i] = e
@@ -232,7 +228,7 @@ class MonomialIdeal:
     Equality, hashing and ``repr`` go by ``(n, gens)``.
     """
 
-    __slots__ = ("_n", "_gens", "_cache")
+    __slots__ = ("_n", "_gens", "_rows")
 
     def __init__(self, n: int, gens: tuple[Monomial, ...]):
         if n < 1:
@@ -243,7 +239,7 @@ class MonomialIdeal:
             raise DimensionError("generator with wrong variable count")
         self._n = n
         self._gens = gens
-        self._cache: dict = {}
+        self._rows = None
 
     @property
     def n(self) -> int:
@@ -252,7 +248,7 @@ class MonomialIdeal:
     @property
     def gens(self) -> tuple[Monomial, ...]:
         if self._gens is None:
-            self._gens = _gens_of_rows(*self._cache["rows"])
+            self._gens = _gens_of_rows(*self._rows)
         return self._gens
 
     def __eq__(self, other):
@@ -272,10 +268,7 @@ class MonomialIdeal:
 
     @property
     def is_unit(self) -> bool:
-        rows = self._cache.get("rows")
-        if rows is None:
-            return self.gens[0].degree == 0
-        return rows[1][0] == 0  # the origin's row starts at 0
+        return self.pure_power_profile()[0] == 0
 
     def contains(self, m: Monomial) -> bool:
         if m.n != self.n:
@@ -291,8 +284,21 @@ class MonomialIdeal:
         return self.contains(m)
 
     def pure_power_profile(self) -> tuple[int | None, ...]:
-        """Per variable, the least e with x_i^e in the ideal (None if none)."""
-        prof: list[int | None] = [None] * self.n
+        """Per variable, the least e with x_i^e in the ideal (None if none).
+
+        Read from the row starts when the ideal has them: x_k^e is in it when
+        row e * e_k starts at 0, and x_n^e when row 0 starts at or before e.
+        Otherwise read from the generators, so no box is built.
+        """
+        if self._rows is not None:
+            sides, starts = self._rows
+            prof = [
+                next((e for e in range(side) if not starts[e * stride]), None)
+                for side, stride in zip(sides, _row_strides(sides))
+            ]
+            prof.append(starts[0] if starts[0] < sides[-1] else None)
+            return tuple(prof)
+        prof = [None] * self.n
         for g in self.gens:
             support = [i for i, e in enumerate(g.exps) if e > 0]
             if len(support) == 0:
@@ -323,9 +329,8 @@ class MonomialIdeal:
         of the row starts gives the same answer for any such box.  Raises
         GuardExceeded when the generator box has more than BOX_GUARD points.
         """
-        cached = self._cache.get("rows")
-        if cached is not None:
-            return cached
+        if self._rows is not None:
+            return self._rows
         n = self.n
         sides = tuple(max(g.exps[k] for g in self.gens) + 1 for k in range(n))
         volume = math.prod(sides)
@@ -344,30 +349,14 @@ class MonomialIdeal:
                 if prefix[k] and starts[r - stride] < t:
                     t = starts[r - stride]
             starts.append(t)
-        result = (sides, tuple(starts))
-        self._cache["rows"] = result
-        return result
-
-    def _is_artinian(self) -> bool:
-        """Does the ideal hold a power of every variable?
-
-        Read from the row starts when the ideal has them: x_n has a power in
-        it when row 0 starts inside the box, and x_k when the last row along
-        axis k starts at 0.  Otherwise read from the generators, so that a
-        non-Artinian ideal is told apart before its box is built.
-        """
-        rows = self._cache.get("rows")
-        if rows is None:
-            return None not in self.pure_power_profile()
-        sides, starts = rows
-        far_rows = ((s - 1) * stride for s, stride in zip(sides, _row_strides(sides)))
-        return starts[0] < sides[-1] and not any(starts[r] for r in far_rows)
+        self._rows = (sides, tuple(starts))
+        return self._rows
 
     def _box_rows(self):
         """The box sides and, per row, (row index, prefix, start), rows in
         lex-descending order.  Requires an Artinian ideal, so every row ends
         inside the ideal."""
-        if not self._is_artinian():
+        if None in self.pure_power_profile():
             raise NotArtinianError("ideal is not Artinian")
         sides, starts = self._row_starts()
         prefixes = itertools.product(*(range(s - 1, -1, -1) for s in sides[:-1]))
@@ -378,24 +367,16 @@ class MonomialIdeal:
 
         Row p holds the standard monomials of degrees |p| to |p| + start - 1,
         so the counts are the running sum of +1 at |p| and -1 at |p| + start
-        over the rows.
+        over the rows; for the unit ideal every row starts at 0, giving (0,).
         """
-        cached = self._cache.get("hf")
-        if cached is not None:
-            return cached
-        if self.is_unit:
-            hf = HilbertFunction((0,))
-        else:
-            sides, rows = self._box_rows()
-            diff = [0] * (sum(sides) + 1)
-            for _, prefix, t in rows:
-                d0 = sum(prefix)
-                diff[d0] += 1
-                diff[d0 + t] -= 1
-            counts = list(itertools.accumulate(diff))
-            hf = HilbertFunction(tuple(counts[: counts.index(0) + 1]))
-        self._cache["hf"] = hf
-        return hf
+        sides, rows = self._box_rows()
+        diff = [0] * (sum(sides) + 1)
+        for _, prefix, t in rows:
+            d0 = sum(prefix)
+            diff[d0] += 1
+            diff[d0 + t] -= 1
+        counts = list(itertools.accumulate(diff))
+        return HilbertFunction(tuple(counts[: counts.index(0) + 1]))
 
     def socle_monomials(self) -> dict[int, tuple[Monomial, ...]]:
         """Monomials m outside I with x_i * m in I for every i, by degree.
@@ -447,7 +428,7 @@ def _ideal_of_rows(n: int, sides: tuple[int, ...], starts) -> MonomialIdeal:
     ideal = MonomialIdeal.__new__(MonomialIdeal)
     ideal._n = n
     ideal._gens = None
-    ideal._cache = {"rows": (tuple(sides), tuple(starts))}
+    ideal._rows = (tuple(sides), tuple(starts))
     return ideal
 
 
@@ -514,20 +495,21 @@ def add_maximal_power(i: MonomialIdeal, t: int) -> MonomialIdeal:
 def is_lpp(i: MonomialIdeal, a: DegreeList) -> bool:
     """Is I a lex-plus-powers ideal for the degree list A?
 
-    Requires the pure powers x_i^{a_i} among the minimal generators, and for
-    every other minimal generator all lex-larger monomials of the same degree
-    must already lie in the ideal.  As a lex segment times a variable is again
-    one, that holds when, in each degree of another generator, the members
-    among the monomials below A come first in lex order.  Raises GuardExceeded
-    when I has such a generator and its box has more than BOX_GUARD points.
+    Requires the pure powers x_i^{a_i} among the minimal generators (the
+    least power of x_i in I is always one, so that is a pure-power profile of
+    A), and for every other minimal generator all lex-larger monomials of the
+    same degree must already lie in the ideal.  As a lex segment times a
+    variable is again one, that holds when, in each degree of another
+    generator, the members among the monomials below A come first in lex
+    order.  Raises GuardExceeded when I has such a generator and its box has
+    more than BOX_GUARD points.
     """
     if i.n != a.n:
         raise DimensionError(f"{i.n} vs {a.n} variables")
-    powers = {pure_power(a.n, idx, e) for idx, e in enumerate(a.degrees)}
-    gen_set = set(i.gens)
-    if not powers <= gen_set:
+    if i.pure_power_profile() != a.degrees:
         return False
-    degrees = {g.degree for g in gen_set - powers}
+    # the degrees of the generators in two or more variables
+    degrees = {g.degree for g in i.gens if g.exps.count(0) < a.n - 1}
     return all(_members_first(i, d, a.degrees) for d in degrees)
 
 

@@ -37,7 +37,6 @@ from lppkit.monomials import (
     minimalize,
     monomials_of_degree,
     pure_power,
-    unit_monomial,
 )
 from lppkit.vectors import (
     INF,
@@ -91,6 +90,11 @@ def betti_diagram_by_contains(i: MonomialIdeal, f: FieldSpec = QQ) -> BettiDiagr
             if hd:
                 beta[(k + 2, total)] += hd
     return BettiDiagram(n, dict(beta))
+
+
+def unit_monomial(n: int) -> Monomial:
+    """The monomial 1, which generates the unit ideal."""
+    return Monomial((0,) * n)
 
 
 def divides(m1: Monomial, m2: Monomial) -> bool:

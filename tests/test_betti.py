@@ -16,7 +16,6 @@ from lppkit import (
 )
 from lppkit.betti import PRIME_LIMIT, _is_prime
 from lppkit.harness import enumerate_ideals, valid_hilbert_functions
-from lppkit.monomials import unit_monomial
 
 from oracles import (
     betti_euler_by_multidegree,
@@ -25,6 +24,7 @@ from oracles import (
     stanley_check,
     stanley_first_mismatch,
     taylor_euler_by_multidegree,
+    unit_monomial,
 )
 
 GF2 = FieldSpec(2)

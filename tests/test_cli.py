@@ -270,6 +270,14 @@ class TestChecks:
         assert r.exit_code == 0
         assert "verdict: pass" in r.output
 
+    # "1 4" breaks the degree-1 ceiling; "1 2 4" only the growth bound, as
+    # lpp_bound(2, 1, A) = 3: the enumeration refuses both before any ideal
+    @pytest.mark.parametrize("hf", ["1 4", "1 2 4"])
+    def test_growth_refuses_an_h_that_breaks_a_bound(self, hf):
+        r = CliRunner().invoke(main, ["check", "growth", "--A", "2,3,4", "--hf", hf])
+        assert r.exit_code == 1
+        assert "is not a valid sequence for A=" in r.output
+
     def test_json_lines(self):
         r = run("check", "residual", "--A", "2,2", "--json")
         data = json.loads(r.output)

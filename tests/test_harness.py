@@ -14,6 +14,7 @@ from lppkit import (
     growth_check,
     is_lex_segment,
     lexseg_lemma_check,
+    lpp_bound,
     lpp_dominance_check,
     residual_lpp_check,
     socle_equivalence_check,
@@ -137,6 +138,13 @@ class TestGrowthCheck:
         a = DegreeList((2, 2, 2))
         r = growth_check(ci_hilbert_function(a), a)
         assert r.ok and r.details["ideals"] == 1
+
+    @pytest.mark.parametrize("hf", ["1 4", "1 2 4"])
+    def test_an_h_that_breaks_a_bound_is_refused(self, hf):
+        a = DegreeList((2, 3, 4))
+        assert lpp_bound(2, 1, a) == 3
+        with pytest.raises(ValueError, match="is not a valid sequence for A="):
+            growth_check(HilbertFunction.from_string(hf), a)
 
 
 class TestDominanceCheck:

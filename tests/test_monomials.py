@@ -27,11 +27,10 @@ from lppkit.monomials import (
     monomials_of_degree,
     parse_monomial,
     pure_power,
-    unit_monomial,
 )
 
 from conftest import brute_colon, hf_by_inclusion_exclusion
-from oracles import divides, lex_compare, profile_degrees
+from oracles import divides, lex_compare, profile_degrees, unit_monomial
 
 
 def ideal(text, n=None):

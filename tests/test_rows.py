@@ -24,6 +24,8 @@ from lppkit import (
     betti_diagram,
     growth_check,
     harness,
+    lpp_dominance_check,
+    monomials,
     parse_vector,
 )
 from lppkit.betti import FieldSpec
@@ -39,7 +41,6 @@ from lppkit.monomials import (
     minimalize,
     parse_ideal,
     pure_power,
-    unit_monomial,
 )
 from lppkit.vectors import EMPTY, dual, enumerate_vectors, ideal_of_vector
 
@@ -50,6 +51,7 @@ from oracles import (
     ideal_of_vector_by_minimalize,
     is_lex_segment_by_contains,
     is_lpp_by_contains,
+    unit_monomial,
 )
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
@@ -147,6 +149,11 @@ class TestCarriedRowStarts:
         pairs = list(carried_and_twins(degrees))
         assert len(pairs) > 10
         for ideal, twin in pairs:
+            # a twin that has not built its row starts reads its generators
+            fresh = MonomialIdeal(ideal.n, ideal.gens)
+            profile = fresh.pure_power_profile()
+            assert ideal.pure_power_profile() == twin.pure_power_profile() == profile
+            assert fresh.is_unit is False and fresh._rows is None
             assert ideal._row_starts()[0] == tuple(d + 1 for d in degrees)
             assert ideal.gens == twin.gens and ideal == twin and hash(ideal) == hash(twin)
             assert repr(ideal) == repr(twin)
@@ -198,6 +205,70 @@ class TestCarriedRowStarts:
         assert {w["reason"] for w in r.witnesses} == {
             "enumeration emitted an ideal with the wrong Hilbert function"
         }
+
+
+def profile_by_contains(i: MonomialIdeal, top: int) -> tuple:
+    """Per variable, the least e <= top with x_k^e in I, by ``contains``."""
+    return tuple(
+        next((e for e in range(top + 1) if i.contains(pure_power(i.n, k, e))), None)
+        for k in range(i.n)
+    )
+
+
+class TestPurePowerProfile:
+    """``pure_power_profile`` is the one reader of an ideal's pure powers, and
+    of the unit and Artinian tests; it reads the row starts when the ideal
+    has them and the generators otherwise."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(ideals())
+    def test_same_from_generators_and_from_row_starts(self, i):
+        before = (i.pure_power_profile(), i.is_unit)
+        assert before[0] == profile_by_contains(i, 4)
+        assert before[1] == (i.gens[0].degree == 0)
+        carried = _ideal_of_rows(i.n, *i._row_starts())
+        assert (i.pure_power_profile(), i.is_unit) == before
+        assert (carried.pure_power_profile(), carried.is_unit) == before
+
+    @settings(max_examples=60, deadline=None)
+    @given(colon_pairs())
+    def test_colon_ideals_read_from_their_starts(self, pair):
+        j, i = pair
+        got = colon(j, i)
+        profile = got.pure_power_profile()
+        # the generators of (J : I) lie in J's box, whose sides are at most 4
+        assert profile == profile_by_contains(got, 4)
+        assert profile == MonomialIdeal(got.n, got.gens).pure_power_profile()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda a: parse_ideal("1", a.n),
+            lambda a: ideal_of_vector(EMPTY, a),
+            lambda a: colon(a.powers_ideal(), a.powers_ideal()),
+        ],
+        ids=["generators", "empty-vector", "self-colon"],
+    )
+    def test_unit_ideal(self, build):
+        unit_ideal = build(DegreeList((2, 3, 4)))
+        assert unit_ideal.is_unit and unit_ideal.pure_power_profile() == (0, 0, 0)
+        assert unit_ideal.hilbert_function() == HilbertFunction((0,))
+        assert betti_diagram(unit_ideal).items() == []
+        assert unit_ideal.socle_monomials() == {}
+
+    def test_dominance_sweep_builds_no_generators(self, monkeypatch):
+        calls = Counter()
+
+        def counted(sides, starts):
+            calls["gens"] += 1
+            return gens_of_rows(sides, starts)
+
+        gens_of_rows = monomials._gens_of_rows
+        monkeypatch.setattr(monomials, "_gens_of_rows", counted)
+        a = DegreeList((3, 3, 4))
+        reports = [lpp_dominance_check(h, a) for h in valid_hilbert_functions(a, a.sigma_ci)]
+        assert len(reports) == 189 and all(r.verdict in ("pass", "not-valid") for r in reports)
+        assert calls["gens"] == 0
 
 
 class TestColon:

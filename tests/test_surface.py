@@ -1,7 +1,9 @@
-"""The package's public names, and the public methods and properties of its
-exported classes: each is used inside ``lppkit`` itself or is a documented
-entry point, so that helpers only the tests need stay in
-``tests/oracles.py``."""
+"""The package's public functions and classes, in every module, and the public
+methods and properties of its public classes: each is used inside ``lppkit``
+itself or is a documented entry point, so that helpers only the tests need
+stay in ``tests/oracles.py``.  Click commands are entry points.  A method read
+inside a dunder method of its own class (``contains`` in ``__contains__``)
+has no caller by that read."""
 
 import ast
 from pathlib import Path
@@ -10,41 +12,76 @@ import lppkit
 
 SRC = Path(lppkit.__file__).resolve().parent
 
-# Entry points for library users with no caller in the package.
+# Module-level functions and classes with no caller in the package.
 ALLOWED = {
-    "classical_bound",  # Macaulay's bound, the classical case of lpp_bound
-    "ci_vector",  # the vector of the pure powers
-    "decompose",  # one split of the inverse map, checked on its own
-    "valid_hilbert_functions",  # the h a sweep runs over
-    "mapping_cone_check",  # the linkage check; gets a caller in the sweeps
+    "growth.classical_bound",  # Macaulay's bound, the classical case of lpp_bound
+    "growth.standard_monomials_of_degree",  # traced by name in perfbench/spans.py
+    "vectors.ci_vector",  # the vector of the pure powers
+    "vectors.decompose",  # one split of the inverse map, checked on its own
+    "harness.valid_hilbert_functions",  # the h a sweep runs over
+    "betti.mapping_cone_check",  # the linkage check; gets a caller in the sweeps
 }
 
-# Methods and properties of exported classes with no caller in the package.
+# Methods and properties of public classes with no caller in the package.
 ALLOWED_METHODS = {
     "MonomialIdeal.from_gens",  # the documented constructor from any generators
+    "MonomialIdeal.contains",  # the single-query membership test, for a box of any size
 }
 
 
-def modules() -> list[ast.Module]:
-    return [ast.parse(p.read_text()) for p in SRC.glob("*.py") if p.name != "__init__.py"]
-
-
-def exported_names() -> set[str]:
-    tree = ast.parse((SRC / "__init__.py").read_text())
+def modules() -> dict[str, ast.Module]:
     return {
-        alias.asname or alias.name
+        p.stem: ast.parse(p.read_text()) for p in SRC.glob("*.py") if p.name != "__init__.py"
+    }
+
+
+def is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def is_click_command(node: ast.FunctionDef) -> bool:
+    """Decorated with ``<group>.command(...)`` or ``<group>.group(...)``."""
+    return any(
+        isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+        and d.func.attr in ("command", "group")
+        for d in node.decorator_list
+    )
+
+
+def public_definitions() -> set[str]:
+    """``module.name`` for every public function and class at module level,
+    click commands left out."""
+    return {
+        f"{module}.{node.name}"
+        for module, tree in modules().items()
         for node in tree.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and not (isinstance(node, ast.FunctionDef) and is_click_command(node))
+    }
+
+
+def public_methods() -> set[str]:
+    """``Class.name`` for every public method and property of a public class.
+    A method counts as called when its name is read, on any object, outside
+    its definitions."""
+    return {
+        f"{cls.name}.{node.name}"
+        for tree in modules().values()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
     }
 
 
 def names_used_outside_their_definitions() -> set[str]:
     """Names read anywhere in the package's modules, except inside a function
-    or class definition of the same name."""
+    or class definition of the same name, and except a class's own method
+    names read inside one of its dunder methods."""
     used: set[str] = set()
 
-    def visit(node: ast.AST, enclosing: frozenset[str]):
+    def visit(node: ast.AST, enclosing: frozenset[str], own: frozenset[str]):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             enclosing = enclosing | {node.name}
         if isinstance(node, ast.Name):
@@ -53,50 +90,56 @@ def names_used_outside_their_definitions() -> set[str]:
             name = node.attr
         else:
             name = None
-        if name is not None and name not in enclosing:
+        if name is not None and name not in enclosing | own:
             used.add(name)
+        methods = frozenset(
+            child.name for child in ast.iter_child_nodes(node)
+            if isinstance(node, ast.ClassDef) and isinstance(child, ast.FunctionDef)
+        )
         for child in ast.iter_child_nodes(node):
-            visit(child, enclosing)
+            in_dunder = isinstance(child, ast.FunctionDef) and is_dunder(child.name)
+            visit(child, enclosing, own | methods if in_dunder else own)
 
-    for tree in modules():
-        visit(tree, frozenset())
+    for tree in modules().values():
+        visit(tree, frozenset(), frozenset())
     return used
 
 
-def public_methods() -> set[str]:
-    """``Class.name`` for every public method and property of an exported
-    class.  A method counts as called when its name is read, on any object,
-    outside its definitions."""
-    exported = exported_names()
-    return {
-        f"{cls.name}.{node.name}"
-        for tree in modules()
-        for cls in tree.body
-        if isinstance(cls, ast.ClassDef) and cls.name in exported
-        for node in cls.body
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
-    }
+def short(qualified: str) -> str:
+    return qualified.split(".")[1]
 
 
 def test_every_public_name_has_a_caller_or_is_an_entry_point():
-    exported = exported_names()
-    assert ALLOWED <= exported
-    unused = exported - names_used_outside_their_definitions() - ALLOWED
+    definitions = public_definitions()
+    assert ALLOWED <= definitions
+    used = names_used_outside_their_definitions()
+    unused = {d for d in definitions - ALLOWED if short(d) not in used}
     assert sorted(unused) == []
 
 
 def test_the_allowlist_holds_only_names_without_a_caller():
-    assert sorted(ALLOWED & names_used_outside_their_definitions()) == []
+    used = names_used_outside_their_definitions()
+    assert sorted(d for d in ALLOWED if short(d) in used) == []
 
 
 def test_every_public_method_has_a_caller_or_is_an_entry_point():
     methods = public_methods()
     assert ALLOWED_METHODS <= methods
     used = names_used_outside_their_definitions()
-    unused = {m for m in methods - ALLOWED_METHODS if m.split(".")[1] not in used}
+    unused = {m for m in methods - ALLOWED_METHODS if short(m) not in used}
     assert sorted(unused) == []
 
 
 def test_the_method_allowlist_holds_only_methods_without_a_caller():
     used = names_used_outside_their_definitions()
-    assert sorted(m for m in ALLOWED_METHODS if m.split(".")[1] in used) == []
+    assert sorted(m for m in ALLOWED_METHODS if short(m) in used) == []
+
+
+def test_click_commands_are_entry_points():
+    commands = {
+        node.name
+        for node in modules()["cli"].body
+        if isinstance(node, ast.FunctionDef) and is_click_command(node)
+    }
+    assert {"main", "hf", "betti", "check", "check_growth", "vec_from_hf"} <= commands
+    assert not {f"cli.{name}" for name in commands} & public_definitions()
