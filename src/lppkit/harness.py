@@ -374,8 +374,8 @@ def residual_lpp_check(a: DegreeList) -> CheckReport:
                 {"reason": "duality is not an involution", "vector": format_vector(vec)}
             )
             continue
-        if not actual.is_unit:
-            prof = actual.pure_power_profile()
+        prof = actual.pure_power_profile()
+        if prof[0] != 0:  # a unit residual has nothing left to check
             if any(p is None for p in prof) or list(prof) != sorted(prof):
                 witnesses.append(
                     {
@@ -412,7 +412,7 @@ def lexseg_lemma_check(a: DegreeList) -> CheckReport:
         count += 1
         residual = colon(powers, ideal)
         prof = residual.pure_power_profile()
-        if residual.is_unit:
+        if prof[0] == 0:  # the unit ideal
             continue
         for s, (ap, orig) in enumerate(zip(prof, a.degrees)):
             if ap is not None and ap < orig and not is_lex_segment(residual, ap):

@@ -1,5 +1,5 @@
-"""The package's public functions and classes, in every module, and the public
-methods and properties of its public classes: each is used inside ``lppkit``
+"""The package's public functions, classes and module-level names, in every
+module, and the public methods and properties of its public classes: each is used inside ``lppkit``
 itself or is a documented entry point, so that helpers only the tests need
 stay in ``tests/oracles.py``.  Click commands are entry points.  A method read
 inside a dunder method of its own class (``contains`` in ``__contains__``)
@@ -26,6 +26,7 @@ ALLOWED = {
 ALLOWED_METHODS = {
     "MonomialIdeal.from_gens",  # the documented constructor from any generators
     "MonomialIdeal.contains",  # the single-query membership test, for a box of any size
+    "MonomialIdeal.is_unit",  # the unit test; the package's readers hold the profile already
 }
 
 
@@ -48,16 +49,37 @@ def is_click_command(node: ast.FunctionDef) -> bool:
     )
 
 
+def defined_names(node: ast.stmt) -> list[str]:
+    """The names a module-level statement binds: a function or class, or the
+    plain targets of an assignment (``EMPTY = Empty()``)."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [] if isinstance(node, ast.FunctionDef) and is_click_command(node) else [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
 def public_definitions() -> set[str]:
-    """``module.name`` for every public function and class at module level,
-    click commands left out."""
+    """``module.name`` for every public function, class and assigned name at
+    module level, click commands left out."""
     return {
-        f"{module}.{node.name}"
+        f"{module}.{name}"
         for module, tree in modules().items()
         for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-        and not (isinstance(node, ast.FunctionDef) and is_click_command(node))
+        for name in defined_names(node)
+        if not name.startswith("_")
+    }
+
+
+def exported_names() -> set[str]:
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    return {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
     }
 
 
@@ -78,13 +100,14 @@ def public_methods() -> set[str]:
 def names_used_outside_their_definitions() -> set[str]:
     """Names read anywhere in the package's modules, except inside a function
     or class definition of the same name, and except a class's own method
-    names read inside one of its dunder methods."""
+    names read inside one of its dunder methods.  Binding a name by an
+    assignment does not read it."""
     used: set[str] = set()
 
     def visit(node: ast.AST, enclosing: frozenset[str], own: frozenset[str]):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             enclosing = enclosing | {node.name}
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             name = node.id
         elif isinstance(node, ast.Attribute):
             name = node.attr
@@ -115,6 +138,10 @@ def test_every_public_name_has_a_caller_or_is_an_entry_point():
     used = names_used_outside_their_definitions()
     unused = {d for d in definitions - ALLOWED if short(d) not in used}
     assert sorted(unused) == []
+
+
+def test_every_exported_name_is_checked():
+    assert exported_names() - {short(d) for d in public_definitions()} == set()
 
 
 def test_the_allowlist_holds_only_names_without_a_caller():
