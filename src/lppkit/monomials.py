@@ -225,7 +225,9 @@ class MonomialIdeal:
     input is already canonical.  The unit ideal is generated by the monomial
     with all-zero exponents.  An ideal built from row starts
     (:func:`_ideal_of_rows`) keeps them and builds ``gens`` on first access.
-    Equality, hashing and ``repr`` go by ``(n, gens)``.
+    Two ideals that both carry row starts in the same box are equal when
+    their starts are; other ideals compare by ``(n, gens)``.  Hashing and
+    ``repr`` go by ``(n, gens)``.
     """
 
     __slots__ = ("_n", "_gens", "_rows")
@@ -254,6 +256,10 @@ class MonomialIdeal:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
+        # row starts in one box are equal exactly when the ideals are
+        if self._rows is not None and other._rows is not None:
+            if self._rows[0] == other._rows[0]:
+                return self._rows[1] == other._rows[1]
         return (self._n, self.gens) == (other._n, other.gens)
 
     def __hash__(self) -> int:
@@ -282,6 +288,14 @@ class MonomialIdeal:
 
     def __contains__(self, m: Monomial) -> bool:
         return self.contains(m)
+
+    def _corners(self):
+        """The exponent tuples of the minimal generators, lex-descending:
+        read off the row starts when the generators are not built yet, so
+        that none is, and from the generators otherwise, so that no box is."""
+        if self._gens is None:
+            return _corners_of_rows(*self._rows)
+        return [g.exps for g in self._gens]
 
     def pure_power_profile(self) -> tuple[int | None, ...]:
         """Per variable, the least e with x_i^e in the ideal (None if none).
@@ -434,7 +448,12 @@ def _ideal_of_rows(n: int, sides: tuple[int, ...], starts) -> MonomialIdeal:
 
 def _gens_of_rows(sides: tuple[int, ...], starts) -> tuple[Monomial, ...]:
     """The minimal generators, lex-descending, of the ideal whose row starts
-    in the box prod [0, sides_k) are ``starts``.
+    in the box prod [0, sides_k) are ``starts``."""
+    return tuple(map(Monomial, _corners_of_rows(sides, starts)))
+
+
+def _corners_of_rows(sides: tuple[int, ...], starts) -> list[tuple[int, ...]]:
+    """The exponent tuples of :func:`_gens_of_rows`.
 
     A row's start is a minimal generator when it lies in the box and is below
     the start of every row one step down; no other point is.  Rows are read
@@ -443,7 +462,7 @@ def _gens_of_rows(sides: tuple[int, ...], starts) -> tuple[Monomial, ...]:
     last = sides[-1]
     axes = list(enumerate(_row_strides(sides)))
     prefixes = itertools.product(*(range(s - 1, -1, -1) for s in sides[:-1]))
-    gens = []
+    corners = []
     for r, prefix in zip(range(len(starts) - 1, -1, -1), prefixes):
         t = starts[r]
         if t >= last:
@@ -452,35 +471,38 @@ def _gens_of_rows(sides: tuple[int, ...], starts) -> tuple[Monomial, ...]:
             if prefix[k] and starts[r - stride] <= t:
                 break
         else:
-            gens.append(Monomial(prefix + (t,)))
-    return tuple(gens)
+            corners.append(prefix + (t,))
+    return corners
 
 
 def colon(j: MonomialIdeal, i: MonomialIdeal) -> MonomialIdeal:
     """The residual (J : I) = { f : f*I inside J }, as a minimal monomial ideal.
 
-    Read from J's row starts.  The generators of (J : I) lie in J's box, and
-    beyond the box membership does not change, so shifted rows are clamped
-    to it.  Point (p, c) is in (J : I) when, for every generator (g', g_n)
-    of I, the row p + g' of J is not empty and c >= its start - g_n.  With J
-    the pure powers this is the reflection b -> a - 1 - b.  Raises
-    GuardExceeded when J's box has more than BOX_GUARD points.
+    Read from J's row starts and from I's minimal generators as exponent
+    tuples (:meth:`MonomialIdeal._corners`, so I's box is never built).  The
+    generators of (J : I) lie in J's box, and beyond the box membership does
+    not change, so shifted rows are clamped to it.  Point (p, c) is in
+    (J : I) when, for every generator (g', g_n) of I, the row p + g' of J is
+    not empty and c >= its start - g_n.  With J the pure powers this is the
+    reflection b -> a - 1 - b.  Raises GuardExceeded when J's box has more
+    than BOX_GUARD points.
     """
     if j.n != i.n:
         raise DimensionError(f"{j.n} vs {i.n} variables")
     sides, starts = j._row_starts()
     last = sides[-1]
+    corners = i._corners()
     # an empty row stays at or past `last` whatever g_n is subtracted
-    empty = last + max(g.exps[-1] for g in i.gens)
+    empty = last + max(g[-1] for g in corners)
     need = [t if t < last else empty for t in starts]
     axes = list(zip(sides[:-1], _row_strides(sides)))
     out = [0] * len(starts)
-    for g in i.gens:
+    for g in corners:
         rows = [0]  # J's row of p + g', clamped, for every row p in order
-        for e, (s, stride) in zip(g.exps, axes):
+        for e, (s, stride) in zip(g, axes):
             steps = [min(p + e, s - 1) * stride for p in range(s)]
             rows = [r + step for r in rows for step in steps]
-        gn = g.exps[-1]
+        gn = g[-1]
         out = [max(o, need[r] - gn) for o, r in zip(out, rows)]
     return _ideal_of_rows(j.n, sides, [min(o, last) for o in out])
 
@@ -509,7 +531,7 @@ def is_lpp(i: MonomialIdeal, a: DegreeList) -> bool:
     if i.pure_power_profile() != a.degrees:
         return False
     # the degrees of the generators in two or more variables
-    degrees = {g.degree for g in i.gens if g.exps.count(0) < a.n - 1}
+    degrees = {sum(g) for g in i._corners() if g.count(0) < a.n - 1}
     return all(_members_first(i, d, a.degrees) for d in degrees)
 
 

@@ -12,7 +12,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import lppkit
@@ -24,9 +24,11 @@ from lppkit import (
     betti_diagram,
     growth_check,
     harness,
+    lexseg_lemma_check,
     lpp_dominance_check,
     monomials,
     parse_vector,
+    residual_lpp_check,
 )
 from lppkit.betti import FieldSpec
 from lppkit.harness import enumerate_ideals, valid_hilbert_functions
@@ -105,6 +107,23 @@ class TestRowStarts:
     def test_unit_ideal(self, n):
         assert _ideal_of_rows(n, *unit(n)._row_starts()) == unit(n)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_equal_starts_agree_with_equal_generators_and_hash(self, data):
+        # exponents up to 2 make equal ideals common; every generator box
+        # fits in the boxes of sides 3 and 4
+        n = data.draw(st.integers(1, 3))
+        gens = st.lists(exponents(n, 2), min_size=1, max_size=3)
+        builds = st.sampled_from(["gens", "gens and starts", "own box", 3, 4])
+        i = minimalize(n, data.draw(gens))
+        j = i if data.draw(st.booleans()) else minimalize(n, data.draw(gens))
+        x, y = rebuilt(i, data.draw(builds)), rebuilt(j, data.draw(builds))
+        same = x == y
+        assert (y == x) is same
+        assert same == (x.gens == y.gens) == (i.gens == j.gens)
+        if same:
+            assert hash(x) == hash(y)
+
     def test_one_long_row_answers_fast(self):
         # a row is read through its start, whatever its length
         reads = [
@@ -123,6 +142,27 @@ class TestRowStarts:
     @given(ideals(max_n=3, artinian=True))
     def test_hilbert_function_by_inclusion_exclusion(self, i):
         assert i.hilbert_function() == hf_by_inclusion_exclusion(i)
+
+
+def starts_in_box(i: MonomialIdeal, sides: tuple[int, ...]) -> list[int]:
+    """Row starts of I in the box prod [0, sides_k), by ``contains``."""
+    return [
+        next((c for c in range(sides[-1]) if i.contains(Monomial(prefix + (c,)))), sides[-1])
+        for prefix in itertools.product(*(range(s) for s in sides[:-1]))
+    ]
+
+
+def rebuilt(i: MonomialIdeal, build) -> MonomialIdeal:
+    """A fresh copy of I: from its generators (with its row starts read too,
+    for "gens and starts"), or from its row starts in its generator box
+    ("own box") or in the box with every side ``build``."""
+    if build in ("gens", "gens and starts"):
+        copy = MonomialIdeal(i.n, i.gens)
+        if build == "gens and starts":
+            copy._row_starts()
+        return copy
+    sides = i._row_starts()[0] if build == "own box" else (build,) * i.n
+    return _ideal_of_rows(i.n, sides, starts_in_box(i, sides))
 
 
 def carried_and_twins(degrees):
@@ -205,6 +245,154 @@ class TestCarriedRowStarts:
         assert {w["reason"] for w in r.witnesses} == {
             "enumeration emitted an ideal with the wrong Hilbert function"
         }
+
+
+def enumerated_starts(a: DegreeList) -> list[tuple[int, ...]]:
+    return [
+        ideal._row_starts()[1]
+        for h in valid_hilbert_functions(a, a.sigma_ci)
+        for ideal in enumerate_ideals(h, a)
+    ]
+
+
+WALK_DEGREES = [(2, 2, 2), (2, 2, 3)]
+ENUMERATED_STARTS = {degrees: enumerated_starts(DegreeList(degrees)) for degrees in WALK_DEGREES}
+
+
+@st.composite
+def walk_starts(draw):
+    """Row starts in the walk box prod [0, a_k] of A=(2,2,2) or (2,2,3): the
+    starts of an enumerated ideal with up to three rows set to any value from
+    0 to the box side (a row with no member in the box), so that many are
+    not a down-set."""
+    degrees = draw(st.sampled_from(WALK_DEGREES))
+    sides = tuple(d + 1 for d in degrees)
+    starts = list(draw(st.sampled_from(ENUMERATED_STARTS[degrees])))
+    for _ in range(draw(st.integers(0, 3))):
+        starts[draw(st.integers(0, len(starts) - 1))] = draw(st.integers(0, sides[-1]))
+    return sides, starts
+
+
+def counted_hf(sides: tuple[int, ...], starts: list[int]) -> HilbertFunction | None:
+    """The kept points (p, c) with c below the row's start, counted by degree
+    as the walk counts them; None when the counts are no Hilbert function."""
+    counts = Counter()
+    for prefix, t in zip(itertools.product(*(range(s) for s in sides[:-1])), starts):
+        for c in range(t):
+            counts[sum(prefix) + c] += 1
+    try:
+        return HilbertFunction(tuple(counts[d] for d in range(max(counts, default=-1) + 2)))
+    except ValueError:
+        return None
+
+
+def outcome(read):
+    """``read()``, or the class of the ValueError it raises."""
+    try:
+        return read()
+    except ValueError as exc:
+        return type(exc)
+
+
+def round_trip_hf(ideal: MonomialIdeal):
+    """The Hilbert function of the ideal that the generators span."""
+    return outcome(lambda: MonomialIdeal(ideal.n, ideal.gens).hilbert_function())
+
+
+def patched_walk(monkeypatch, starts):
+    """Make the enumeration emit the ideal of ``starts`` for every ideal."""
+    monkeypatch.setattr(
+        harness, "_ideal_of_rows", lambda n, sides, _: _ideal_of_rows(n, sides, starts)
+    )
+
+
+def wrong_hf(gens, hf: str) -> dict:
+    return {
+        "reason": "enumeration emitted an ideal with the wrong Hilbert function",
+        "ideal": {"n": 3, "gens": gens},
+        "hf": hf,
+    }
+
+
+class TestGrowthCheckFromStarts:
+    """growth_check reads each ideal from its row starts and re-derives it
+    from its generators only to build a witness; its reports must be those
+    of re-deriving every ideal."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(walk_starts())
+    def test_accepts_exactly_when_the_round_trip_gives_h(self, box):
+        sides, starts = box
+        h = counted_hf(sides, starts)
+        assume(h is not None)
+        ideal = _ideal_of_rows(len(sides), sides, starts)
+        accepted = outcome(lambda: harness._starts_attain(ideal, h))
+        old = round_trip_hf(ideal)
+        if accepted is NotArtinianError:
+            assert old is NotArtinianError
+        else:
+            assert accepted == (old == h)
+
+    # rows (p1, p2) of the box [0, 2]^3 are indexed 3 * p1 + p2; each
+    # witness's ideal and Hilbert function are those its generators span
+    @pytest.mark.parametrize(
+        "starts, witness",
+        [
+            (  # row (1, 0) starts at the box side: beyond the box
+                [2, 1, 0, 3, 0, 0, 0, 0, 0],
+                wrong_hf([[2, 0, 0], [1, 1, 0], [0, 2, 0], [0, 1, 1], [0, 0, 2]], "1 3 1 0"),
+            ),
+            (  # a down-set with the Hilbert function 1 3 0
+                [2, 1, 0, 1, 0, 0, 0, 0, 0],
+                wrong_hf(
+                    [[2, 0, 0], [1, 1, 0], [1, 0, 1], [0, 2, 0], [0, 1, 1], [0, 0, 2]], "1 3 0"
+                ),
+            ),
+            (  # row (1, 1) starts after row (1, 0)
+                [2, 1, 0, 1, 1, 0, 0, 0, 0],
+                wrong_hf([[2, 0, 0], [1, 0, 1], [0, 2, 0], [0, 1, 1], [0, 0, 2]], "1 3 1 0"),
+            ),
+            # not a down-set, but its generators span an ideal attaining h
+            ([1, 1, 0, 1, 2, 0, 0, 0, 0], None),
+        ],
+        ids=["start-beyond-the-box", "down-set-wrong-hf", "not-a-down-set", "spans-h"],
+    )
+    def test_same_witnesses_from_a_patched_walk(self, monkeypatch, starts, witness):
+        a, h = DegreeList((2, 2, 2)), HilbertFunction.from_string("1 2 1")
+        assert not harness._starts_attain(_ideal_of_rows(3, (3, 3, 3), starts), h)
+        patched_walk(monkeypatch, starts)
+        r = growth_check(h, a)
+        assert r.details == {"ideals": 3}
+        assert r.witnesses == ([witness] * 3 if witness else [])
+
+    @pytest.mark.parametrize(
+        "starts, error, message",
+        [
+            ([3, 0, 0, 0, 0, 0, 0, 0, 0], NotArtinianError, "not Artinian"),
+            ([3] * 9, ValueError, "zero ideal"),  # every row empty: no generator
+        ],
+    )
+    def test_same_error_from_a_patched_walk(self, monkeypatch, starts, error, message):
+        patched_walk(monkeypatch, starts)
+        with pytest.raises(error, match=message):
+            growth_check(HilbertFunction.from_string("1 2 1"), DegreeList((2, 2, 2)))
+
+    def test_checks_of_the_residual_sweep_build_no_generators(self, monkeypatch):
+        calls = Counter()
+
+        def counted(sides, starts):
+            calls["gens"] += 1
+            return gens_of_rows(sides, starts)
+
+        gens_of_rows = monomials._gens_of_rows
+        monkeypatch.setattr(monomials, "_gens_of_rows", counted)
+        a = DegreeList((2, 2, 3, 3))
+        reports = [growth_check(h, a) for h in valid_hilbert_functions(a, a.sigma_ci)]
+        assert len(reports) == 194 and all(r.ok for r in reports)
+        assert calls["gens"] == 0
+        b = DegreeList((3, 4, 5))
+        assert residual_lpp_check(b).ok and lexseg_lemma_check(b).ok
+        assert calls["gens"] == 0
 
 
 def profile_by_contains(i: MonomialIdeal, top: int) -> tuple:
