@@ -322,16 +322,18 @@ class TestGrowthCheckFromStarts:
     @settings(max_examples=300, deadline=None)
     @given(walk_starts())
     def test_accepts_exactly_when_the_round_trip_gives_h(self, box):
+        # h is what the walk counts for these starts; starts that are not a
+        # down-set count more points than the ideal their generators span
         sides, starts = box
         h = counted_hf(sides, starts)
         assume(h is not None)
         ideal = _ideal_of_rows(len(sides), sides, starts)
         accepted = outcome(lambda: harness._starts_attain(ideal, h))
-        old = round_trip_hf(ideal)
+        spanned = round_trip_hf(ideal)
         if accepted is NotArtinianError:
-            assert old is NotArtinianError
+            assert spanned is NotArtinianError
         else:
-            assert accepted == (old == h)
+            assert accepted == (spanned == h)
 
     # rows (p1, p2) of the box [0, 2]^3 are indexed 3 * p1 + p2; each
     # witness's ideal and Hilbert function are those its generators span
