@@ -19,7 +19,6 @@ from .monomials import (
     is_lex_segment,
     is_lpp,
     minimalize,
-    monomials_of_degree,
     parse_ideal,
 )
 from .growth import (

@@ -17,7 +17,9 @@ containing the pure powers ``x_i^{a_i}``.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -81,31 +83,49 @@ def gk_coefficients(e, upto: int) -> list[int]:
     for ej in e:
         if ej < 0:
             raise ValueError(f"negative entry {ej}")
-        out = [0] * min(len(poly) + ej, upto + 1)
-        for i, c in enumerate(poly):
-            if c == 0 or i > upto:
-                continue
-            for s in range(min(ej, upto - i) + 1):
-                out[i + s] += c
-        poly = out
+        poly = _times_run(poly, ej, upto + 1)
     poly += [0] * (upto + 1 - len(poly))
     return poly[: upto + 1]
 
 
-# one key per (degree list, top degree): ~880 in a cli-large benchmark pass
-@lru_cache(maxsize=8192)
+def _times_run(poly: list[int], e: int, width: int) -> list[int]:
+    """The first `width` coefficients of poly * (1 + t + ... + t^e), up to
+    its degree: coefficient i is the window sum poly[i - e] + ... + poly[i],
+    a difference of two running sums."""
+    m = len(poly)
+    size = min(m + e, width)
+    run = list(itertools.accumulate(poly, initial=0))  # run[j] = sum(poly[:j])
+    high = run[1 : size + 1] + [run[m]] * (size - m)
+    low = [0] * min(e, size) + run[: max(0, size - e)]
+    return list(map(operator.sub, high, low))
+
+
 def _rows(degrees: tuple[int, ...], upto: int) -> tuple[tuple[int, ...], ...]:
-    """Rectangle rows 1..n for A; row r uses the top r degrees."""
-    n = len(degrees)
+    """Rectangle rows 1..n for A, row r from the top r degrees, through
+    column `upto` or further.  The rows are memoized per degree list at the
+    least power-of-two width past `upto`, but at most sigma_ci + 2 columns:
+    from sigma_ci on every column is 0, so a reader past the width reads 0."""
+    cap = sum(degrees) - len(degrees) + 3
+    return _rectangle(degrees, min(1 << max(upto, 0).bit_length(), cap))
+
+
+# one key per (degree list, width): ~150 in a cli-large benchmark pass
+@lru_cache(maxsize=1024)
+def _rectangle(degrees: tuple[int, ...], width: int) -> tuple[tuple[int, ...], ...]:
+    """Rectangle rows 1..n for A in `width` columns, each row the one above
+    times the next degree's run."""
     rows = []
-    for r in range(1, n + 1):
-        e = [a - 1 for a in degrees[n - r :]]
-        rows.append(tuple(gk_coefficients(e, upto)))
+    row = [1]
+    for a in reversed(degrees):
+        row = _times_run(row, a - 1, width)
+        rows.append(tuple(row) + (0,) * (width - len(row)))
     return tuple(rows)
 
 
 def rectangle_rows(a: DegreeList, upto: int) -> list[list[int]]:
-    return [list(row) for row in _rows(a.degrees, upto)]
+    """Rectangle rows 1..n for A, each with columns 0..upto."""
+    pad = [0] * (upto + 1)
+    return [(list(row) + pad)[: upto + 1] for row in _rows(a.degrees, upto)]
 
 
 def row_label(a: DegreeList, r: int) -> str:
@@ -230,11 +250,9 @@ def is_lpp_sequence(s: HilbertFunction, a: DegreeList) -> bool:
     """
     if s.at(0) != 1:
         return False
-    ci = ci_hilbert_function(a)
-    top = max(s.sigma, ci.sigma)
-    for i in range(top + 1):
-        if s.at(i) > ci.at(i):
-            return False
+    # both end at their first zero, so a longer s is positive where ci is 0
+    if not all(map(operator.le, s.values, ci_hilbert_function(a).values)):
+        return False
     for i in range(1, s.sigma):
         if s.at(i + 1) > lpp_bound(s.at(i), i, a):
             return False

@@ -82,12 +82,6 @@ def pure_power(n: int, i: int, e: int) -> Monomial:
     return Monomial(tuple(exps))
 
 
-def monomials_of_degree(n: int, d: int):
-    """Yield all degree-d monomials in n variables in lex-descending order."""
-    for exps in _exps_of_degree(n, d):
-        yield Monomial(exps)
-
-
 def _exps_of_degree(n: int, d: int):
     if n == 1:
         yield (d,)
@@ -345,25 +339,9 @@ class MonomialIdeal:
         """
         if self._rows is not None:
             return self._rows
-        n = self.n
-        sides = tuple(max(g.exps[k] for g in self.gens) + 1 for k in range(n))
-        volume = math.prod(sides)
-        if volume > BOX_GUARD:
-            raise GuardExceeded(f"box of {volume} points exceeds {BOX_GUARD}")
-        last = sides[-1]
-        own: dict[tuple[int, ...], int] = {}
-        for g in self.gens:
-            key = g.exps[:-1]
-            own[key] = min(own.get(key, last), g.exps[-1])
-        row_strides = _row_strides(sides)
-        starts: list[int] = []
-        for r, prefix in enumerate(itertools.product(*(range(s) for s in sides[:-1]))):
-            t = own.get(prefix, last)
-            for k, stride in enumerate(row_strides):
-                if prefix[k] and starts[r - stride] < t:
-                    t = starts[r - stride]
-            starts.append(t)
-        self._rows = (sides, tuple(starts))
+        corners = [g.exps for g in self.gens]
+        sides = _generator_box(corners)
+        self._rows = (sides, tuple(_starts_of_corners(sides, corners)))
         return self._rows
 
     def _box_rows(self):
@@ -435,6 +413,41 @@ def _row_strides(sides: tuple[int, ...]) -> list[int]:
     return [math.prod(sides[k + 1 : -1]) for k in range(len(sides) - 1)]
 
 
+def _generator_box(corners) -> tuple[int, ...]:
+    """Sides of the least box prod [0, sides_k) that holds every exponent
+    tuple of ``corners``.  Raises GuardExceeded when it has more than
+    BOX_GUARD points."""
+    sides = tuple(max(column) + 1 for column in zip(*corners))
+    volume = math.prod(sides)
+    if volume > BOX_GUARD:
+        raise GuardExceeded(f"box of {volume} points exceeds {BOX_GUARD}")
+    return sides
+
+
+def _starts_of_corners(sides: tuple[int, ...], corners) -> list[int]:
+    """Row starts, in the box prod [0, sides_k), of the ideal generated by
+    the exponent tuples ``corners``, as in :meth:`MonomialIdeal._row_starts`.
+
+    Each start is the least last exponent of a corner in the row, or of the
+    start of a row one step below.  A corner whose prefix is outside the box
+    is never read, and a start past the box is ``sides[-1]``.
+    """
+    last = sides[-1]
+    own: dict[tuple[int, ...], int] = {}
+    for g in corners:
+        key = g[:-1]
+        own[key] = min(own.get(key, last), g[-1])
+    row_strides = _row_strides(sides)
+    starts: list[int] = []
+    for r, prefix in enumerate(itertools.product(*(range(s) for s in sides[:-1]))):
+        t = own.get(prefix, last)
+        for k, stride in enumerate(row_strides):
+            if prefix[k] and starts[r - stride] < t:
+                t = starts[r - stride]
+        starts.append(t)
+    return starts
+
+
 def _ideal_of_rows(n: int, sides: tuple[int, ...], starts) -> MonomialIdeal:
     """The ideal whose row starts in the box prod [0, sides_k) are ``starts``
     (as in :meth:`MonomialIdeal._row_starts`).  It keeps the box and a copy
@@ -478,20 +491,66 @@ def _corners_of_rows(sides: tuple[int, ...], starts) -> list[tuple[int, ...]]:
 def colon(j: MonomialIdeal, i: MonomialIdeal) -> MonomialIdeal:
     """The residual (J : I) = { f : f*I inside J }, as a minimal monomial ideal.
 
-    Read from J's row starts and from I's minimal generators as exponent
-    tuples (:meth:`MonomialIdeal._corners`, so I's box is never built).  The
-    generators of (J : I) lie in J's box, and beyond the box membership does
-    not change, so shifted rows are clamped to it.  Point (p, c) is in
-    (J : I) when, for every generator (g', g_n) of I, the row p + g' of J is
-    not empty and c >= its start - g_n.  With J the pure powers this is the
-    reflection b -> a - 1 - b.  Raises GuardExceeded when J's box has more
-    than BOX_GUARD points.
+    Built in J's box from I's minimal generators as exponent tuples
+    (:meth:`MonomialIdeal._corners`) or from I's row starts, so I's box is
+    never built.  When J's minimal generators are one pure power x_k^{a_k}
+    per variable, (J : I) is the reflection b -> a - 1 - b of the points of
+    the box prod [0, a_k) outside I: one pass over those rows
+    (:func:`_colon_of_powers`).  Any other J takes one pass over its box per
+    generator of I (:func:`_colon_of_corners`).  Raises GuardExceeded when
+    J's box has more than BOX_GUARD points.
     """
     if j.n != i.n:
         raise DimensionError(f"{j.n} vs {i.n} variables")
+    j_gens = j._corners()
+    if len(j_gens) == j.n and all(g.count(0) == j.n - 1 for g in j_gens):
+        sides = j._rows[0] if j._rows is not None else _generator_box(j_gens)
+        return _colon_of_powers(sides, j.pure_power_profile(), i)
+    return _colon_of_corners(j, i._corners())
+
+
+def _colon_of_powers(sides: tuple[int, ...], a: tuple[int, ...], i: MonomialIdeal):
+    """(x_1^{a_1}, ..., x_n^{a_n}) : I in the box prod [0, sides_k) holding
+    the powers.
+
+    With T(q) the start of I's row q clamped to a_n, the point (p, c) with
+    every p_k < a_k is in the colon when (a' - 1 - p, a_n - 1 - c) is
+    outside I, that is c >= a_n - T(a' - 1 - p); every other row is in the
+    powers and starts at 0.  The rows q of prod [0, a_k), k < n, in order
+    are the rows a' - 1 - p in reverse order, so the inner rows are T
+    reversed, then padded along each prefix axis from a_k to sides_k.
+    """
+    n, last = len(a), a[-1]
+    if i._rows is not None:
+        # read I's starts, each prefix coordinate clamped to I's box
+        i_sides, i_starts = i._rows
+        rows = [0]
+        for side, stride, ak in zip(i_sides, _row_strides(i_sides), a):
+            steps = [min(q, side - 1) * stride for q in range(ak)]
+            rows = [r + step for r in rows for step in steps]
+        # a start at or past I's side is an empty row: T is then a_n
+        bound = min(i_sides[-1], last)
+        inner = [last - i_starts[r] if i_starts[r] < bound else 0 for r in reversed(rows)]
+    else:
+        inner = [last - t for t in reversed(_starts_of_corners(a, i._corners()))]
+    block = 1
+    for k in range(n - 2, -1, -1):
+        chunk, pad = a[k] * block, [0] * ((sides[k] - a[k]) * block)
+        inner = [x for c in range(0, len(inner), chunk) for x in inner[c : c + chunk] + pad]
+        block *= sides[k]
+    return _ideal_of_rows(n, sides, inner)
+
+
+def _colon_of_corners(j: MonomialIdeal, corners) -> MonomialIdeal:
+    """(J : I) from J's row starts and I's minimal generators ``corners``.
+
+    The generators of (J : I) lie in J's box, and beyond the box membership
+    does not change, so shifted rows are clamped to it.  Point (p, c) is in
+    (J : I) when, for every generator (g', g_n) of I, the row p + g' of J is
+    not empty and c >= its start - g_n.
+    """
     sides, starts = j._row_starts()
     last = sides[-1]
-    corners = i._corners()
     # an empty row stays at or past `last` whatever g_n is subtracted
     empty = last + max(g[-1] for g in corners)
     need = [t if t < last else empty for t in starts]
@@ -508,10 +567,31 @@ def colon(j: MonomialIdeal, i: MonomialIdeal) -> MonomialIdeal:
 
 
 def add_maximal_power(i: MonomialIdeal, t: int) -> MonomialIdeal:
-    """Minimalized I + (x_1, ..., x_n)^t."""
+    """I + (x_1, ..., x_n)^t, from I's row starts: row p starts at
+    min(start, max(0, t - |p|)).
+
+    The result is kept in I's box, widened to t + 1 along each variable of
+    which I holds no power: a new generator has degree t, and below a power
+    x_k^e of I its k-th exponent is below e.  Rows past I's box read the row
+    clamped to it.
+    """
     if t < 1:
         raise ValueError(f"power must be >= 1, got {t}")
-    return minimalize(i.n, tuple(i.gens) + tuple(monomials_of_degree(i.n, t)))
+    sides, starts = i._row_starts()
+    last = sides[-1]
+    box = tuple(
+        side if power is not None else max(side, t + 1)
+        for side, power in zip(sides, i.pure_power_profile())
+    )
+    rows, degrees = [0], [0]
+    for side, stride, wide in zip(sides, _row_strides(sides), box):
+        rows = [r + min(p, side - 1) * stride for r in rows for p in range(wide)]
+        degrees = [d + p for d in degrees for p in range(wide)]
+    # an empty row of I takes the start t - |p| of the power
+    starts = [
+        min(starts[r] if starts[r] < last else t, max(0, t - d)) for r, d in zip(rows, degrees)
+    ]
+    return _ideal_of_rows(i.n, box, starts)
 
 
 def is_lpp(i: MonomialIdeal, a: DegreeList) -> bool:

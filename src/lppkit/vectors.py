@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -243,21 +244,15 @@ def _decompose(
 ) -> tuple[HilbertFunction, HilbertFunction, int | float]:
     b1 = s.at(1)
     top = max(s.sigma, sum(d - 1 for d in a.degrees[1 - b1 :])) + 2
-    e = _rows(a.degrees, top)[b1 - 2]  # the row of A's top b1 - 1 degrees
-    c = [s.at(i + 1) - e[i + 1] for i in range(top)]
-    h: int | float = INF
-    for i, ci in enumerate(c):
-        if ci < 0:
-            h = i
-            break
+    # S and the row of A's top b1 - 1 degrees in columns 0..top
+    pad = (0,) * (top + 1)
+    b = (s.values + pad)[: top + 1]
+    e = (_rows(a.degrees, top)[b1 - 2] + pad)[: top + 1]
+    c = tuple(map(operator.sub, b[1:], e[1:]))
+    h = next((i for i, ci in enumerate(c) if ci < 0), INF)
     if h is INF:
-        s1 = HilbertFunction(tuple(c) + (0,))
-        s1p = HilbertFunction(tuple(e))
-    else:
-        s1 = HilbertFunction(tuple(c[:h]) + (0,))
-        s1p_vals = [e[i] if i <= h else s.at(i) for i in range(top + 1)]
-        s1p = HilbertFunction(tuple(s1p_vals))
-    return s1, s1p, h
+        return HilbertFunction(c + (0,)), HilbertFunction(e), h
+    return HilbertFunction(c[:h] + (0,)), HilbertFunction(e[: h + 1] + b[h + 1 :]), h
 
 
 def vector_of_hf(h: HilbertFunction, a: DegreeList) -> LppVector:

@@ -9,9 +9,8 @@ import random
 import pytest
 
 from lppkit import DegreeList, HilbertFunction, Monomial, MonomialIdeal
-from lppkit.monomials import monomials_of_degree
 
-from oracles import divides
+from oracles import divides, monomials_of_degree
 
 
 def all_degree_lists(n_max: int, a_max: int, a_min: int = 1):

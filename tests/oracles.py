@@ -32,10 +32,9 @@ from lppkit.monomials import (
     Monomial,
     MonomialIdeal,
     NotArtinianError,
-    add_maximal_power,
+    _exps_of_degree,
     ideal_to_json_dict,
     minimalize,
-    monomials_of_degree,
     pure_power,
 )
 from lppkit.vectors import (
@@ -90,6 +89,38 @@ def betti_diagram_by_contains(i: MonomialIdeal, f: FieldSpec = QQ) -> BettiDiagr
             if hd:
                 beta[(k + 2, total)] += hd
     return BettiDiagram(n, dict(beta))
+
+
+def monomials_of_degree(n: int, d: int):
+    """Yield all degree-d monomials in n variables in lex-descending order."""
+    for exps in _exps_of_degree(n, d):
+        yield Monomial(exps)
+
+
+def add_maximal_power_by_minimalize(i: MonomialIdeal, t: int) -> MonomialIdeal:
+    """I + (x_1, ..., x_n)^t: I's generators and every monomial of degree t,
+    minimalized."""
+    if t < 1:
+        raise ValueError(f"power must be >= 1, got {t}")
+    return minimalize(i.n, tuple(i.gens) + tuple(monomials_of_degree(i.n, t)))
+
+
+def gk_coefficients_by_convolution(e, upto: int) -> list[int]:
+    """Coefficients of prod_j (1 + t + ... + t^{e_j}) through degree `upto`,
+    multiplying in one factor at a time term by term."""
+    poly = [1]
+    for ej in e:
+        if ej < 0:
+            raise ValueError(f"negative entry {ej}")
+        out = [0] * min(len(poly) + ej, upto + 1)
+        for i, c in enumerate(poly):
+            if c == 0 or i > upto:
+                continue
+            for s in range(min(ej, upto - i) + 1):
+                out[i + s] += c
+        poly = out
+    poly += [0] * (upto + 1 - len(poly))
+    return poly[: upto + 1]
 
 
 def unit_monomial(n: int) -> Monomial:
@@ -641,7 +672,7 @@ def socle_equivalence_check_every_ideal(
                 }
             )
         if rho >= 1:
-            truncated = add_maximal_power(ideal, rho)
+            truncated = add_maximal_power_by_minimalize(ideal, rho)
             b_tr = betti_diagram(truncated, f)
             for j in range(rho + n - 1):
                 if b.beta(n, j) != b_tr.beta(n, j):

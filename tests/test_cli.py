@@ -5,9 +5,12 @@ import time
 import pytest
 from click.testing import CliRunner
 
+from lppkit import classical_bound, growth
 from lppkit.cli import main
 
 from conftest import random_box_hf
+from oracles import gk_coefficients_by_convolution
+from test_bench_smoke import workloads as bench_workloads
 
 
 def run(*args, env=None):
@@ -46,6 +49,32 @@ class TestBound:
         assert time.perf_counter() - start < 0.5
         assert r.exit_code == 1
         assert "h=1 out of range 1..0 at degree 1000000000" in r.output
+
+    def test_text_of_the_benchmark_queries_matches_rows_by_convolution(self, monkeypatch):
+        """The bound queries of the cli-large benchmark (seed 1), as text:
+        byte-equal to the text from rectangles built term by term at exactly
+        the width each reader asks for."""
+        lpp = bench_workloads.load_lppkit("cli-large")
+        workload = bench_workloads.build("cli-large", 1, lpp)
+        runner = workload.cli_entry[0]
+        queries = []
+        monkeypatch.setattr(runner, "invoke", lambda cli, args, **kw: queries.append(args))
+        for op in workload.ops:
+            if op.label == "bound":
+                op.run()
+        assert len(queries) == 65
+        texts = [[arg for arg in args if arg != "--json"] for args in queries]
+        got = [run(*args).output for args in texts]
+        monkeypatch.setattr(growth, "_rows", rows_by_convolution)
+        assert got == [run(*args).output for args in texts]
+
+
+def rows_by_convolution(degrees, upto):
+    n = len(degrees)
+    return tuple(
+        tuple(gk_coefficients_by_convolution([d - 1 for d in degrees[n - r :]], upto))
+        for r in range(1, n + 1)
+    )
 
 
 class TestVec:
@@ -318,6 +347,29 @@ class TestChecks:
         assert "ideals: 5" in lines and "orbits: 3" in lines
         details = json.loads(run(*args, "--json").output)["details"]
         assert details["ideals"] == 5 and details["orbits"] == 3
+
+
+class TestHugeDegreeLists:
+    """Queries whose answer needs only a few columns of the rectangle, or
+    one column-wise pass, finish at once however large A is."""
+
+    def test_small_degree_bound(self):
+        start = time.perf_counter()
+        r = run("bound", "--A", "100000,100000,100000", "--d", "5", "--h", "3", "--json")
+        assert time.perf_counter() - start < 0.5
+        assert r.exit_code == 0
+        assert json.loads(r.output)["bound"] == classical_bound(3, 5)
+
+    @pytest.mark.parametrize(
+        "command, output",
+        [(["validseq"], "valid\n"), (["vec", "from-hf"], "[[1],[1,2],[1,2,3],[1,2,3,4]]\n")],
+        ids=["validseq", "vec-from-hf"],
+    )
+    def test_short_sequence(self, command, output):
+        start = time.perf_counter()
+        r = run(*command, "--A", "3000,3000,3000", "--hf", "1 3 6 10")
+        assert time.perf_counter() - start < 0.5
+        assert r.exit_code == 0 and r.output == output
 
 
 class TestValidseq:

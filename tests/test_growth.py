@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lppkit import (
     DegreeList,
@@ -14,11 +16,17 @@ from lppkit import (
     is_lpp_sequence,
     lpp_bound,
 )
-from lppkit.growth import standard_monomials_of_degree
-from lppkit.monomials import minimalize, monomials_of_degree
+from lppkit.growth import _rows, rectangle_rows, standard_monomials_of_degree
+from lppkit.monomials import minimalize
 
 from conftest import all_degree_lists
-from oracles import codim_from_monomial, lpp_bound_oracle, monomial_from_codim
+from oracles import (
+    codim_from_monomial,
+    gk_coefficients_by_convolution,
+    lpp_bound_oracle,
+    monomial_from_codim,
+    monomials_of_degree,
+)
 
 
 class TestClassicalExpansion:
@@ -92,6 +100,48 @@ class TestGKCoefficients:
 
     def test_zero_entries_are_neutral(self):
         assert gk_coefficients([10, 0, 0], 11) == gk_coefficients([10], 11)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 8), max_size=5), st.integers(0, 30))
+    def test_matches_the_term_by_term_convolution(self, e, upto):
+        assert gk_coefficients(e, upto) == gk_coefficients_by_convolution(e, upto)
+
+    def test_negative_entry(self):
+        with pytest.raises(ValueError, match="negative entry -1"):
+            gk_coefficients([2, -1], 5)
+
+
+class TestRectangleRows:
+    """The rows are memoized per degree list at power-of-two widths, capped
+    at sigma_ci + 2 columns; every caller must read the same columns as from
+    a rectangle built for its own width."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(1, 9), min_size=1, max_size=4).map(sorted),
+        st.integers(0, 40),
+        st.integers(0, 40),
+    )
+    def test_exactly_the_columns_asked_for(self, degrees, upto, before):
+        a = DegreeList(tuple(degrees))
+        _rows(a.degrees, before)  # a rectangle of another width is memoized first
+        rows = rectangle_rows(a, upto)
+        n = a.n
+        assert [len(row) for row in rows] == [upto + 1] * n
+        for r, row in enumerate(rows, start=1):
+            e = [deg - 1 for deg in degrees[n - r :]]
+            assert row == gk_coefficients_by_convolution(e, upto)
+
+    def test_small_degree_on_a_huge_list_builds_a_narrow_rectangle(self):
+        a = DegreeList((100000, 100000, 100000))
+        assert [len(row) for row in _rows(a.degrees, 6)] == [8, 8, 8]
+        assert gk_expansion(3, 5, a).bound() == 3
+
+    def test_width_is_capped_past_the_last_nonzero_column(self):
+        a = DegreeList((2, 3))  # sigma_ci = 4
+        rows = _rows(a.degrees, 100)
+        assert rows == ((1, 1, 1, 0, 0, 0), (1, 2, 2, 1, 0, 0))
+        assert rectangle_rows(a, 7) == [[1, 1, 1, 0, 0, 0, 0, 0], [1, 2, 2, 1, 0, 0, 0, 0]]
 
 
 A_3_4_11 = DegreeList((3, 4, 11))

@@ -24,13 +24,12 @@ from lppkit.monomials import (
     format_monomial,
     ideal_from_json_dict,
     ideal_to_json_dict,
-    monomials_of_degree,
     parse_monomial,
     pure_power,
 )
 
 from conftest import brute_colon, hf_by_inclusion_exclusion
-from oracles import divides, lex_compare, profile_degrees, unit_monomial
+from oracles import divides, lex_compare, monomials_of_degree, profile_degrees, unit_monomial
 
 
 def ideal(text, n=None):

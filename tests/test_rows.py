@@ -10,6 +10,7 @@ import pkgutil
 import time
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -37,6 +38,7 @@ from lppkit.monomials import (
     GuardExceeded,
     NotArtinianError,
     _ideal_of_rows,
+    add_maximal_power,
     colon,
     is_lex_segment,
     is_lpp,
@@ -47,7 +49,9 @@ from lppkit.monomials import (
 from lppkit.vectors import EMPTY, dual, enumerate_vectors, ideal_of_vector
 
 from conftest import brute_colon, hf_by_inclusion_exclusion
+from test_bench_smoke import workloads as bench_workloads
 from oracles import (
+    add_maximal_power_by_minimalize,
     colon_by_intersection,
     enumerate_ideals_by_kept_points,
     ideal_of_vector_by_minimalize,
@@ -84,6 +88,33 @@ def colon_pairs(draw):
 
 def unit(n: int) -> MonomialIdeal:
     return MonomialIdeal(n, (unit_monomial(n),))
+
+
+@st.composite
+def powers_colon_pairs(draw):
+    """(J, I) with J the pure powers of a random A, built from its generators
+    or carried in a box larger than its generator box, and I reaching past
+    the box of A, carried in J's box or another box, or the unit ideal."""
+    n = draw(st.integers(1, 4))
+    a = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    j = MonomialIdeal(n, tuple(pure_power(n, k, e) for k, e in enumerate(a)))
+    if draw(st.booleans()):
+        sides = tuple(e + 1 + draw(st.integers(0, 2)) for e in a)
+        j = _ideal_of_rows(n, sides, starts_in_box(j, sides))
+    build = draw(st.sampled_from(["gens", "J's box", "other box", "unit"]))
+    if build == "unit":
+        return j, unit(n)
+    gens = draw(st.lists(exponents(n, 6), min_size=1, max_size=4))
+    i = minimalize(n, [Monomial(e) for e in gens])
+    if build == "gens":
+        return j, i
+    if build == "J's box":
+        sides = j._row_starts()[0]
+    else:  # sides below A's box and past it; I's points in the box generate
+        sides = tuple(draw(st.integers(1, 7)) for _ in range(n))
+    starts = starts_in_box(i, sides)
+    assume(min(starts) < sides[-1])  # not the zero ideal
+    return j, _ideal_of_rows(n, sides, starts)
 
 
 class TestRowStarts:
@@ -487,6 +518,41 @@ class TestColon:
         i = parse_ideal(i_text, 3)
         assert colon(j, i) == colon_by_intersection(j, i)
 
+    @settings(max_examples=300, deadline=None)
+    @given(powers_colon_pairs())
+    def test_in_the_pure_powers_by_reflection(self, pair):
+        j, i = pair
+        with mock.patch.object(monomials, "_colon_of_corners", side_effect=AssertionError):
+            got = colon(j, i)
+        assert got._row_starts()[0] == j._row_starts()[0]
+        assert got == colon_by_intersection(j, i)
+        assert got == brute_colon(j, i, sum(j.pure_power_profile()))
+
+    def test_no_pass_per_generator_in_the_residual_sweep(self, monkeypatch):
+        """One pass of the sweep-residual benchmark (seed 1) takes every colon
+        inside the pure powers by reflection, with no pass over J's box per
+        generator of I (20,180 such passes before the reflection)."""
+        calls = Counter()
+
+        def per_corner(j, corners):
+            calls["passes"] += len(corners)
+            return colon_of_corners(j, corners)
+
+        def of_powers(sides, a, i):
+            calls["reflections"] += 1
+            return colon_of_powers(sides, a, i)
+
+        colon_of_corners = monomials._colon_of_corners
+        colon_of_powers = monomials._colon_of_powers
+        monkeypatch.setattr(monomials, "_colon_of_corners", per_corner)
+        monkeypatch.setattr(monomials, "_colon_of_powers", of_powers)
+        workload = bench_workloads.build(
+            "sweep-residual", 1, bench_workloads.load_lppkit("sweep-residual")
+        )
+        assert all(op.check(op.run()).error is None for op in workload.ops)
+        assert calls["passes"] == 0
+        assert calls["reflections"] > 2000
+
     def test_pure_powers_reflect(self):
         # (x1^5, x2^7) : W is the reflection b -> (4, 6) - b of W's box points
         w = parse_ideal("x1^5, x1^4*x2, x1^3*x2^3, x1^2*x2^4, x2^7")
@@ -502,6 +568,30 @@ class TestColon:
         j = parse_ideal(f"x1^{side}, x2^{side}, x3^{side}")
         with pytest.raises(GuardExceeded):
             colon(j, parse_ideal("x1*x2", 3))
+
+
+class TestAddMaximalPower:
+    @settings(max_examples=200, deadline=None)
+    @given(ideals(), st.integers(1, 9), st.sampled_from(["gens", "own box", 6]))
+    def test_matches_minimalize(self, i, t, build):
+        """Artinian or not, t inside or past I's box, and I built from its
+        generators or carried in its generator box or a larger one."""
+        got = add_maximal_power(rebuilt(i, build), t)
+        want = add_maximal_power_by_minimalize(i, t)
+        assert got.gens == want.gens and got == want and hash(got) == hash(want)
+        assert got.pure_power_profile() == want.pure_power_profile()
+        if None not in want.pure_power_profile():
+            assert got.hilbert_function() == want.hilbert_function()
+            assert betti_diagram(got) == betti_diagram(want)
+
+    def test_keeps_the_box_of_an_artinian_ideal(self):
+        a = DegreeList((3, 3, 4))
+        ideal = next(enumerate_ideals(HilbertFunction.from_string("1 3 5 3 1"), a))
+        assert add_maximal_power(ideal, 4)._row_starts()[0] == (4, 4, 5)
+
+    def test_power_below_one(self):
+        with pytest.raises(ValueError, match="power must be >= 1"):
+            add_maximal_power(parse_ideal("x1, x2"), 0)
 
 
 class TestVectorIdeals:

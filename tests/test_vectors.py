@@ -29,7 +29,12 @@ from lppkit.growth import gk_coefficients, lpp_bound
 from lppkit.vectors import INF
 
 from conftest import all_degree_lists
-from oracles import containment_chain_check, sequence_alpha, sequence_sigma
+from oracles import (
+    containment_chain_check,
+    monomials_of_degree,
+    sequence_alpha,
+    sequence_sigma,
+)
 
 A446 = DegreeList((4, 4, 6))
 A46 = DegreeList((4, 6))
@@ -371,7 +376,7 @@ class TestLppIdealSequenceInvariants:
     def test_degree_slice_growth_attains_the_bound(self):
         # powers plus the whole degree-d piece of an exact-profile ideal grow
         # to exactly the generalized bound
-        from lppkit.monomials import MonomialIdeal, monomials_of_degree
+        from lppkit.monomials import MonomialIdeal
 
         for a in (DegreeList((2, 3)), DegreeList((2, 2, 3)), DegreeList((2, 3, 4))):
             for t in enumerate_vectors(a):
