@@ -1,6 +1,7 @@
 """Ideals built from and read from their row starts: the row starts
-themselves, colon, vector ideals, the Hilbert function and the enumeration,
-each against an independent route; plus the bounds on lppkit's caches."""
+themselves, colon, add_maximal_power, vector ideals, the Hilbert function
+and the enumeration, each against an independent route; plus the bounds on
+lppkit's caches."""
 
 import importlib
 import itertools
@@ -49,7 +50,6 @@ from lppkit.monomials import (
 from lppkit.vectors import EMPTY, dual, enumerate_vectors, ideal_of_vector
 
 from conftest import brute_colon, hf_by_inclusion_exclusion
-from test_bench_smoke import workloads as bench_workloads
 from oracles import (
     add_maximal_power_by_minimalize,
     colon_by_intersection,
@@ -59,6 +59,7 @@ from oracles import (
     is_lpp_by_contains,
     unit_monomial,
 )
+from test_bench_smoke import workloads as bench_workloads
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 
