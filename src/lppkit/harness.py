@@ -193,7 +193,7 @@ def growth_check(
         count += 1
         if _starts_attain(ideal, h):
             continue
-        actual = MonomialIdeal(ideal.n, ideal.gens).hilbert_function()
+        actual = MonomialIdeal(ideal.n, ideal._corners()).hilbert_function()
         if actual != h:
             witnesses.append(
                 {

@@ -55,11 +55,6 @@ class Monomial:
     def degree(self) -> int:
         return sum(self.exps)
 
-    def __mul__(self, other: Monomial) -> Monomial:
-        if self.n != other.n:
-            raise DimensionError(f"{self.n} vs {other.n} variables")
-        return Monomial(tuple(a + b for a, b in zip(self.exps, other.exps)))
-
     # lex order on exponent vectors; total on fixed n
     def __lt__(self, other: Monomial) -> bool:
         if self.n != other.n:
@@ -129,15 +124,10 @@ class DegreeList:
     def multiplicity(self, j: int) -> int:
         return self.degrees.count(j)
 
-    def tail(self) -> DegreeList:
-        """Drop a_1 (the sub-list used for recursion into fewer variables)."""
-        if self.n == 1:
-            raise ValueError("tail of a length-1 degree list")
-        return DegreeList(self.degrees[1:])
-
     def powers_ideal(self) -> MonomialIdeal:
-        gens = tuple(pure_power(self.n, i, a) for i, a in enumerate(self.degrees))
-        return MonomialIdeal(self.n, gens)
+        n = self.n
+        gens = ((0,) * i + (a,) + (0,) * (n - 1 - i) for i, a in enumerate(self.degrees))
+        return MonomialIdeal(n, gens)
 
     def __str__(self) -> str:
         return ",".join(str(a) for a in self.degrees)
@@ -186,6 +176,15 @@ class HilbertFunction:
             raise ValueError(f"bad Hilbert function {text!r}") from None
         return cls(vals)
 
+    @classmethod
+    def _of_counts(cls, counts) -> HilbertFunction:
+        """The Hilbert function of counts the library computed itself, so
+        unchecked: ``counts`` cut after its first 0, or with a 0 appended."""
+        h = object.__new__(cls)
+        values = tuple(counts[: counts.index(0) + 1]) if 0 in counts else tuple(counts) + (0,)
+        object.__setattr__(h, "values", values)
+        return h
+
     def at(self, d: int) -> int:
         if d < 0 or d >= len(self.values):
             return 0
@@ -212,26 +211,28 @@ class HilbertFunction:
 
 
 class MonomialIdeal:
-    """A monomial ideal stored by its minimal generating set.
+    """A monomial ideal stored by its minimal generators, as exponent tuples.
 
-    ``gens`` is lex-descending and minimal (no generator divides another);
-    build instances with :func:`minimalize` / :meth:`from_gens` unless the
-    input is already canonical.  The unit ideal is generated by the monomial
-    with all-zero exponents.  An ideal built from row starts
-    (:func:`_ideal_of_rows`) keeps them and builds ``gens`` on first access.
-    Two ideals that both carry row starts in the same box are equal when
-    their starts are; other ideals compare by ``(n, gens)``.  Hashing and
-    ``repr`` go by ``(n, gens)``.
+    The tuples are lex-descending and minimal (no generator divides another);
+    build instances with :func:`minimalize` unless the input is already
+    canonical.  The unit ideal is generated by the all-zero tuple.  An ideal
+    built from row starts (:func:`_ideal_of_rows`) keeps them and reads its
+    generators off them on first use.  ``==`` and ``hash`` go by
+    ``(n, generators)`` whatever the box, so they never build one; ``gens``
+    and ``repr`` build :class:`Monomial`s when read.
     """
 
     __slots__ = ("_n", "_gens", "_rows")
 
-    def __init__(self, n: int, gens: tuple[Monomial, ...]):
+    def __init__(self, n: int, gens):
+        """``gens``: the minimal generators, lex-descending, as Monomials or
+        exponent tuples."""
         if n < 1:
             raise ValueError("need at least one variable")
+        gens = tuple(g.exps if isinstance(g, Monomial) else tuple(g) for g in gens)
         if not gens:
             raise ValueError("zero ideal is not representable here")
-        if any(g.n != n for g in gens):
+        if any(len(g) != n for g in gens):
             raise DimensionError("generator with wrong variable count")
         self._n = n
         self._gens = gens
@@ -243,53 +244,29 @@ class MonomialIdeal:
 
     @property
     def gens(self) -> tuple[Monomial, ...]:
-        if self._gens is None:
-            self._gens = _gens_of_rows(*self._rows)
-        return self._gens
+        return tuple(map(Monomial, self._corners()))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        # row starts in one box are equal exactly when the ideals are
-        if self._rows is not None and other._rows is not None:
-            if self._rows[0] == other._rows[0]:
-                return self._rows[1] == other._rows[1]
-        return (self._n, self.gens) == (other._n, other.gens)
+        return self._n == other._n and self._corners() == other._corners()
 
     def __hash__(self) -> int:
-        return hash((self._n, self.gens))
+        return hash((self._n, self._corners()))
 
     def __repr__(self) -> str:
         return f"MonomialIdeal(n={self._n!r}, gens={self.gens!r})"
-
-    @classmethod
-    def from_gens(cls, n: int, gens) -> MonomialIdeal:
-        return minimalize(n, gens)
 
     @property
     def is_unit(self) -> bool:
         return self.pure_power_profile()[0] == 0
 
-    def contains(self, m: Monomial) -> bool:
-        if m.n != self.n:
-            raise DimensionError(f"{m.n} vs {self.n} variables")
-        me = m.exps
-        for g in self.gens:
-            ge = g.exps
-            if all(a <= b for a, b in zip(ge, me)):
-                return True
-        return False
-
-    def __contains__(self, m: Monomial) -> bool:
-        return self.contains(m)
-
-    def _corners(self):
-        """The exponent tuples of the minimal generators, lex-descending:
-        read off the row starts when the generators are not built yet, so
-        that none is, and from the generators otherwise, so that no box is."""
+    def _corners(self) -> tuple[tuple[int, ...], ...]:
+        """The exponent tuples of the minimal generators, lex-descending; an
+        ideal built from row starts reads them off its starts once."""
         if self._gens is None:
-            return _corners_of_rows(*self._rows)
-        return [g.exps for g in self._gens]
+            self._gens = tuple(_corners_of_rows(*self._rows))
+        return self._gens
 
     def pure_power_profile(self) -> tuple[int | None, ...]:
         """Per variable, the least e with x_i^e in the ideal (None if none).
@@ -307,13 +284,13 @@ class MonomialIdeal:
             prof.append(starts[0] if starts[0] < sides[-1] else None)
             return tuple(prof)
         prof = [None] * self.n
-        for g in self.gens:
-            support = [i for i, e in enumerate(g.exps) if e > 0]
+        for g in self._corners():
+            support = [i for i, e in enumerate(g) if e > 0]
             if len(support) == 0:
                 return (0,) * self.n
             if len(support) == 1:
                 i = support[0]
-                e = g.exps[i]
+                e = g[i]
                 if prof[i] is None or e < prof[i]:
                     prof[i] = e
         return tuple(prof)
@@ -339,7 +316,7 @@ class MonomialIdeal:
         """
         if self._rows is not None:
             return self._rows
-        corners = [g.exps for g in self.gens]
+        corners = self._corners()
         sides = _generator_box(corners)
         self._rows = (sides, tuple(_starts_of_corners(sides, corners)))
         return self._rows
@@ -367,8 +344,7 @@ class MonomialIdeal:
             d0 = sum(prefix)
             diff[d0] += 1
             diff[d0 + t] -= 1
-        counts = list(itertools.accumulate(diff))
-        return HilbertFunction(tuple(counts[: counts.index(0) + 1]))
+        return HilbertFunction._of_counts(list(itertools.accumulate(diff)))
 
     def socle_monomials(self) -> dict[int, tuple[Monomial, ...]]:
         """Monomials m outside I with x_i * m in I for every i, by degree.
@@ -394,15 +370,17 @@ class MonomialIdeal:
 
 def minimalize(n: int, gens) -> MonomialIdeal:
     """Drop generators divisible by another; canonical lex-descending order."""
-    pool = {g if isinstance(g, Monomial) else Monomial(tuple(g)) for g in gens}
-    if any(m.n != n for m in pool):
-        raise DimensionError(f"generator with wrong variable count for {n} variables")
-    minimal: list[Monomial] = []
+    pool = {g.exps if isinstance(g, Monomial) else tuple(g) for g in gens}
+    for e in pool:
+        if len(e) != n:
+            raise DimensionError(f"generator with wrong variable count for {n} variables")
+        if min(e, default=0) < 0:
+            raise ValueError(f"negative exponent in {e}")
+    minimal: list[tuple[int, ...]] = []
     # ascending degree scan: a divisor always has smaller-or-equal degree
-    for m in sorted(pool, key=lambda m: (m.degree, m.exps)):
-        e = m.exps
-        if not any(all(map(operator.le, g.exps, e)) for g in minimal):
-            minimal.append(m)
+    for e in sorted(pool, key=lambda e: (sum(e), e)):
+        if not any(all(map(operator.le, g, e)) for g in minimal):
+            minimal.append(e)
     if not minimal:
         raise ValueError("zero ideal is not representable here")
     return MonomialIdeal(n, tuple(sorted(minimal, reverse=True)))
@@ -459,14 +437,9 @@ def _ideal_of_rows(n: int, sides: tuple[int, ...], starts) -> MonomialIdeal:
     return ideal
 
 
-def _gens_of_rows(sides: tuple[int, ...], starts) -> tuple[Monomial, ...]:
-    """The minimal generators, lex-descending, of the ideal whose row starts
-    in the box prod [0, sides_k) are ``starts``."""
-    return tuple(map(Monomial, _corners_of_rows(sides, starts)))
-
-
 def _corners_of_rows(sides: tuple[int, ...], starts) -> list[tuple[int, ...]]:
-    """The exponent tuples of :func:`_gens_of_rows`.
+    """The minimal generators, as lex-descending exponent tuples, of the
+    ideal whose row starts in the box prod [0, sides_k) are ``starts``.
 
     A row's start is a minimal generator when it lies in the box and is below
     the start of every row one step down; no other point is.  Rows are read
@@ -711,7 +684,7 @@ def parse_ideal(text: str, n: int | None = None) -> MonomialIdeal:
 
 
 def ideal_to_json_dict(i: MonomialIdeal) -> dict:
-    return {"n": i.n, "gens": [list(g.exps) for g in i.gens]}
+    return {"n": i.n, "gens": [list(g) for g in i._corners()]}
 
 
 def ideal_from_json_dict(data: dict) -> MonomialIdeal:

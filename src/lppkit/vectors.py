@@ -236,23 +236,26 @@ def decompose(
         raise ValueError(f"decomposition needs S(1) >= 2, got {b1}")
     if not is_lpp_sequence(s, a):
         raise ValueError(f"not a valid sequence for A={a}: {s}")
-    return _decompose(s, a)
+    return _decompose(s, a.degrees)
 
 
 def _decompose(
-    s: HilbertFunction, a: DegreeList
+    s: HilbertFunction, degrees: tuple[int, ...]
 ) -> tuple[HilbertFunction, HilbertFunction, int | float]:
+    """:func:`decompose` of a valid S with S(1) >= 2, unchecked; S1 and S1'
+    are valid, so they are built unchecked too."""
     b1 = s.at(1)
-    top = max(s.sigma, sum(d - 1 for d in a.degrees[1 - b1 :])) + 2
+    top = max(s.sigma, sum(d - 1 for d in degrees[1 - b1 :])) + 2
     # S and the row of A's top b1 - 1 degrees in columns 0..top
     pad = (0,) * (top + 1)
     b = (s.values + pad)[: top + 1]
-    e = (_rows(a.degrees, top)[b1 - 2] + pad)[: top + 1]
+    e = (_rows(degrees, top)[b1 - 2] + pad)[: top + 1]
     c = tuple(map(operator.sub, b[1:], e[1:]))
     h = next((i for i, ci in enumerate(c) if ci < 0), INF)
     if h is INF:
-        return HilbertFunction(c + (0,)), HilbertFunction(e), h
-    return HilbertFunction(c[:h] + (0,)), HilbertFunction(e[: h + 1] + b[h + 1 :]), h
+        return HilbertFunction._of_counts(c), HilbertFunction._of_counts(e), h
+    s1p = e[: h + 1] + b[h + 1 :]
+    return HilbertFunction._of_counts(c[:h]), HilbertFunction._of_counts(s1p), h
 
 
 def vector_of_hf(h: HilbertFunction, a: DegreeList) -> LppVector:
@@ -266,23 +269,23 @@ def vector_of_hf(h: HilbertFunction, a: DegreeList) -> LppVector:
         return EMPTY
     if not is_lpp_sequence(h, a):
         raise ValueError(f"{h} is not a valid sequence for A={a}")
-    return _vector_of_hf(h, a)
+    return _vector_of_hf(h, a.degrees)
 
 
-def _vector_of_hf(h: HilbertFunction, a: DegreeList) -> LppVector:
+def _vector_of_hf(h: HilbertFunction, degrees: tuple[int, ...]) -> LppVector:
     """Recursion for a valid h: with fewer than n independent linear forms the
     sequence already lives in one variable less; otherwise peel one
     decomposition step, map the primed part into the tail and recurse on the
     rest.  A valid h with h(1) = n splits into S1 valid for A and S1' valid
     for A's tail, so neither is checked again."""
-    n = a.n
+    n = len(degrees)
     if n == 1:
         return Leaf(h.sigma)
     if h.at(1) < n:
-        return Node((_vector_of_hf(h, a.tail()),))
-    s1, s1p, _cut = _decompose(h, a)
-    tail_vec = _vector_of_hf(s1p, a.tail())
-    head = _vector_of_hf(s1, a)
+        return Node((_vector_of_hf(h, degrees[1:]),))
+    s1, s1p, _cut = _decompose(h, degrees)
+    tail_vec = _vector_of_hf(s1p, degrees[1:])
+    head = _vector_of_hf(s1, degrees)
     assert isinstance(head, Node)
     return Node(head.children + (tail_vec,))
 

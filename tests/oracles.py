@@ -69,11 +69,11 @@ def betti_diagram_by_contains(i: MonomialIdeal, f: FieldSpec = QQ) -> BettiDiagr
     beta: Counter[tuple[int, int]] = Counter()
     beta[(0, 0)] = 1
     for b in itertools.product(*(range(c + 1) for c in box)):
-        if not i.contains(Monomial(b)):
+        if not contains(i, Monomial(b)):
             continue
         supp = tuple(k for k in range(n) if b[k] > 0)
         full = tuple(e - 1 if k in supp else e for k, e in enumerate(b))
-        if supp and i.contains(Monomial(full)):
+        if supp and contains(i, Monomial(full)):
             continue  # full simplex: acyclic
         faces: set[tuple[int, ...]] = set()
         for size in range(1, len(supp) + 1):
@@ -81,7 +81,7 @@ def betti_diagram_by_contains(i: MonomialIdeal, f: FieldSpec = QQ) -> BettiDiagr
                 e = list(b)
                 for k in tau:
                     e[k] -= 1
-                if i.contains(Monomial(tuple(e))):
+                if contains(i, Monomial(tuple(e))):
                     faces.add(tau)
         dims = _homology_uncached(sorted(faces), p)
         total = sum(b)
@@ -128,6 +128,26 @@ def unit_monomial(n: int) -> Monomial:
     return Monomial((0,) * n)
 
 
+def contains(i: MonomialIdeal, m: Monomial) -> bool:
+    """Is m in I: does some minimal generator of I divide it?"""
+    if m.n != i.n:
+        raise DimensionError(f"{m.n} vs {i.n} variables")
+    return any(all(a <= b for a, b in zip(g, m.exps)) for g in i._corners())
+
+
+def times(m1: Monomial, m2: Monomial) -> Monomial:
+    if m1.n != m2.n:
+        raise DimensionError(f"{m1.n} vs {m2.n} variables")
+    return Monomial(tuple(a + b for a, b in zip(m1.exps, m2.exps)))
+
+
+def tail(a: DegreeList) -> DegreeList:
+    """Drop a_1 (the sub-list used for recursion into fewer variables)."""
+    if a.n == 1:
+        raise ValueError("tail of a length-1 degree list")
+    return DegreeList(a.degrees[1:])
+
+
 def divides(m1: Monomial, m2: Monomial) -> bool:
     if m1.n != m2.n:
         raise DimensionError(f"{m1.n} vs {m2.n} variables")
@@ -147,7 +167,7 @@ def socle_by_definition(i: MonomialIdeal) -> dict[int, tuple[Monomial, ...]]:
     out: dict[int, list[Monomial]] = {}
     for exps in itertools.product(*(range(e) for e in prof)):
         m = Monomial(exps)
-        if not i.contains(m) and all(i.contains(times_var(m, k)) for k in range(i.n)):
+        if not contains(i, m) and all(contains(i, times_var(m, k)) for k in range(i.n)):
             out.setdefault(m.degree, []).append(m)
     return {d: tuple(sorted(ms, reverse=True)) for d, ms in sorted(out.items())}
 
@@ -185,7 +205,7 @@ def is_lpp_by_contains(i: MonomialIdeal, a: DegreeList) -> bool:
         for m in monomials_of_degree(i.n, g.degree):
             if m == g:
                 break
-            if not i.contains(m):
+            if not contains(i, m):
                 return False
     return True
 
@@ -195,7 +215,7 @@ def is_lex_segment_by_contains(i: MonomialIdeal, d: int) -> bool:
     ``contains`` on every degree-d monomial?"""
     seen_gap = False
     for m in monomials_of_degree(i.n, d):
-        if i.contains(m):
+        if contains(i, m):
             if seen_gap:
                 return False
         else:
@@ -265,11 +285,11 @@ def containment_chain_check(t: LppVector, a: DegreeList) -> bool:
     _require_valid(t, a)
     if not isinstance(t, Node):
         return True
-    ideals = [ideal_of_vector(c, a.tail()) for c in t.children]
+    ideals = [ideal_of_vector(c, tail(a)) for c in t.children]
     for (c1, i1), (c2, i2) in zip(
         zip(t.children, ideals), zip(t.children[1:], ideals[1:])
     ):
-        if not all(i1.contains(g) for g in i2.gens):
+        if not all(contains(i1, g) for g in i2.gens):
             return False
         if c1 != c2 and i1 == i2:
             return False
@@ -290,7 +310,7 @@ def stats_by_recursion(t: LppVector, a: DegreeList) -> VectorStats:
         return VectorStats(t.degree, t.degree, t.degree, False)
     if a.n == 1:
         raise ValueError("node against a single variable")
-    a2 = a.tail()
+    a2 = tail(a)
     u = len(t.children)
     last = t.children[-1]
     last_stats = stats_by_recursion(last, a2)
@@ -326,7 +346,7 @@ def validate_by_recursion(t: LppVector, a: DegreeList) -> Validation:
         return Validation(True)
     if a.n == 1:
         return Validation(False, "node where a one-variable vector is needed")
-    a2 = a.tail()
+    a2 = tail(a)
     u = len(t.children)
     if u > a.degrees[0]:
         return Validation(False, f"length {u} exceeds a_1 = {a.degrees[0]}")
@@ -361,9 +381,9 @@ def vector_of_hf_by_checked_recursion(h: HilbertFunction, a: DegreeList) -> LppV
     if n == 1:
         return Leaf(h.sigma)
     if h.at(1) < n:
-        return Node((vector_of_hf_by_checked_recursion(h, a.tail()),))
+        return Node((vector_of_hf_by_checked_recursion(h, tail(a)),))
     s1, s1p, _cut = decompose(h, a)
-    tail_vec = vector_of_hf_by_checked_recursion(s1p, a.tail())
+    tail_vec = vector_of_hf_by_checked_recursion(s1p, tail(a))
     head = vector_of_hf_by_checked_recursion(s1, a)
     assert isinstance(head, Node)
     return Node(head.children + (tail_vec,))
@@ -470,7 +490,7 @@ def direct_lpp_ideal(h: HilbertFunction, a: DegreeList) -> MonomialIdeal | None:
         for m in standard_monomials_of_degree(a, d):
             if m.exps not in kept:
                 gens.append(m)
-    ideal = MonomialIdeal.from_gens(a.n, gens)
+    ideal = minimalize(a.n, gens)
     if ideal.pure_power_profile() != a.degrees:
         return None
     return ideal

@@ -28,6 +28,7 @@ from lppkit import (
     lpp_bound,
     lpp_dominance_check,
     mapping_cone_check,
+    minimalize,
     parse_ideal,
     parse_vector,
     residual_lpp_check,
@@ -202,12 +203,10 @@ def _sort_variables_by_profile(ideal):
     A permutation of the variables is a ring automorphism, so Hilbert
     functions, colon ideals, and Betti numbers are unchanged.
     """
-    from lppkit import MonomialIdeal
-
     profile = ideal.pure_power_profile()
     order = sorted(range(ideal.n), key=lambda k: profile[k])
     gens = [Monomial(tuple(g.exps[k] for k in order)) for g in ideal.gens]
-    return MonomialIdeal.from_gens(ideal.n, gens)
+    return minimalize(ideal.n, gens)
 
 
 def test_c10_mapping_cone_relation():

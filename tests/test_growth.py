@@ -22,6 +22,7 @@ from lppkit.monomials import minimalize
 from conftest import all_degree_lists
 from oracles import (
     codim_from_monomial,
+    contains,
     gk_coefficients_by_convolution,
     lpp_bound_oracle,
     monomial_from_codim,
@@ -63,7 +64,7 @@ def lex_segment_growth(h: int, d: int, n: int) -> int:
     if not added:
         return math.comb(n + d, n - 1)
     i = minimalize(n, added)
-    return sum(1 for m in monomials_of_degree(n, d + 1) if not i.contains(m))
+    return sum(1 for m in monomials_of_degree(n, d + 1) if not contains(i, m))
 
 
 class TestClassicalBound:

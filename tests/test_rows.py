@@ -53,6 +53,7 @@ from conftest import brute_colon, hf_by_inclusion_exclusion
 from oracles import (
     add_maximal_power_by_minimalize,
     colon_by_intersection,
+    contains,
     enumerate_ideals_by_kept_points,
     ideal_of_vector_by_minimalize,
     is_lex_segment_by_contains,
@@ -127,7 +128,7 @@ class TestRowStarts:
         rows = list(itertools.product(*(range(s) for s in sides[:-1])))
         assert len(starts) == len(rows)
         for prefix, t in zip(rows, starts):
-            members = [c for c in range(sides[-1]) if i.contains(Monomial(prefix + (c,)))]
+            members = [c for c in range(sides[-1]) if contains(i, Monomial(prefix + (c,)))]
             assert members == list(range(t, sides[-1]))
 
     @settings(max_examples=80, deadline=None)
@@ -179,7 +180,7 @@ class TestRowStarts:
 def starts_in_box(i: MonomialIdeal, sides: tuple[int, ...]) -> list[int]:
     """Row starts of I in the box prod [0, sides_k), by ``contains``."""
     return [
-        next((c for c in range(sides[-1]) if i.contains(Monomial(prefix + (c,)))), sides[-1])
+        next((c for c in range(sides[-1]) if contains(i, Monomial(prefix + (c,)))), sides[-1])
         for prefix in itertools.product(*(range(s) for s in sides[:-1]))
     ]
 
@@ -277,6 +278,56 @@ class TestCarriedRowStarts:
         assert {w["reason"] for w in r.witnesses} == {
             "enumeration emitted an ideal with the wrong Hilbert function"
         }
+
+
+def count_monomial_builds(monkeypatch) -> Counter:
+    """Count every Monomial built from here on, under ``"monomials"``."""
+    calls = Counter()
+    post_init = Monomial.__post_init__
+
+    def counted(self):
+        calls["monomials"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(Monomial, "__post_init__", counted)
+    return calls
+
+
+class TestIdentity:
+    """``==`` and ``hash`` go by ``(n, generators)`` as exponent tuples,
+    whatever box an ideal carries: they build no Monomial and no box."""
+
+    def test_same_ideal_in_three_forms(self, monkeypatch):
+        # each enumerated ideal in the box prod [0, a_k], larger than its
+        # generator box; the same ideal carried in its generator box (adding
+        # the power (x_1, ..., x_n)^sigma, which it holds already); and the
+        # same ideal from its generators, with no row starts
+        copies = []
+        for ideal, _twin in carried_and_twins((2, 3, 3)):
+            sigma = ideal.hilbert_function().sigma
+            other_box = add_maximal_power(MonomialIdeal(ideal.n, ideal.gens), sigma)
+            fresh = MonomialIdeal(ideal.n, ideal.gens)
+            assert ideal._row_starts()[0] != other_box._row_starts()[0]
+            copies.append((ideal, other_box, fresh))
+        assert len(copies) > 10
+        calls = count_monomial_builds(monkeypatch)
+        for k, forms in enumerate(copies):
+            for x, y in itertools.product(forms, repeat=2):
+                assert x == y and hash(x) == hash(y)
+            for others in copies[k + 1 :]:
+                assert all(x != y for x, y in itertools.product(forms, others))
+        assert all(fresh._rows is None for _, _, fresh in copies)
+        assert calls["monomials"] == 0
+        # the count is live: repr builds the generators
+        repr(fresh)
+        assert calls["monomials"] == len(fresh._corners())
+
+    def test_a_generator_past_the_box_guard(self):
+        i, j = parse_ideal("x1^3000*x2^3000"), parse_ideal("x2^3000*x1^3000")
+        assert i == j and hash(i) == hash(j)
+        assert i != parse_ideal("x1^3000*x2^2999")
+        with pytest.raises(GuardExceeded):
+            i._row_starts()
 
 
 def enumerated_starts(a: DegreeList) -> list[tuple[int, ...]]:
@@ -412,27 +463,20 @@ class TestGrowthCheckFromStarts:
             growth_check(HilbertFunction.from_string("1 2 1"), DegreeList((2, 2, 2)))
 
     def test_checks_of_the_residual_sweep_build_no_generators(self, monkeypatch):
-        calls = Counter()
-
-        def counted(sides, starts):
-            calls["gens"] += 1
-            return gens_of_rows(sides, starts)
-
-        gens_of_rows = monomials._gens_of_rows
-        monkeypatch.setattr(monomials, "_gens_of_rows", counted)
+        calls = count_monomial_builds(monkeypatch)
         a = DegreeList((2, 2, 3, 3))
         reports = [growth_check(h, a) for h in valid_hilbert_functions(a, a.sigma_ci)]
         assert len(reports) == 194 and all(r.ok for r in reports)
-        assert calls["gens"] == 0
+        assert calls["monomials"] == 0
         b = DegreeList((3, 4, 5))
         assert residual_lpp_check(b).ok and lexseg_lemma_check(b).ok
-        assert calls["gens"] == 0
+        assert calls["monomials"] == 0
 
 
 def profile_by_contains(i: MonomialIdeal, top: int) -> tuple:
     """Per variable, the least e <= top with x_k^e in I, by ``contains``."""
     return tuple(
-        next((e for e in range(top + 1) if i.contains(pure_power(i.n, k, e))), None)
+        next((e for e in range(top + 1) if contains(i, pure_power(i.n, k, e))), None)
         for k in range(i.n)
     )
 
@@ -479,18 +523,11 @@ class TestPurePowerProfile:
         assert unit_ideal.socle_monomials() == {}
 
     def test_dominance_sweep_builds_no_generators(self, monkeypatch):
-        calls = Counter()
-
-        def counted(sides, starts):
-            calls["gens"] += 1
-            return gens_of_rows(sides, starts)
-
-        gens_of_rows = monomials._gens_of_rows
-        monkeypatch.setattr(monomials, "_gens_of_rows", counted)
+        calls = count_monomial_builds(monkeypatch)
         a = DegreeList((3, 3, 4))
         reports = [lpp_dominance_check(h, a) for h in valid_hilbert_functions(a, a.sigma_ci)]
         assert len(reports) == 189 and all(r.verdict in ("pass", "not-valid") for r in reports)
-        assert calls["gens"] == 0
+        assert calls["monomials"] == 0
 
 
 class TestColon:
@@ -558,11 +595,11 @@ class TestColon:
         # (x1^5, x2^7) : W is the reflection b -> (4, 6) - b of W's box points
         w = parse_ideal("x1^5, x1^4*x2, x1^3*x2^3, x1^2*x2^4, x2^7")
         powers = parse_ideal("x1^5, x2^7")
-        outside = [b for b in itertools.product(range(5), range(7)) if not w.contains(Monomial(b))]
+        outside = [b for b in itertools.product(range(5), range(7)) if not contains(w, Monomial(b))]
         reflected = {(4 - b1, 6 - b2) for b1, b2 in outside}
         got = colon(powers, w)
         for b in itertools.product(range(5), range(7)):
-            assert got.contains(Monomial(b)) == (b in reflected)
+            assert contains(got, Monomial(b)) == (b in reflected)
 
     def test_guard_on_the_box_of_j(self):
         side = round(BOX_GUARD ** (1 / 3)) + 2
@@ -678,7 +715,7 @@ class TestEnumeration:
             for ideal in enumerate_ideals(h, a):
                 assert minimalize(a.n, ideal.gens).gens == ideal.gens
                 assert ideal.hilbert_function() == h
-                assert all(ideal.contains(p) for p in powers)
+                assert all(contains(ideal, p) for p in powers)
                 seen.add(ideal.gens)
                 per_h[str(h)] += 1
             assert len(seen) == per_h[str(h)]

@@ -2,8 +2,8 @@
 module, and the public methods and properties of its public classes: each is used inside ``lppkit``
 itself or is a documented entry point, so that helpers only the tests need
 stay in ``tests/oracles.py``.  Click commands are entry points.  A method read
-inside a dunder method of its own class (``contains`` in ``__contains__``)
-has no caller by that read."""
+inside a dunder method of its own class has no caller by that read.  And a
+``Monomial`` is built only where text goes in or out."""
 
 import ast
 from pathlib import Path
@@ -24,10 +24,20 @@ ALLOWED = {
 
 # Methods and properties of public classes with no caller in the package.
 ALLOWED_METHODS = {
-    "MonomialIdeal.from_gens",  # the documented constructor from any generators
-    "MonomialIdeal.contains",  # the single-query membership test, for a box of any size
     "MonomialIdeal.is_unit",  # the unit test; the package's readers hold the profile already
 }
+
+# Where the package builds a Monomial, once per line: everywhere else an
+# ideal's generators are exponent tuples.
+MONOMIAL_SITES = [
+    "growth.standard_monomials_of_degree",  # traced by name in perfbench/spans.py
+    "monomials.MonomialIdeal.gens",  # the generators, for the caller and repr
+    "monomials.MonomialIdeal.socle_monomials",  # the socle, for the caller
+    "monomials.ideal_from_json_dict",  # JSON input
+    "monomials.parse_monomial",  # text input: "1"
+    "monomials.parse_monomial",  # text input: a product of powers
+    "monomials.pure_power",  # for the caller and an error message
+]
 
 
 def modules() -> dict[str, ast.Module]:
@@ -160,6 +170,36 @@ def test_every_public_method_has_a_caller_or_is_an_entry_point():
 def test_the_method_allowlist_holds_only_methods_without_a_caller():
     used = names_used_outside_their_definitions()
     assert sorted(m for m in ALLOWED_METHODS if short(m) in used) == []
+
+
+def monomial_sites() -> list[str]:
+    """``module.Class.function`` for every call that builds a Monomial:
+    ``Monomial(...)``, or ``Monomial`` handed to another call
+    (``map(Monomial, ...)``) other than ``isinstance``."""
+    sites = []
+
+    def is_monomial(node: ast.AST) -> bool:
+        return isinstance(node, ast.Name) and node.id == "Monomial"
+
+    def visit(node: ast.AST, where: tuple[str, ...]):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            where = where + (node.name,)
+        if isinstance(node, ast.Call):
+            handed = [*node.args, *(k.value for k in node.keywords)]
+            if isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+                handed = []
+            if is_monomial(node.func) or any(map(is_monomial, handed)):
+                sites.append(".".join(where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for module, tree in modules().items():
+        visit(tree, (module,))
+    return sorted(sites)
+
+
+def test_monomials_are_built_only_where_text_goes_in_or_out():
+    assert monomial_sites() == MONOMIAL_SITES
 
 
 def test_click_commands_are_entry_points():

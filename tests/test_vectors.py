@@ -20,6 +20,7 @@ from lppkit import (
     ideal_of_vector,
     is_lpp,
     is_lpp_sequence,
+    minimalize,
     parse_vector,
     stats,
     validate,
@@ -31,9 +32,11 @@ from lppkit.vectors import INF
 from conftest import all_degree_lists
 from oracles import (
     containment_chain_check,
+    contains,
     monomials_of_degree,
     sequence_alpha,
     sequence_sigma,
+    tail,
 )
 
 A446 = DegreeList((4, 4, 6))
@@ -325,7 +328,7 @@ class TestChildStatsInequalities:
                 if not isinstance(t, Node):
                     continue
                 st = stats(t, a)
-                last = stats(t.children[-1], a.tail())
+                last = stats(t.children[-1], tail(a))
                 assert st.alpha <= last.alpha
 
     def test_sigma_window_over_children(self):
@@ -338,7 +341,7 @@ class TestChildStatsInequalities:
                 st = stats(t, a)
                 u = len(t.children)
                 for j in range(u):
-                    child = stats(t.children[u - 1 - j], a.tail())
+                    child = stats(t.children[u - 1 - j], tail(a))
                     assert st.sigma - j >= child.sigma
 
 
@@ -376,8 +379,6 @@ class TestLppIdealSequenceInvariants:
     def test_degree_slice_growth_attains_the_bound(self):
         # powers plus the whole degree-d piece of an exact-profile ideal grow
         # to exactly the generalized bound
-        from lppkit.monomials import MonomialIdeal
-
         for a in (DegreeList((2, 3)), DegreeList((2, 2, 3)), DegreeList((2, 3, 4))):
             for t in enumerate_vectors(a):
                 w = ideal_of_vector(t, a)
@@ -386,9 +387,9 @@ class TestLppIdealSequenceInvariants:
                 h = w.hilbert_function()
                 for d in range(1, h.sigma):
                     slice_gens = [
-                        m for m in monomials_of_degree(a.n, d) if w.contains(m)
+                        m for m in monomials_of_degree(a.n, d) if contains(w, m)
                     ]
-                    truncated = MonomialIdeal.from_gens(
+                    truncated = minimalize(
                         a.n, list(a.powers_ideal().gens) + slice_gens
                     )
                     grown = truncated.hilbert_function().at(d + 1)
