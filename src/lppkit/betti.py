@@ -1,20 +1,26 @@
 """Graded Betti numbers of Artinian monomial quotients.
 
-For each multidegree b inside the generator box, let K be the simplicial
-complex of squarefree vectors tau with x^(b - tau) in I.  The reduced homology
-of K over the coefficient field gives the Betti numbers of R/I in multidegree
-b (homological index = simplex dimension + 2); summing over total degree fills
+For each multidegree b inside the box, let K be the simplicial complex of
+squarefree vectors tau with x^(b - tau) in I.  The reduced homology of K over
+the coefficient field gives the Betti numbers of R/I in multidegree b
+(homological index = simplex dimension + 2); summing over total degree fills
 the diagram.  Membership is read from the ideal's row starts (b is in I when
-its last exponent is at least the start of its row), and homology is computed
-once per distinct complex: few complexes occur (18 in three variables), so the
-rank work is memoized by an integer face mask, bit v set when the face with
-vertex bitmask v is in K.  Ranks are computed by exact Gaussian elimination,
-over the rationals in characteristic 0 or modulo p otherwise.
+its last exponent is at least the start of its row).
+
+The work is memoized at two levels.  A row's contribution, the Betti numbers
+of all its points, depends only on the characteristic and the starts of the
+rows one step below it along the subsets of its prefix support, so it is
+computed once per such configuration: a sweep's thousands of ideals share a
+few hundred.  Inside, homology is computed once per distinct complex, keyed
+by an integer face mask, bit v set when the face with vertex bitmask v is in
+K.  Ranks are computed by exact Gaussian elimination, over the rationals in
+characteristic 0 or modulo p otherwise.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -79,6 +85,9 @@ def _is_prime(p: int) -> bool:
 
 QQ = FieldSpec(0)
 
+# BettiDiagram.render prints a longer run of empty rows as one line
+EMPTY_RUN = 32
+
 
 @dataclass(frozen=True, eq=True)
 class BettiDiagram:
@@ -99,18 +108,27 @@ class BettiDiagram:
         return None
 
     def render(self) -> str:
-        """Macaulay2-style table: columns = homological index, rows = j - i."""
+        """Macaulay2-style table: columns = homological index, rows = j - i.
+
+        A run of more than EMPTY_RUN empty rows prints as one line that
+        names the rows it skips."""
         cols = list(range(self.n + 1))
-        max_row = max((j - i for (i, j) in self.entries), default=0)
         totals = [sum(v for (i, _), v in self.entries.items() if i == c) for c in cols]
-        rows = []
-        for r in range(max_row + 1):
-            rows.append([self.beta(c, c + r) for c in cols])
-        labels = ["total:"] + [f"{r}:" for r in range(max_row + 1)]
+        full = sorted({0} | {j - i for (i, j) in self.entries})
+        labels, grids = ["total:"], [totals]
+        for above, r in zip([-1] + full, full):
+            if r - above - 1 > EMPTY_RUN:
+                labels.append(f"{above + 1}..{r - 1}:")
+                grids.append(None)
+            else:
+                for q in range(above + 1, r):
+                    labels.append(f"{q}:")
+                    grids.append([0] * len(cols))
+            labels.append(f"{r}:")
+            grids.append([self.beta(c, c + r) for c in cols])
         width_label = max(len(s) for s in labels)
-        grids = [totals] + rows
         widths = [
-            max(len(str(grid[c])) if grid[c] else 1 for grid in grids)
+            max(len(str(grid[c])) if grid and grid[c] else 1 for grid in grids)
             for c in cols
         ]
         header = " " * width_label + "".join(
@@ -118,10 +136,13 @@ class BettiDiagram:
         )
         lines = [header]
         for label, grid in zip(labels, grids):
-            cells = "".join(
-                " " + (str(v) if v else ".").rjust(widths[c])
-                for c, v in enumerate(grid)
-            )
+            if grid is None:
+                cells = " (empty)"
+            else:
+                cells = "".join(
+                    " " + (str(v) if v else ".").rjust(widths[c])
+                    for c, v in enumerate(grid)
+                )
             lines.append(label.rjust(width_label) + cells)
         return "\n".join(lines)
 
@@ -215,62 +236,93 @@ def _homology_of_mask(mask: int, p: int) -> tuple[int, ...]:
     return _reduced_homology_dims(faces, p)
 
 
-@lru_cache(maxsize=256)
-def _face_offsets(row_strides: tuple[int, ...]):
-    """Per support bitmask (bit k for x_k, the last bit for x_n): the shift
-    of 1_supp, and (1 << vertex bitmask of tau, shift of tau) for every
-    nonempty tau inside the support.  A shift is (row offset of tau without
-    x_n, 1 if x_n is in tau else 0)."""
-    n = len(row_strides) + 1
+@lru_cache(maxsize=4)
+def _row_runs(sides: tuple[int, ...]):
+    """The rows of the box prod [0, sides_k) in runs: a run holds the rows
+    whose prefixes agree but in the last prefix coordinate, which has row
+    stride 1.  Returns the row strides of the other prefix coordinates (the
+    outer prefix) and, per support of the outer prefix, the values each
+    outer coordinate takes (the runs' outer prefixes are their product, in
+    row order), the row offsets of the subsets j of the support (bit m of j
+    for its m-th coordinate), and the same with the last prefix coordinate
+    added to each subset.  In each list subset 0 is the row itself and the
+    last subset the full step down."""
+    strides = _row_strides(sides)[:-1]
+    plan = []
+    for mask in range(1 << len(strides)):
+        axes, steps = [], [0]
+        for k, stride in enumerate(strides):
+            axes.append(range(1, sides[k]) if mask >> k & 1 else (0,))
+            if mask >> k & 1:
+                steps += [step + stride for step in steps]
+        plan.append((axes, steps, steps + [step + 1 for step in steps]))
+    return strides, plan
 
-    def shift(tau):
-        return sum(row_strides[k] for k in tau if k < n - 1), int(n - 1 in tau)
 
-    by_supp = []
-    for mask in range(1 << n):
-        supp = [k for k in range(n) if mask >> k & 1]
-        taus = tuple(
-            (1 << sum(1 << k for k in tau), *shift(tau))
-            for size in range(1, len(supp) + 1)
-            for tau in itertools.combinations(supp, size)
-        )
-        by_supp.append((*shift(supp), taus))
-    return tuple(by_supp)
+@lru_cache(maxsize=8)
+def _faces(k: int):
+    """The nonempty faces v of the simplex on vertices 0..k, as (1 << v, v's
+    low k bits, bit k of v): first those without vertex k, then all."""
+    low = (1 << k) - 1
+    faces = [(1 << v, v & low, v >> k) for v in range(1, 2 << k)]
+    return faces[:low], faces
 
 
-def _koszul_homology(i: MonomialIdeal, p: int):
-    """Yield (b, dims) for every multidegree b of the generator box whose
-    complex K^b has nonzero reduced homology dims (as _reduced_homology_dims).
+@lru_cache(maxsize=4096)
+def _row_contribution(p: int, starts: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
+    """The Betti numbers (homological index, c, dim) that the points (prefix, c)
+    of one row give, from the starts of the 2^k rows one step below the row
+    along each subset of the k coordinates of its prefix support, ordered as
+    in :func:`_row_runs` (``starts[0]`` the row's own start).
 
-    Point b = (row r, column c) is in I when c >= starts[r], so each face
-    b - tau is one lookup: row r minus tau's row offset, at column c minus
-    1 if x_n is in tau.  A row is scanned from its start; from one past the
-    start of the row of prefix - 1_supp(prefix) on, b - 1_supp(b) is in I
-    (K^b is the full simplex, so acyclic).  K^b is looked up by its face
-    mask, the OR of the bits of its faces; the bits are distinct, so their
-    sum is that OR.
+    The complex K^b of b = (prefix, c) is relabelled onto the vertices
+    0..k-1 (the support, in order) and k (x_n): the face with vertex bitmask
+    v is b - tau, in row j = v's low k bits at column c - (bit k of v), so it
+    is in I when c - (v >> k) >= starts[j].  The homology depends only on the
+    complex up to relabelling, so rows of any ideal, box or support with the
+    same k and the same starts share one entry.  Points from the row's start
+    on are scanned; from one past the start of the full step down on, b -
+    1_supp(b) is in I (K^b is the full simplex, so acyclic).  The box is not
+    part of the key: row starts never grow as a prefix coordinate grows, so
+    ``starts[0] <= starts[j] <= starts[-1]``, at most the start of row 0,
+    which for an Artinian ideal lies inside the box.  K^b is looked up by
+    its face mask, bit v set when face v is in K^b.
     """
+    low = len(starts) - 1
+    without_last, with_last = _faces(low.bit_length())
+    out = []
+    for c in range(starts[0], starts[low] + 1):
+        last = 1 if c else 0  # x_n in the support of b
+        if c - last >= starts[low]:
+            continue
+        faces = with_last if last else without_last
+        face_mask = sum([bit for bit, j, col in faces if c - col >= starts[j]])
+        for index, dim in enumerate(_homology_of_mask(face_mask, p), start=1):
+            if dim:
+                out.append((index, c, dim))
+    return tuple(out)
+
+
+def _koszul_rows(i: MonomialIdeal, p: int):
+    """Yield (prefix, contribution) for every row of I's box whose
+    :func:`_row_contribution` is not empty; the point (prefix, c) then has
+    Betti number dim at homological index ``index`` for each (index, c, dim)
+    of the contribution.  The starts of a run's rows and of the rows below
+    them are read as slices of the row starts."""
     sides, starts = i._row_starts()
-    n = len(sides)
-    last = sides[-1]
-    row_strides = tuple(_row_strides(sides))
-    by_supp = _face_offsets(row_strides)
-    last_bit = 1 << (n - 1)
-    for r, prefix in enumerate(itertools.product(*(range(s) for s in sides[:-1]))):
-        mask = 0
-        below = r
-        for k in range(n - 1):
-            if prefix[k]:
-                mask |= 1 << k
-                below -= row_strides[k]
-        for c in range(starts[r], min(last, starts[below] + 1)):
-            full_row, full_col, taus = by_supp[mask | last_bit if c else mask]
-            if c - full_col >= starts[r - full_row]:
-                continue
-            face_mask = sum([bit for bit, row, col in taus if c - col >= starts[r - row]])
-            dims = _homology_of_mask(face_mask, p)
-            if any(dims):
-                yield prefix + (c,), dims
+    run, first = (sides[-2], (0,)) if len(sides) > 1 else (1, ())
+    strides, plan = _row_runs(sides)
+    for axes, steps, run_steps in plan:
+        for outer in itertools.product(*axes):
+            base = sum(map(operator.mul, outer, strides))
+            contribution = _row_contribution(p, tuple([starts[base - s] for s in steps]))
+            if contribution:
+                yield outer + first, contribution
+            below = [starts[base + 1 - s : base + run - s] for s in run_steps]
+            for e, key in enumerate(zip(*below), 1):
+                contribution = _row_contribution(p, key)
+                if contribution:
+                    yield outer + (e,), contribution
 
 
 def betti_diagram(i: MonomialIdeal, f: FieldSpec = QQ) -> BettiDiagram:
@@ -285,11 +337,10 @@ def betti_diagram(i: MonomialIdeal, f: FieldSpec = QQ) -> BettiDiagram:
         return BettiDiagram(i.n, {})
     beta: Counter[tuple[int, int]] = Counter()
     beta[(0, 0)] = 1
-    for b, dims in _koszul_homology(i, f.characteristic):
-        total = sum(b)
-        for k, hd in enumerate(dims, start=-1):
-            if hd:
-                beta[(k + 2, total)] += hd
+    for prefix, contribution in _koszul_rows(i, f.characteristic):
+        degree = sum(prefix)
+        for index, c, dim in contribution:
+            beta[(index, degree + c)] += dim
     return BettiDiagram(i.n, dict(beta))
 
 

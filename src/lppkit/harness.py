@@ -23,12 +23,12 @@ from .monomials import (
     HilbertFunction,
     MonomialIdeal,
     _ideal_of_rows,
+    _lex_above_powers,
     _row_strides,
     add_maximal_power,
     colon,
     ideal_to_json_dict,
     is_lex_segment,
-    is_lpp,
 )
 from .growth import ci_hilbert_function, is_lpp_sequence, lpp_bound
 from .vectors import (
@@ -427,7 +427,7 @@ def residual_lpp_check(a: DegreeList) -> CheckReport:
                     }
                 )
                 continue
-            if not is_lpp(actual, DegreeList(tuple(prof))):
+            if not _lex_above_powers(actual, prof):
                 witnesses.append(
                     {
                         "reason": "residual is not lex-plus-powers for its profile",
@@ -504,7 +504,7 @@ def socle_equivalence_check(
     for ideal in enumerate_ideals(h, a, max_ideals):
         count += 1
         b, b_tr = diagram(ideal)
-        for j in {jj for (i, jj) in set(b.entries) | set(b_lpp.entries) if i == n}:
+        for j in sorted({jj for (i, jj) in set(b.entries) | set(b_lpp.entries) if i == n}):
             if b_lpp.beta(n, j) < b.beta(n, j):
                 witnesses.append(
                     {

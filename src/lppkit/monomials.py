@@ -581,11 +581,15 @@ def is_lpp(i: MonomialIdeal, a: DegreeList) -> bool:
     """
     if i.n != a.n:
         raise DimensionError(f"{i.n} vs {a.n} variables")
-    if i.pure_power_profile() != a.degrees:
-        return False
-    # the degrees of the generators in two or more variables
-    degrees = {sum(g) for g in i._corners() if g.count(0) < a.n - 1}
-    return all(_members_first(i, d, a.degrees) for d in degrees)
+    return i.pure_power_profile() == a.degrees and _lex_above_powers(i, a.degrees)
+
+
+def _lex_above_powers(i: MonomialIdeal, caps: tuple[int, ...]) -> bool:
+    """:func:`is_lpp` once I's pure-power profile is known to be ``caps``:
+    in each degree of a minimal generator in two or more variables, the
+    members among the monomials below ``caps`` come first in lex order."""
+    degrees = {sum(g) for g in i._corners() if g.count(0) < i.n - 1}
+    return all(_members_first(i, d, caps) for d in degrees)
 
 
 def is_lex_segment(i: MonomialIdeal, d: int) -> bool:

@@ -16,7 +16,7 @@ from lppkit.betti import (
     BettiDiagram,
     FieldSpec,
     QQ,
-    _koszul_homology,
+    _koszul_rows,
     _reduced_homology_dims,
     betti_diagram,
 )
@@ -518,16 +518,16 @@ def taylor_euler_by_multidegree(i: MonomialIdeal) -> dict[tuple[int, ...], int]:
 def betti_euler_by_multidegree(
     i: MonomialIdeal, f: FieldSpec = QQ
 ) -> dict[tuple[int, ...], int]:
-    """Alternating Betti sums per multidegree from the library's Koszul
-    homology loop, for the Taylor cross-check."""
+    """Alternating Betti sums per multidegree b = prefix + (c,) from the
+    library's row contributions, for the Taylor cross-check."""
     if i.is_unit:
         return {}
     out = {(0,) * i.n: 1}
-    for b, dims in _koszul_homology(i, f.characteristic):
-        chi = sum((-1) ** (k + 2) * hd for k, hd in enumerate(dims, start=-1))
-        if chi:
-            out[b] = chi
-    return out
+    for prefix, contribution in _koszul_rows(i, f.characteristic):
+        for index, c, dim in contribution:
+            b = prefix + (c,)
+            out[b] = out.get(b, 0) + (-1) ** index * dim
+    return {b: chi for b, chi in out.items() if chi}
 
 
 def socle_dims(i: MonomialIdeal, f: FieldSpec = QQ) -> dict[int, int]:
@@ -664,7 +664,7 @@ def socle_equivalence_check_every_ideal(
     for ideal in harness.enumerate_ideals(h, a):
         count += 1
         b = betti_diagram(ideal, f)
-        for j in {jj for (i, jj) in set(b.entries) | set(b_lpp.entries) if i == n}:
+        for j in sorted({jj for (i, jj) in set(b.entries) | set(b_lpp.entries) if i == n}):
             if b_lpp.beta(n, j) < b.beta(n, j):
                 witnesses.append(
                     {

@@ -14,7 +14,7 @@ from lppkit import (
     mapping_cone_check,
     parse_ideal,
 )
-from lppkit.betti import PRIME_LIMIT, _is_prime
+from lppkit.betti import EMPTY_RUN, PRIME_LIMIT, _is_prime
 from lppkit.harness import enumerate_ideals, valid_hilbert_functions
 
 from oracles import (
@@ -78,12 +78,21 @@ class TestBettiDiagram:
             "    1: . 3 2",
         ]
 
-    def test_json_schema(self):
-        blob = betti_diagram(ideal("x1, x2")).to_json_dict()
-        assert json.loads(json.dumps(blob)) == {
-            "n": 2,
-            "betti": [[0, 0, 1], [1, 1, 2], [2, 2, 1]],
-        }
+    def test_render_elides_long_runs_of_empty_rows(self):
+        # x1^(e + 1) has empty rows 1..e - 1: printed up to EMPTY_RUN of them
+        shown = betti_diagram(ideal(f"x1^{EMPTY_RUN + 2}")).render().splitlines()
+        assert len(shown) == EMPTY_RUN + 4
+        assert all(line.endswith(": . .") for line in shown[3:-1])
+        text = betti_diagram(ideal(f"x1^{EMPTY_RUN + 4}, x2^2")).render()
+        assert text.splitlines() == [
+            "       0 1 2",
+            "total: 1 2 1",
+            "    0: 1 . .",
+            "    1: . 1 .",
+            f"2..{EMPTY_RUN + 2}: (empty)",
+            f"{EMPTY_RUN + 3}:".rjust(6) + " . 1 .",
+            f"{EMPTY_RUN + 4}:".rjust(6) + " . . 1",
+        ]
 
 
 class TestFieldSpec:

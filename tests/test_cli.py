@@ -172,6 +172,18 @@ class TestIdealCommands:
             "    1: . 3 2",
         ]
 
+    def test_betti_table_of_a_huge_power_is_short(self):
+        start = time.perf_counter()
+        r = run("betti", "--ideal", "x1^1500000")
+        assert time.perf_counter() - start < 0.5
+        assert r.output.splitlines() == [
+            "            0 1",
+            "     total: 1 1",
+            "         0: 1 .",
+            "1..1499998: (empty)",
+            "   1499999: . 1",
+        ]
+
     def test_betti_json_with_char(self):
         r = run("betti", "--ideal", "x1, x2", "--char", "2", "--json")
         assert json.loads(r.output) == {"n": 2, "betti": [[0, 0, 1], [1, 1, 2], [2, 2, 1]]}

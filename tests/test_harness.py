@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 
@@ -162,6 +163,25 @@ class TestDominanceCheck:
         data = json.loads(r.to_json())
         assert data["check"] == "lpp-dominance"
         assert data["verdict"] == "pass"
+
+
+# sha256 of the lpp-dominance reports over every valid h, one JSON per line
+SWEEP_DIGESTS = {
+    ((3, 3, 4), 0): "5403626673e7db3e7995d28cd192bc262a65bb3d88df820b4fcd0577896db38d",
+    ((3, 3, 4), 2): "a553e8c8cfd0c6e3134ed1f05bc119d74b531b24aec06f374687f0091854de1a",
+    ((2, 2, 3, 3), 0): "6697c3cdf23e876493a6ef077920d41fd4ffec2138b9a4a636f45ecfa76d3ae6",
+    ((2, 2, 3, 3), 2): "1707bf242d8292cf795099d770a33c332fa7b82942d6428e529a0c662f595431",
+}
+
+
+@pytest.mark.parametrize("degrees, char", sorted(SWEEP_DIGESTS), ids=str)
+def test_whole_dominance_sweep_reports_are_pinned(degrees, char):
+    a = DegreeList(degrees)
+    text = "\n".join(
+        lpp_dominance_check(h, a, FieldSpec(char)).to_json()
+        for h in valid_hilbert_functions(a, sum(degrees))
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_DIGESTS[degrees, char]
 
 
 class TestResidualCheck:

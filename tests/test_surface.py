@@ -20,6 +20,7 @@ ALLOWED = {
     "vectors.decompose",  # one split of the inverse map, checked on its own
     "harness.valid_hilbert_functions",  # the h a sweep runs over
     "betti.mapping_cone_check",  # the linkage check; gets a caller in the sweeps
+    "monomials.is_lpp",  # the LPP predicate; the residual check holds the profile already
 }
 
 # Methods and properties of public classes with no caller in the package.

@@ -1,23 +1,61 @@
 """What reads an ideal's row starts point by point: Betti diagrams, socle
 and standard monomials, and the box-volume guard."""
 
+import importlib.util
 import itertools
 import random
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lppkit import DegreeList, FieldSpec, Monomial, betti_diagram, is_lpp, minimalize
-from lppkit.betti import _homology_of_mask
+from lppkit.betti import _homology_of_mask, _row_contribution
 from lppkit.harness import enumerate_ideals, valid_hilbert_functions
-from lppkit.monomials import BOX_GUARD, GuardExceeded, parse_ideal, pure_power
+from lppkit.monomials import (
+    BOX_GUARD,
+    GuardExceeded,
+    _ideal_of_rows,
+    _row_strides,
+    _starts_of_corners,
+    parse_ideal,
+    pure_power,
+)
 
 from oracles import betti_diagram_by_contains, contains, socle_by_definition, standard_monomials
 
 GF2 = FieldSpec(2)
 GF32003 = FieldSpec(32003)
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def benchmark_caches() -> list:
+    """The caches ``perfbench/run.py`` clears before every pass, found by its
+    own ``lru_caches`` over the modules a sweep-betti run loads."""
+    sys.path.insert(0, str(PERFBENCH))  # run.py imports its siblings by name
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+        run = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = run  # its dataclasses look their module up
+        spec.loader.exec_module(run)
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return run.lru_caches(run.workloads.load_lppkit("sweep-betti"))
+
+
+def rp2_ideal():
+    """The Stanley-Reisner ideal of the 6-vertex real projective plane (the
+    triples that are not facets) plus the squares: its homology has
+    2-torsion, so its diagrams over QQ and GF(2) differ."""
+    facets = {"123", "134", "145", "156", "126", "235", "245", "246", "346", "356"}
+    gens = [pure_power(6, k, 2) for k in range(6)]
+    for t in itertools.combinations(range(1, 7), 3):
+        if "".join(map(str, t)) not in facets:
+            gens.append(Monomial(tuple(int(k in t) for k in range(1, 7))))
+    return minimalize(6, gens)
 
 
 @st.composite
@@ -104,6 +142,56 @@ class TestBettiMatchesReference:
 
     def test_homology_cache_is_bounded(self):
         assert _homology_of_mask.cache_info().maxsize is not None
+
+    def test_row_memo_is_bounded_and_cleared_by_the_benchmark(self):
+        caches = benchmark_caches()
+        assert _row_contribution in caches
+        assert _row_contribution.cache_info().maxsize is not None
+        betti_diagram(parse_ideal("x1^3, x1*x2^2, x2^4, x3^2"))
+        assert _row_contribution.cache_info().currsize > 0
+        for cache in caches:
+            cache.cache_clear()
+        assert _row_contribution.cache_info().currsize == 0
+
+    def test_the_characteristic_is_part_of_the_row_key(self):
+        i = rp2_ideal()
+        assert len(i.gens) == 16
+        want = {0: betti_diagram_by_contains(i), 2: betti_diagram_by_contains(i, GF2)}
+        assert (want[0].beta(3, 6), want[2].beta(3, 6)) == (25, 26)
+        assert (want[0].beta(4, 6), want[2].beta(4, 6)) == (15, 16)
+        for p in (0, 2, 0):  # each field with the other's rows in the memo
+            assert betti_diagram(i, FieldSpec(p)) == want[p], p
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        artinian_ideals(max_n=4, max_power=4),
+        artinian_ideals(max_n=4, max_power=4),
+        st.lists(st.integers(0, 2), min_size=4, max_size=4),
+    )
+    def test_rows_shared_across_boxes_give_the_cold_diagram(self, i, j, grow):
+        # i again in a larger box, and another ideal j: their rows meet i's
+        sides = tuple(s + g for s, g in zip(i._row_starts()[0], grow))
+        wide = _ideal_of_rows(i.n, sides, _starts_of_corners(sides, i._corners()))
+        cold = []
+        for ideal in (i, wide, j):
+            _row_contribution.cache_clear()
+            cold.append(betti_diagram(ideal))
+        _row_contribution.cache_clear()
+        assert [betti_diagram(ideal) for ideal in (i, wide, j)] == cold
+        assert cold[0] == cold[1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(artinian_ideals(max_n=4, max_power=5))
+    def test_row_starts_never_grow_along_a_prefix_axis(self, i):
+        # so the scan of a row, up to the start of its full step down, stays
+        # below row 0's start and inside the box
+        sides, starts = i._row_starts()
+        assert starts[0] < sides[-1]
+        prefixes = itertools.product(*(range(s) for s in sides[:-1]))
+        for r, prefix in enumerate(prefixes):
+            for e, stride in zip(prefix, _row_strides(sides)):
+                if e:
+                    assert starts[r] <= starts[r - stride]
 
 
 class TestBoxGuard:
