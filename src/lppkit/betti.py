@@ -114,18 +114,16 @@ class BettiDiagram:
         names the rows it skips."""
         cols = list(range(self.n + 1))
         totals = [sum(v for (i, _), v in self.entries.items() if i == c) for c in cols]
-        full = sorted({0} | {j - i for (i, j) in self.entries})
+        occupied = sorted({0} | {j - i for (i, j) in self.entries})
         labels, grids = ["total:"], [totals]
-        for above, r in zip([-1] + full, full):
+        for above, r in zip([-1] + occupied, occupied):
             if r - above - 1 > EMPTY_RUN:
                 labels.append(f"{above + 1}..{r - 1}:")
                 grids.append(None)
-            else:
-                for q in range(above + 1, r):
-                    labels.append(f"{q}:")
-                    grids.append([0] * len(cols))
-            labels.append(f"{r}:")
-            grids.append([self.beta(c, c + r) for c in cols])
+                above = r - 1
+            for q in range(above + 1, r + 1):
+                labels.append(f"{q}:")
+                grids.append([self.beta(c, c + q) for c in cols])
         width_label = max(len(s) for s in labels)
         widths = [
             max(len(str(grid[c])) if grid and grid[c] else 1 for grid in grids)
