@@ -78,6 +78,13 @@ class TestBettiDiagram:
             "    1: . 3 2",
         ]
 
+    def test_json_schema(self):
+        blob = betti_diagram(ideal("x1, x2")).to_json_dict()
+        assert json.loads(json.dumps(blob)) == {
+            "n": 2,
+            "betti": [[0, 0, 1], [1, 1, 2], [2, 2, 1]],
+        }
+
     def test_render_elides_long_runs_of_empty_rows(self):
         # x1^(e + 1) has empty rows 1..e - 1: printed up to EMPTY_RUN of them
         shown = betti_diagram(ideal(f"x1^{EMPTY_RUN + 2}")).render().splitlines()
