@@ -104,6 +104,8 @@ def enumerate_ideals(h: HilbertFunction, a: DegreeList, max_ideals: int | None =
     if h.total > CELL_GUARD:
         raise GuardExceeded(f"{h.total} standard monomials exceeds {CELL_GUARD}")
     guard = default_guard() if max_ideals is None else max_ideals
+    if guard < 1:
+        raise ValueError(f"the ideal guard must be at least 1, not {guard}")
     sides = tuple(deg + 1 for deg in a.degrees)
     strides = _row_strides(sides)
     last = a.degrees[-1]
@@ -238,41 +240,44 @@ def _row_steps(sides: tuple[int, ...]) -> tuple[list[int], list[int]]:
     return lower, upper
 
 
-# one key per degree list: 2 in a sweep benchmark pass
+# one key per degree list: 1 in a sweep-betti pass
 @lru_cache(maxsize=32)
 def _orbit_moves(degrees: tuple[int, ...]):
-    """The permutations of variables of equal degree in A, acting on the row
-    starts of the ideals that contain the powers of A: ``(inner, moves, axes)``.
+    """The permutations of variables of equal degree in A, as getters on the
+    cells of the box prod [0, a_k): ``(runs, inner, moves)``.
 
-    In such an ideal a row with p_k >= a_k for some k starts at 0, so only
-    the rows of prod [0, a_k) over the prefix coordinates tell the ideals
-    apart: ``inner`` picks them, in row order, out of the row starts in the
-    box prod [0, a_k].  ``moves`` holds one getter per permutation that fixes
-    x_n (the identity left out): it permutes the prefix coordinates, so it
-    permutes the inner rows.  ``axes`` holds the inner-row stride of each
-    prefix axis k with a_k = a_n; the transpositions of x_k and x_n, followed
-    by the moves, give the other permutations.
+    The ideals that contain the powers of A differ only in their standard
+    monomials, which lie in that box: the first a_n points of each inner row,
+    a row of prod [0, a_k) over the prefix coordinates.  ``inner`` picks the
+    starts of the inner rows, in row order, out of the row starts in the box
+    prod [0, a_k].  ``moves`` holds one getter per permutation, the identity
+    included, all built by one loop over the cells:
+
+    - x_n alone in its degree: the permutations fix x_n, so they permute
+      whole rows.  A cell is an inner row, ``runs`` is empty, and a move
+      reads the permuted inner rows straight out of the row starts.
+    - x_n shares its degree: a cell is a point.  ``runs[s]`` holds the a_n
+      membership flags of a row that starts at s, and a move permutes the
+      flags of the inner rows, laid end to end in row order.
     """
-    n = len(degrees)
-    strides = _row_strides(tuple(deg + 1 for deg in degrees))
-    inner_strides = _row_strides(degrees)
-    prefixes = list(itertools.product(*(range(deg) for deg in degrees[:-1])))
-    inner = _getter([sum(map(operator.mul, prefix, strides)) for prefix in prefixes])
-    blocks = [
-        [k for k in block if k < n - 1]
-        for _, block in itertools.groupby(range(n), key=degrees.__getitem__)
-    ]
-    perms = itertools.product(*map(itertools.permutations, blocks))
-    next(perms)  # the identity
+    last = degrees[-1]
+    row_strides = _row_strides(tuple(deg + 1 for deg in degrees))
+    rows = itertools.product(*(range(deg) for deg in degrees[:-1]))
+    inner = _getter([sum(map(operator.mul, prefix, row_strides)) for prefix in rows])
+    if degrees.count(last) > 1:
+        shape, strides = degrees, _row_strides(degrees + (1,))
+        runs = [(0,) * s + (1,) * (last - s) for s in range(last + 1)]
+    else:
+        shape, strides, runs = degrees[:-1], row_strides, []
+    blocks = [list(b) for _, b in itertools.groupby(range(len(shape)), key=shape.__getitem__)]
+    cells = list(itertools.product(*(range(side) for side in shape)))
     moves = []
-    for perm in perms:
+    for perm in itertools.product(*map(itertools.permutations, blocks)):
         perm = list(itertools.chain.from_iterable(perm))
-        source = [0] * len(prefixes)
-        for r, prefix in enumerate(prefixes):
-            source[sum(prefix[k] * stride for k, stride in zip(perm, inner_strides))] = r
-        moves.append(_getter(source))
-    axes = [inner_strides[k] for k in range(n - 1) if degrees[k] == degrees[-1]]
-    return inner, moves, axes
+        moves.append(
+            _getter([sum(cell[k] * stride for k, stride in zip(perm, strides)) for cell in cells])
+        )
+    return runs, inner, moves
 
 
 def _getter(indices: list[int]):
@@ -281,39 +286,24 @@ def _getter(indices: list[int]):
     return get if len(indices) > 1 else lambda seq: (get(seq),)
 
 
-def _swap_with_last(starts: tuple[int, ...], side: int, stride: int):
-    """Row starts of the ideal with x_k and x_n swapped, where axis k has
-    ``side`` rows, as many as a row has points, and rows one step apart in
-    x_k are ``stride`` apart.  The starts along a line of axis k are a
-    non-increasing sequence; the swap replaces it by its conjugate: the row
-    at x_k-exponent c starts at the number of starts in the line above c."""
-    out = list(starts)
-    span = side * stride
-    for outer in range(0, len(starts), span):
-        for base in range(outer, outer + stride):
-            line = starts[base : base + span : stride]
-            out[base : base + span : stride] = [sum(map(c.__lt__, line)) for c in range(side)]
-    return tuple(out)
-
-
 def _orbit_key(a: DegreeList):
     """``key(ideal)``, the same on exactly the ideals of one orbit of the
-    permutations of variables of equal degree in A: the largest of the
-    permuted inner row starts (see :func:`_orbit_moves`).  The ideal must
+    permutations of variables of equal degree in A: the largest image of the
+    ideal's cells under the moves of :func:`_orbit_moves`.  The ideal must
     contain the powers of A and have its row starts in the box
     prod [0, a_k], as :func:`enumerate_ideals`' ideals do."""
     box = tuple(deg + 1 for deg in a.degrees)
     side = a.degrees[-1]
     power_rows = [deg * stride for deg, stride in zip(a.degrees, _row_strides(box))]
-    inner, moves, axes = _orbit_moves(a.degrees)
+    runs, inner, moves = _orbit_moves(a.degrees)
 
     def key(ideal: MonomialIdeal) -> tuple[int, ...]:
         sides, starts = ideal._row_starts()
         if sides != box or starts[0] > side or any(starts[r] for r in power_rows):
             raise ValueError(f"not row starts in the box {box} of an ideal holding A's powers")
-        rows = inner(starts)
-        images = [rows] + [_swap_with_last(rows, side, stride) for stride in axes]
-        return max(images + [move(image) for image in images for move in moves])
+        if runs:
+            starts = tuple(itertools.chain.from_iterable(map(runs.__getitem__, inner(starts))))
+        return max([move(starts) for move in moves])
 
     return key
 

@@ -653,7 +653,9 @@ def parse_monomial(text: str, n: int) -> Monomial:
         if not match:
             raise ValueError(f"bad monomial factor {factor!r}")
         idx = int(match.group(1))
-        if not 1 <= idx <= n:
+        if idx == 0:
+            raise ValueError("variable x0: variables are numbered from x1")
+        if idx > n:
             raise ValueError(f"variable x{idx} out of range for n={n}")
         exps[idx - 1] += int(match.group(2) or 1)
     return Monomial(tuple(exps))

@@ -226,6 +226,12 @@ class TestIdealCommands:
         assert r.exit_code == 1
         assert "bogus" in r.output
 
+    @pytest.mark.parametrize("text", ["x0", "x1^2, x2^2, x0"])
+    def test_variables_start_at_x1(self, text):
+        r = CliRunner().invoke(main, ["hf", "--ideal", text])
+        assert r.exit_code == 1
+        assert "Error: variable x0: variables are numbered from x1" in r.output
+
 
 class TestBoxGuard:
     @pytest.mark.parametrize("command", ["betti", "hf", "socle"])
@@ -338,6 +344,17 @@ class TestChecks:
             env={"LPPKIT_GUARD": "3"},
         )
         assert r.exit_code == 3
+
+    @pytest.mark.parametrize(
+        "max_count,env", [("-1", None), ("0", None), (None, "0"), (None, "-5")], ids=str
+    )
+    def test_guard_below_one_is_a_clean_error(self, max_count, env):
+        args = ["check", "growth", "--A", "2,2", "--hf", "1 2 1 0"]
+        if max_count is not None:
+            args += ["--max-count", max_count]
+        r = CliRunner().invoke(main, args, env={"LPPKIT_GUARD": env})
+        assert r.exit_code == 1
+        assert "Error: the ideal guard must be at least 1" in r.output
 
     def test_lpp_check(self):
         r = run("check", "lpp", "--A", "2,2,3", "--hf", "1 3 3 1")

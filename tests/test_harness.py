@@ -115,6 +115,16 @@ class TestEnumerateIdeals:
         with pytest.raises(GuardExceeded):
             list(enumerate_ideals(h, a))
 
+    @pytest.mark.parametrize("guard", [0, -1])
+    def test_guard_below_one_is_refused(self, guard, monkeypatch):
+        a = DegreeList((2, 3, 4))
+        h = HilbertFunction.from_string("1 3 5 3 1")
+        with pytest.raises(ValueError, match="guard must be at least 1"):
+            list(enumerate_ideals(h, a, max_ideals=guard))
+        monkeypatch.setenv("LPPKIT_GUARD", str(guard))
+        with pytest.raises(ValueError, match="guard must be at least 1"):
+            growth_check(h, a)
+
 
 class TestLppIdealConstruction:
     def test_vector_route_matches_direct_route(self):
@@ -265,7 +275,9 @@ class TestOrbitMemo:
             witnesses += len(expected.witnesses)
         assert witnesses > 0
 
-    @pytest.mark.parametrize("degrees,orbits", [((3, 3, 4), 1535), ((2, 2, 3, 3), 2478)])
+    @pytest.mark.parametrize(
+        "degrees,orbits", [((3, 3, 4), 1535), ((2, 2, 3, 3), 2478), ((3, 4, 4), 10774)]
+    )
     def test_orbit_count_of_the_non_vacuous_sweep(self, degrees, orbits):
         a = DegreeList(degrees)
         reports = [lpp_dominance_check(h, a) for h in valid_hilbert_functions(a, a.sigma_ci)]
@@ -299,7 +311,17 @@ class TestOrbitKey:
 
     @pytest.mark.parametrize(
         "degrees",
-        [(1, 1, 2), (2, 2, 2), (3, 3, 3), (3, 3, 4), (2, 2, 2, 2), (2, 2, 3, 3)],
+        [
+            (1, 1),
+            (1, 1, 2),
+            (1, 2, 2),
+            (2, 2, 2),
+            (2, 3, 3),
+            (3, 3, 3),
+            (3, 3, 4),
+            (2, 2, 2, 2),
+            (2, 2, 3, 3),
+        ],
         ids=str,
     )
     def test_same_orbits_as_the_generator_key(self, degrees):
@@ -312,6 +334,18 @@ class TestOrbitKey:
         }
         # the pairs match the orbits of one key one-to-one with the other's
         assert len({k for k, _ in pairs}) == len(pairs) == len({o for _, o in pairs})
+
+    @pytest.mark.parametrize(
+        "degrees,points,cells,moves", [((3, 3, 4), False, 9, 2), ((2, 2, 3, 3), True, 36, 4)]
+    )
+    def test_cells_are_rows_unless_x_n_shares_its_degree(self, degrees, points, cells, moves):
+        # (3,3,4), the sweep-betti box, keys by its 3*3 inner row starts;
+        # (2,2,3,3) expands them into the 2*2*3*3 points of its box
+        a = DegreeList(degrees)
+        runs, _, getters = harness._orbit_moves(degrees)
+        assert bool(runs) == points and len(getters) == moves
+        ideal = next(enumerate_ideals(ci_hilbert_function(a), a))
+        assert len(harness._orbit_key(a)(ideal)) == cells
 
     def test_row_starts_in_another_box_are_refused(self):
         a = DegreeList((2, 2, 3))
