@@ -137,7 +137,13 @@ def row_label(a: DegreeList, r: int) -> str:
 
 def ci_hilbert_function(a: DegreeList) -> HilbertFunction:
     """Hilbert function of R/(x_1^{a_1}, ..., x_n^{a_n})."""
-    vals = gk_coefficients([ai - 1 for ai in a.degrees], a.sigma_ci)
+    return _ci_hilbert_function(a.degrees)
+
+
+# one key per degree list: 1 in a sweep benchmark pass
+@lru_cache(maxsize=32)
+def _ci_hilbert_function(degrees: tuple[int, ...]) -> HilbertFunction:
+    vals = gk_coefficients([ai - 1 for ai in degrees], sum(degrees) - len(degrees) + 1)
     return HilbertFunction(tuple(vals))
 
 
@@ -229,7 +235,13 @@ def lpp_bound(h: int, d: int, a: DegreeList) -> int:
     """Maximal growth h -> degree d+1 over ideals containing the A-powers."""
     if h == 0:
         return 0
-    return gk_expansion(h, d, a).bound()
+    return _lpp_bound(h, d, a.degrees)
+
+
+# one key per (value, degree, degree list): 35 in a sweep benchmark pass
+@lru_cache(maxsize=1024)
+def _lpp_bound(h: int, d: int, degrees: tuple[int, ...]) -> int:
+    return gk_expansion(h, d, DegreeList(degrees)).bound()
 
 
 def standard_monomials_of_degree(a: DegreeList, d: int) -> list[Monomial]:

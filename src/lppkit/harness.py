@@ -56,6 +56,15 @@ def default_guard() -> int:
     return DEFAULT_GUARD
 
 
+def _ideal_guard(max_ideals: int | None) -> int:
+    """The ideal guard: ``max_ideals``, or :func:`default_guard` when it is
+    None.  Raises ValueError when it is below 1."""
+    guard = default_guard() if max_ideals is None else max_ideals
+    if guard < 1:
+        raise ValueError(f"the ideal guard must be at least 1, not {guard}")
+    return guard
+
+
 @dataclass
 class CheckReport:
     check: str
@@ -103,9 +112,7 @@ def enumerate_ideals(h: HilbertFunction, a: DegreeList, max_ideals: int | None =
         raise ValueError(f"{h} is not a valid sequence for A={a}")
     if h.total > CELL_GUARD:
         raise GuardExceeded(f"{h.total} standard monomials exceeds {CELL_GUARD}")
-    guard = default_guard() if max_ideals is None else max_ideals
-    if guard < 1:
-        raise ValueError(f"the ideal guard must be at least 1, not {guard}")
+    guard = _ideal_guard(max_ideals)
     sides = tuple(deg + 1 for deg in a.degrees)
     strides = _row_strides(sides)
     last = a.degrees[-1]
@@ -340,6 +347,7 @@ def lpp_dominance_check(
     in A (``details["orbits"]``), which preserve the class and the diagram.
     """
     instance = {"A": list(a.degrees), "H": str(h), "char": f.characteristic}
+    guard = _ideal_guard(max_ideals)
     lpp = lpp_ideal_for(h, a)
     if lpp is None:
         return CheckReport("lpp-dominance", instance, "not-valid", [], {})
@@ -353,7 +361,7 @@ def lpp_dominance_check(
     witnesses = []
     count = 0
     first_betti_ok = True
-    for ideal in enumerate_ideals(h, a, max_ideals):
+    for ideal in enumerate_ideals(h, a, guard):
         count += 1
         b, violation = diagram(ideal)
         if violation is not None:
@@ -476,6 +484,7 @@ def socle_equivalence_check(
     truncation commutes with the permutations.
     """
     instance = {"A": list(a.degrees), "H": str(h), "char": f.characteristic}
+    guard = _ideal_guard(max_ideals)
     lpp = lpp_ideal_for(h, a)
     if lpp is None:
         return CheckReport("socle-equivalence", instance, "not-valid", [], {})
@@ -491,7 +500,7 @@ def socle_equivalence_check(
     diagram, orbits = _orbit_memo(a, diagrams)
     witnesses = []
     count = 0
-    for ideal in enumerate_ideals(h, a, max_ideals):
+    for ideal in enumerate_ideals(h, a, guard):
         count += 1
         b, b_tr = diagram(ideal)
         for j in sorted({jj for (i, jj) in set(b.entries) | set(b_lpp.entries) if i == n}):

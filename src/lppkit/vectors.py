@@ -236,26 +236,32 @@ def decompose(
         raise ValueError(f"decomposition needs S(1) >= 2, got {b1}")
     if not is_lpp_sequence(s, a):
         raise ValueError(f"not a valid sequence for A={a}: {s}")
-    return _decompose(s, a.degrees)
-
-
-def _decompose(
-    s: HilbertFunction, degrees: tuple[int, ...]
-) -> tuple[HilbertFunction, HilbertFunction, int | float]:
-    """:func:`decompose` of a valid S with S(1) >= 2, unchecked; S1 and S1'
-    are valid, so they are built unchecked too."""
-    b1 = s.at(1)
-    top = max(s.sigma, sum(d - 1 for d in degrees[1 - b1 :])) + 2
-    # S and the row of A's top b1 - 1 degrees in columns 0..top
-    pad = (0,) * (top + 1)
-    b = (s.values + pad)[: top + 1]
-    e = (_rows(degrees, top)[b1 - 2] + pad)[: top + 1]
-    c = tuple(map(operator.sub, b[1:], e[1:]))
-    h = next((i for i, ci in enumerate(c) if ci < 0), INF)
+    b, e = _split_frame(list(s.values), a.degrees, b1 - 1)
+    c, h = _split(b, e)
     if h is INF:
         return HilbertFunction._of_counts(c), HilbertFunction._of_counts(e), h
     s1p = e[: h + 1] + b[h + 1 :]
     return HilbertFunction._of_counts(c[:h]), HilbertFunction._of_counts(s1p), h
+
+
+def _split_frame(
+    b: list[int], degrees: tuple[int, ...], r: int
+) -> tuple[list[int], list[int]]:
+    """S and the rectangle row of A's top r degrees, both padded with zeros
+    to the columns a split of S reads, or of any S1 split off it later."""
+    top = max(b.index(0), sum(degrees[-r:]) - r) + 2
+    pad = [0] * (top + 1)
+    return (b + pad)[: top + 1], (list(_rows(degrees, top)[r - 1]) + pad)[: top + 1]
+
+
+def _split(b: list[int], e: list[int]) -> tuple[list[int], int | float]:
+    """The row c = b[1:] - e[1:], padded back to b's width, and the first
+    index where it goes negative (infinite if none)."""
+    c = list(map(operator.sub, b[1:], e[1:]))
+    c.append(0)
+    if min(c) >= 0:
+        return c, INF
+    return c, next(i for i, ci in enumerate(c) if ci < 0)
 
 
 def vector_of_hf(h: HilbertFunction, a: DegreeList) -> LppVector:
@@ -269,25 +275,36 @@ def vector_of_hf(h: HilbertFunction, a: DegreeList) -> LppVector:
         return EMPTY
     if not is_lpp_sequence(h, a):
         raise ValueError(f"{h} is not a valid sequence for A={a}")
-    return _vector_of_hf(h, a.degrees)
+    return _vector_of_counts(list(h.values), a.degrees)
 
 
-def _vector_of_hf(h: HilbertFunction, degrees: tuple[int, ...]) -> LppVector:
-    """Recursion for a valid h: with fewer than n independent linear forms the
-    sequence already lives in one variable less; otherwise peel one
-    decomposition step, map the primed part into the tail and recurse on the
-    rest.  A valid h with h(1) = n splits into S1 valid for A and S1' valid
-    for A's tail, so neither is checked again."""
+def _vector_of_counts(b: list[int], degrees: tuple[int, ...]) -> LppVector:
+    """The vector of a valid sequence, given as counts that end in zeros.
+
+    While b(1) = n, one split peels the last child off: the vector of S1'
+    over the tail, and b goes on as S1.  Once b(1) < n, b lives in one
+    variable less and is the first child.  Every S1' and S1 split off a
+    valid sequence is valid, so none is checked again.  Recursion goes only
+    into the tail, so its depth is n."""
     n = len(degrees)
     if n == 1:
-        return Leaf(h.sigma)
-    if h.at(1) < n:
-        return Node((_vector_of_hf(h, degrees[1:]),))
-    s1, s1p, _cut = _decompose(h, degrees)
-    tail_vec = _vector_of_hf(s1p, degrees[1:])
-    head = _vector_of_hf(s1, degrees)
-    assert isinstance(head, Node)
-    return Node(head.children + (tail_vec,))
+        return Leaf(b.index(0))
+    tail = degrees[1:]
+    children = []
+    if b[1] >= n:
+        b, e = _split_frame(b, degrees, n - 1)
+        while b[1] >= n:
+            c, cut = _split(b, e)
+            if cut is INF:
+                # S1' is e, the complete intersection of the tail
+                children.append(_ci_vector(tail))
+                b = c
+            else:
+                children.append(_vector_of_counts(e[: cut + 1] + b[cut + 1 :], tail))
+                b = c[:cut] + [0] * (len(c) - cut)
+    children.append(_vector_of_counts(b, tail))
+    children.reverse()
+    return Node(tuple(children))
 
 
 def dual(t: LppVector, a: DegreeList) -> LppVector:

@@ -5,7 +5,14 @@ import time
 import pytest
 from click.testing import CliRunner
 
-from lppkit import classical_bound, growth
+from lppkit import (
+    DegreeList,
+    ci_hilbert_function,
+    ci_vector,
+    classical_bound,
+    format_vector,
+    growth,
+)
 from lppkit.cli import main
 
 from conftest import random_box_hf
@@ -356,6 +363,18 @@ class TestChecks:
         assert r.exit_code == 1
         assert "Error: the ideal guard must be at least 1" in r.output
 
+    @pytest.mark.parametrize(
+        "name,max_count", [("lpp", "0"), ("socle-equiv", "-3")], ids=["lpp", "socle-equiv"]
+    )
+    def test_guard_below_one_is_rejected_on_a_not_valid_instance(self, name, max_count):
+        # no ideal with minimal powers (3,3,4) attains 1 3 6 0; the guard is
+        # still read, and refused, before the instance reports not-valid
+        args = ["check", name, "--A", "3,3,4", "--hf", "1 3 6 0"]
+        assert CliRunner().invoke(main, args).exit_code == 2
+        r = CliRunner().invoke(main, args + ["--max-count", max_count])
+        assert r.exit_code == 1
+        assert f"Error: the ideal guard must be at least 1, not {max_count}" in r.output
+
     def test_lpp_check(self):
         r = run("check", "lpp", "--A", "2,2,3", "--hf", "1 3 3 1")
         assert r.exit_code == 0
@@ -399,6 +418,14 @@ class TestHugeDegreeLists:
         r = run(*command, "--A", "3000,3000,3000", "--hf", "1 3 6 10")
         assert time.perf_counter() - start < 0.5
         assert r.exit_code == 0 and r.output == output
+
+
+class TestDeepVector:
+    def test_vec_from_hf_of_a_deep_complete_intersection(self):
+        a = DegreeList((1100, 1100))
+        r = run("vec", "from-hf", "--A", "1100,1100", "--hf", str(ci_hilbert_function(a)))
+        assert r.exit_code == 0
+        assert r.output == format_vector(ci_vector(a)) + "\n"
 
 
 class TestValidseq:

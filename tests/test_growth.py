@@ -16,6 +16,7 @@ from lppkit import (
     is_lpp_sequence,
     lpp_bound,
 )
+from lppkit import growth
 from lppkit.growth import _rows, rectangle_rows, standard_monomials_of_degree
 from lppkit.monomials import minimalize
 
@@ -205,6 +206,20 @@ class TestLppBound:
             for d in range(1, 8):
                 for h in range(0, ci.at(d) + 1):
                     assert lpp_bound(h, d, a) == lpp_bound_oracle(h, d, a), (a, d, h)
+
+    def test_memo_is_keyed_by_the_degree_list(self):
+        # the same (h, d) bounds differently on two degree lists; each
+        # answer, read again from a warm memo, is still its own list's
+        lists = (DegreeList((2, 3, 4)), DegreeList((3, 3, 3)))
+        h, d = 3, 2
+        wanted = [lpp_bound_oracle(h, d, a) for a in lists]
+        assert wanted == [3, 2]
+        growth._lpp_bound.cache_clear()
+        for _ in range(2):
+            assert [lpp_bound(h, d, a) for a in lists] == wanted
+        assert growth._lpp_bound.cache_info().hits == 2
+        cis = [ci_hilbert_function(a) for a in lists]
+        assert [str(ci) for ci in cis] == ["1 3 5 6 5 3 1 0", "1 3 6 7 6 3 1 0"]
 
 
 class TestIsLppSequence:

@@ -128,8 +128,14 @@ class TestEnumerateIdeals:
 
 class TestLppIdealConstruction:
     def test_vector_route_matches_direct_route(self):
-        for a in (DegreeList((2, 3, 4)), DegreeList((2, 2, 3)), DegreeList((3, 3))):
-            for h in valid_hilbert_functions(a, 6):
+        small = [DegreeList(d) for d in ((2, 3, 4), (2, 2, 3), (3, 3))]
+        cases = [(a, valid_hilbert_functions(a, 6)) for a in small]
+        # every valid h of the two sweep boxes
+        sweeps = [DegreeList((3, 3, 4)), DegreeList((2, 2, 3, 3))]
+        cases += [(a, valid_hilbert_functions(a, a.sigma_ci + 1)) for a in sweeps]
+        assert [len(hs) for _, hs in cases[3:]] == [189, 194]
+        for a, hs in cases:
+            for h in hs:
                 assert lpp_ideal_for(h, a) == direct_lpp_ideal(h, a), (a, str(h))
 
     def test_not_valid_when_profile_drops(self):

@@ -22,16 +22,20 @@ from lppkit.harness import valid_hilbert_functions
 
 from conftest import random_box_hf
 from oracles import tail, vector_of_hf_by_checked_recursion
+from test_bench_smoke import workloads as bench_workloads
 
 CORPUS = [(3, 3, 4), (2, 2, 3, 3), (3, 4, 5), (2, 3, 3, 4)]
 
 
 def seeded_large_boxes(seed: int):
     """(A, h) for seeded random ideals: n = 3 with sides 10-16, n = 4 with
-    sides 5-7."""
+    sides 5-7, then one on each box shape of the cli-large benchmark (n = 3
+    with sides up to 22, n = 4 with sides up to 8)."""
     rng = random.Random(seed)
     for n, lo, hi in [(3, 10, 16)] * 6 + [(4, 5, 7)] * 6:
         sides = tuple(sorted(rng.randint(lo, hi) for _ in range(n)))
+        yield DegreeList(sides), random_box_hf(rng, sides)
+    for sides in bench_workloads.SIDES3 + bench_workloads.SIDES4:
         yield DegreeList(sides), random_box_hf(rng, sides)
 
 
@@ -63,6 +67,7 @@ class TestMatchesCheckedRecursion:
             t = vector_of_hf(h, a)
             assert t == vector_of_hf_by_checked_recursion(h, a), (a, str(h))
             assert hf_of_vector(t) == h
+
 
 
 @pytest.mark.parametrize("degrees", CORPUS)

@@ -222,8 +222,10 @@ class TestVectorOfHf:
         assert format_vector(vector_of_hf(h, A46)) == "[5,6,6,6]"
 
     def test_ci_maps_to_ci_vector(self):
-        for a in (DegreeList((2, 2)), DegreeList((2, 3, 4)), DegreeList((4,))):
-            assert vector_of_hf(ci_hilbert_function(a), a) == ci_vector(a)
+        # (1100, 1100) splits 1100 times at its first level, one loop deep
+        for degrees in ((2, 2), (2, 3, 4), (4,), (1100, 1100)):
+            a = DegreeList(degrees)
+            assert vector_of_hf(ci_hilbert_function(a), a) == ci_vector(a), degrees
 
     def test_invalid_sequence_rejected(self):
         with pytest.raises(ValueError):
