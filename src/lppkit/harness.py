@@ -4,7 +4,9 @@ function and prescribed pure powers.
 The enumeration grows the standard monomials degree by degree as the row
 starts of the box, keeping a monomial only when its divisors are kept; each
 check consumes the stream and produces a CheckReport whose failures carry
-reproducible witnesses.
+reproducible witnesses.  The Betti and socle dominance checks walk one ideal
+per orbit of the permutations of variables of equal degree in A, by orderly
+generation, and go back to the full stream only to list witnesses.
 """
 
 from __future__ import annotations
@@ -108,31 +110,55 @@ def enumerate_ideals(h: HilbertFunction, a: DegreeList, max_ideals: int | None =
     p - e_k one step below has kept more than c.  The stream is deterministic
     (candidate rows lex-descending, subsets in combination order).
     """
+    for ideal, _ in _walk(h, a, max_ideals, ()):
+        yield ideal
+
+
+def _walk(h: HilbertFunction, a: DegreeList, guard: int | None, moves):
+    """The walk of :func:`enumerate_ideals`, keeping one ideal per orbit of
+    the group G made of ``moves`` (see :func:`_moves`) and the identity, as
+    ``(ideal, orbit size)``.  ``guard`` is read as ``max_ideals`` and counts
+    ideals, orbit sizes summed.
+
+    Orderly generation (Read, "Every one a winner", 1978): the layer of
+    degree d, the descending tuple of its points in prod [0, a_k), is kept
+    only if no move in the stabilizer of the layers below maps it, re-sorted,
+    above itself; the moves that map it to itself stabilize the next degree.
+    So an ideal is kept exactly when its layers, read degree by degree, are
+    the largest among its images, and its orbit has |G| / |stabilizer|
+    ideals.  With no moves this is the full walk, every orbit of size 1.
+    """
     if not is_lpp_sequence(h, a):
         raise ValueError(f"{h} is not a valid sequence for A={a}")
     if h.total > CELL_GUARD:
         raise GuardExceeded(f"{h.total} standard monomials exceeds {CELL_GUARD}")
-    guard = _ideal_guard(max_ideals)
+    guard = _ideal_guard(guard)
+    order = len(moves) + 1
     sides = tuple(deg + 1 for deg in a.degrees)
     strides = _row_strides(sides)
+    point_strides = _row_strides(a.degrees + (1,))
     last = a.degrees[-1]
     # the rows that can hold standard monomials, lex-descending, as
-    # (row index, |p|, indices of the rows one step below)
+    # (row index, |p|, indices of the rows one step below); the point of
+    # degree d in row r has index offsets[r] + d in prod [0, a_k)
     rows = []
+    offsets = [0] * math.prod(sides[:-1])
     for prefix in itertools.product(*(range(e - 1, -1, -1) for e in a.degrees[:-1])):
         r = sum(p * s for p, s in zip(prefix, strides))
         rows.append((r, sum(prefix), [r - s for p, s in zip(prefix, strides) if p]))
-    starts = [0] * math.prod(sides[:-1])
+        offsets[r] = sum(p * s for p, s in zip(prefix, point_strides)) - sum(prefix)
+    starts = [0] * len(offsets)
     count = 0
 
-    def walk(d: int):
+    def walk(d: int, stabilizer: list):
         nonlocal count
         need = h.at(d)
         if need == 0:
-            count += 1
+            size = order // (len(stabilizer) + 1)
+            count += size
             if count > guard:
                 raise GuardExceeded(f"more than {guard} ideals; raise the guard")
-            yield _ideal_of_rows(a.n, sides, starts)
+            yield _ideal_of_rows(a.n, sides, starts), size
             return
         candidates = []
         for r, d0, below in rows:
@@ -140,13 +166,47 @@ def enumerate_ideals(h: HilbertFunction, a: DegreeList, max_ideals: int | None =
             if c < last and starts[r] == c and all(starts[q] > c for q in below):
                 candidates.append(r)
         for combo in itertools.combinations(candidates, need):
+            fixed = stabilizer and _fixing(stabilizer, [offsets[r] + d for r in combo])
+            if fixed is None:
+                continue
             for r in combo:
                 starts[r] += 1
-            yield from walk(d + 1)
+            yield from walk(d + 1, fixed)
             for r in combo:
                 starts[r] -= 1
 
-    yield from walk(0)
+    yield from walk(0, list(moves))
+
+
+def _fixing(stabilizer: list, layer: list[int]) -> list | None:
+    """The moves of ``stabilizer`` that map ``layer``, a descending list of
+    point indices, to itself; None when one maps it, re-sorted, above
+    itself."""
+    fixed = []
+    for move in stabilizer:
+        image = sorted(map(move.__getitem__, layer), reverse=True)
+        if image > layer:
+            return None
+        if image == layer:
+            fixed.append(move)
+    return fixed
+
+
+# one key per degree list: 1 in a sweep-betti pass
+@lru_cache(maxsize=32)
+def _moves(degrees: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The permutations of variables of equal degree in A but the identity,
+    each as the map it induces on the point indices of the box
+    prod [0, a_k) (mixed radix, last coordinate fastest)."""
+    blocks = [list(b) for _, b in itertools.groupby(range(len(degrees)), key=degrees.__getitem__)]
+    strides = _row_strides(degrees + (1,))
+    points = list(itertools.product(*map(range, degrees)))
+    moves = []
+    for perm in itertools.product(*map(itertools.permutations, blocks)):
+        perm = list(itertools.chain.from_iterable(perm))
+        if perm != sorted(perm):
+            moves.append(tuple(sum(x[k] * s for k, s in zip(perm, strides)) for x in points))
+    return tuple(moves)
 
 
 def valid_hilbert_functions(a: DegreeList, sigma_max: int) -> list[HilbertFunction]:
@@ -178,8 +238,7 @@ def lpp_ideal_for(h: HilbertFunction, a: DegreeList) -> MonomialIdeal | None:
     route yields an ideal whose pure powers are smaller than A (then no ideal
     with minimal generators x_i^{a_i} attains h).
     """
-    vec = vector_of_hf(h, a)
-    ideal = ideal_of_vector(vec, a)
+    ideal = _ideal(vector_of_hf(h, a), a)  # valid by construction
     if ideal.pure_power_profile() != a.degrees:
         return None
     return ideal
@@ -247,92 +306,6 @@ def _row_steps(sides: tuple[int, ...]) -> tuple[list[int], list[int]]:
     return lower, upper
 
 
-# one key per degree list: 1 in a sweep-betti pass
-@lru_cache(maxsize=32)
-def _orbit_moves(degrees: tuple[int, ...]):
-    """The permutations of variables of equal degree in A, as getters on the
-    cells of the box prod [0, a_k): ``(runs, inner, moves)``.
-
-    The ideals that contain the powers of A differ only in their standard
-    monomials, which lie in that box: the first a_n points of each inner row,
-    a row of prod [0, a_k) over the prefix coordinates.  ``inner`` picks the
-    starts of the inner rows, in row order, out of the row starts in the box
-    prod [0, a_k].  ``moves`` holds one getter per permutation, the identity
-    included, all built by one loop over the cells:
-
-    - x_n alone in its degree: the permutations fix x_n, so they permute
-      whole rows.  A cell is an inner row, ``runs`` is empty, and a move
-      reads the permuted inner rows straight out of the row starts.
-    - x_n shares its degree: a cell is a point.  ``runs[s]`` holds the a_n
-      membership flags of a row that starts at s, and a move permutes the
-      flags of the inner rows, laid end to end in row order.
-    """
-    last = degrees[-1]
-    row_strides = _row_strides(tuple(deg + 1 for deg in degrees))
-    rows = itertools.product(*(range(deg) for deg in degrees[:-1]))
-    inner = _getter([sum(map(operator.mul, prefix, row_strides)) for prefix in rows])
-    if degrees.count(last) > 1:
-        shape, strides = degrees, _row_strides(degrees + (1,))
-        runs = [(0,) * s + (1,) * (last - s) for s in range(last + 1)]
-    else:
-        shape, strides, runs = degrees[:-1], row_strides, []
-    blocks = [list(b) for _, b in itertools.groupby(range(len(shape)), key=shape.__getitem__)]
-    cells = list(itertools.product(*(range(side) for side in shape)))
-    moves = []
-    for perm in itertools.product(*map(itertools.permutations, blocks)):
-        perm = list(itertools.chain.from_iterable(perm))
-        moves.append(
-            _getter([sum(cell[k] * stride for k, stride in zip(perm, strides)) for cell in cells])
-        )
-    return runs, inner, moves
-
-
-def _getter(indices: list[int]):
-    """``operator.itemgetter(*indices)``, giving a tuple also for one index."""
-    get = operator.itemgetter(*indices)
-    return get if len(indices) > 1 else lambda seq: (get(seq),)
-
-
-def _orbit_key(a: DegreeList):
-    """``key(ideal)``, the same on exactly the ideals of one orbit of the
-    permutations of variables of equal degree in A: the largest image of the
-    ideal's cells under the moves of :func:`_orbit_moves`.  The ideal must
-    contain the powers of A and have its row starts in the box
-    prod [0, a_k], as :func:`enumerate_ideals`' ideals do."""
-    box = tuple(deg + 1 for deg in a.degrees)
-    side = a.degrees[-1]
-    power_rows = [deg * stride for deg, stride in zip(a.degrees, _row_strides(box))]
-    runs, inner, moves = _orbit_moves(a.degrees)
-
-    def key(ideal: MonomialIdeal) -> tuple[int, ...]:
-        sides, starts = ideal._row_starts()
-        if sides != box or starts[0] > side or any(starts[r] for r in power_rows):
-            raise ValueError(f"not row starts in the box {box} of an ideal holding A's powers")
-        if runs:
-            starts = tuple(itertools.chain.from_iterable(map(runs.__getitem__, inner(starts))))
-        return max([move(starts) for move in moves])
-
-    return key
-
-
-def _orbit_memo(a: DegreeList, compute):
-    """``lookup(ideal)``: ``compute(ideal)``, computed once per orbit of the
-    permutations of variables of equal degree in A (keyed by
-    :func:`_orbit_key`), and the memo dict, whose size is the number of
-    orbits seen.  ``compute`` must give the same value on every ideal of an
-    orbit, as graded Betti numbers do."""
-    key = _orbit_key(a)
-    memo: dict = {}
-
-    def lookup(ideal: MonomialIdeal):
-        k = key(ideal)
-        if k not in memo:
-            memo[k] = compute(ideal)
-        return memo[k]
-
-    return lookup, memo
-
-
 def lpp_dominance_check(
     h: HilbertFunction,
     a: DegreeList,
@@ -341,10 +314,12 @@ def lpp_dominance_check(
 ) -> CheckReport:
     """Betti dominance of the lex-plus-powers ideal over the enumerated class.
 
-    Every enumerated ideal is compared (``details["ideals"]``), but Betti
-    diagrams, and their first entry above the lex-plus-powers diagram, are
-    computed once per orbit of the permutations of variables of equal degree
-    in A (``details["orbits"]``), which preserve the class and the diagram.
+    The permutations of variables of equal degree in A map the class onto
+    itself and leave Betti diagrams unchanged, so the diagram, and its first
+    entry above the lex-plus-powers diagram, is computed for one ideal per
+    orbit (``details["orbits"]``), while ``details["ideals"]`` counts every
+    ideal of the class; witnesses are listed as :func:`_orbit_witnesses`
+    says.
     """
     instance = {"A": list(a.degrees), "H": str(h), "char": f.characteristic}
     guard = _ideal_guard(max_ideals)
@@ -352,37 +327,57 @@ def lpp_dominance_check(
     if lpp is None:
         return CheckReport("lpp-dominance", instance, "not-valid", [], {})
     b_lpp = betti_diagram(lpp, f)
-
-    def compared(ideal):
-        b = betti_diagram(ideal, f)
-        return b, b_lpp.first_violation(b)
-
-    diagram, orbits = _orbit_memo(a, compared)
-    witnesses = []
-    count = 0
     first_betti_ok = True
-    for ideal in enumerate_ideals(h, a, guard):
-        count += 1
-        b, violation = diagram(ideal)
-        if violation is not None:
-            i, j = violation
-            if i == 1:
-                first_betti_ok = False
-            witnesses.append(
-                {
-                    "reason": f"beta_({i},{j}) exceeds the lex-plus-powers value",
-                    "ideal": ideal_to_json_dict(ideal),
-                    "lpp": ideal_to_json_dict(lpp),
-                    "beta_lpp": b_lpp.beta(i, j),
-                    "beta_ideal": b.beta(i, j),
-                }
-            )
+
+    def witnesses_of(ideal):
+        nonlocal first_betti_ok
+        b = betti_diagram(ideal, f)
+        violation = b_lpp.first_violation(b)
+        if violation is None:
+            return []
+        i, j = violation
+        if i == 1:
+            first_betti_ok = False
+        return [
+            {
+                "reason": f"beta_({i},{j}) exceeds the lex-plus-powers value",
+                "ideal": ideal_to_json_dict(ideal),
+                "lpp": ideal_to_json_dict(lpp),
+                "beta_lpp": b_lpp.beta(i, j),
+                "beta_ideal": b.beta(i, j),
+            }
+        ]
+
+    witnesses, ideals, orbits = _orbit_witnesses(h, a, guard, witnesses_of)
     details = {
-        "ideals": count,
-        "orbits": len(orbits),
+        "ideals": ideals,
+        "orbits": orbits,
         "first_betti_dominance": first_betti_ok,
     }
     return CheckReport.from_witnesses("lpp-dominance", instance, witnesses, details)
+
+
+def _orbit_witnesses(h: HilbertFunction, a: DegreeList, guard: int, witnesses_of):
+    """``(witnesses, ideals, orbits)`` of a check that finds the witnesses of
+    one ideal by ``witnesses_of(ideal)``, whose verdict must be the same on
+    every ideal of an orbit of the permutations of variables of equal degree
+    in A.
+
+    It is called on one ideal per orbit, until one has witnesses.  Then it is
+    called once more on every ideal of the class, in the order of
+    :func:`enumerate_ideals`, so the witnesses are those that calling it on
+    every ideal gives."""
+    ideals = orbits = 0
+    violated = False
+    for ideal, size in _walk(h, a, guard, _moves(a.degrees)):
+        ideals += size
+        orbits += 1
+        violated = violated or bool(witnesses_of(ideal))
+    witnesses = []
+    if violated:
+        for ideal in enumerate_ideals(h, a, guard):
+            witnesses += witnesses_of(ideal)
+    return witnesses, ideals, orbits
 
 
 def residual_lpp_check(a: DegreeList) -> CheckReport:
@@ -478,10 +473,10 @@ def socle_equivalence_check(
     """Socle dominance of the lex-plus-powers ideal, the single-degree variant
     at regularity, and truncation consistency of the last column.
 
-    As in :func:`lpp_dominance_check`, every ideal is compared but the Betti
-    diagrams of an ideal and of its truncation are computed once per orbit
-    (``details["orbits"]``); ``(x_1, ..., x_n)^rho`` is symmetric, so the
-    truncation commutes with the permutations.
+    As in :func:`lpp_dominance_check`, the Betti diagrams of an ideal and of
+    its truncation are computed for one ideal per orbit (``details["orbits"]``)
+    and ``details["ideals"]`` counts the class; ``(x_1, ..., x_n)^rho`` is
+    symmetric, so the truncation commutes with the permutations.
     """
     instance = {"A": list(a.degrees), "H": str(h), "char": f.characteristic}
     guard = _ideal_guard(max_ideals)
@@ -492,17 +487,9 @@ def socle_equivalence_check(
     rho = h.rho
     b_lpp = betti_diagram(lpp, f)
 
-    def diagrams(ideal):
-        if rho < 1:
-            return betti_diagram(ideal, f), None
-        return betti_diagram(ideal, f), betti_diagram(add_maximal_power(ideal, rho), f)
-
-    diagram, orbits = _orbit_memo(a, diagrams)
-    witnesses = []
-    count = 0
-    for ideal in enumerate_ideals(h, a, guard):
-        count += 1
-        b, b_tr = diagram(ideal)
+    def witnesses_of(ideal):
+        b = betti_diagram(ideal, f)
+        witnesses = []
         for j in sorted({jj for (i, jj) in set(b.entries) | set(b_lpp.entries) if i == n}):
             if b_lpp.beta(n, j) < b.beta(n, j):
                 witnesses.append(
@@ -530,7 +517,8 @@ def socle_equivalence_check(
                     "beta_ideal": b.beta(n, rho + n),
                 }
             )
-        if b_tr is not None:
+        if rho >= 1:
+            b_tr = betti_diagram(add_maximal_power(ideal, rho), f)
             for j in range(rho + n - 1):
                 if b.beta(n, j) != b_tr.beta(n, j):
                     witnesses.append(
@@ -539,6 +527,9 @@ def socle_equivalence_check(
                             "ideal": ideal_to_json_dict(ideal),
                         }
                     )
+        return witnesses
+
+    witnesses, ideals, orbits = _orbit_witnesses(h, a, guard, witnesses_of)
     return CheckReport.from_witnesses(
-        "socle-equivalence", instance, witnesses, {"ideals": count, "orbits": len(orbits)}
+        "socle-equivalence", instance, witnesses, {"ideals": ideals, "orbits": orbits}
     )

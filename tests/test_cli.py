@@ -396,6 +396,13 @@ class TestChecks:
         details = json.loads(run(*args, "--json").output)["details"]
         assert details["ideals"] == 5 and details["orbits"] == 3
 
+    @pytest.mark.parametrize("name", ["lpp", "socle-equiv"])
+    @pytest.mark.parametrize("max_count,code", [("4", 3), ("5", 0)])
+    def test_the_guard_counts_ideals_not_orbits(self, name, max_count, code):
+        # the 5 ideals come in 3 orbits: a guard of 4 is exceeded
+        args = ["check", name, "--A", "2,2,3", "--hf", "1 3 3 1", "--max-count", max_count]
+        assert CliRunner().invoke(main, args).exit_code == code
+
 
 class TestHugeDegreeLists:
     """Queries whose answer needs only a few columns of the rectangle, or

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+from collections import Counter
 
 import pytest
 
@@ -25,7 +26,6 @@ from lppkit import harness
 from lppkit.betti import FieldSpec
 from lppkit.growth import standard_monomials_of_degree
 from lppkit.harness import lpp_ideal_for
-from lppkit.monomials import parse_ideal
 from lppkit.vectors import ideal_of_vector, parse_vector
 
 from oracles import (
@@ -313,7 +313,8 @@ class TestOrbitMemo:
 
 
 class TestOrbitKey:
-    """The row-start key of the orbit memo against the generator-tuple key."""
+    """The walk that keeps one ideal per orbit against the generator-tuple
+    orbit key."""
 
     @pytest.mark.parametrize(
         "degrees",
@@ -332,30 +333,37 @@ class TestOrbitKey:
     )
     def test_same_orbits_as_the_generator_key(self, degrees):
         a = DegreeList(degrees)
-        key, oracle = harness._orbit_key(a), generator_orbit_key(a)
-        pairs = {
-            (key(ideal), oracle(ideal))
-            for h in valid_hilbert_functions(a, a.sigma_ci)
-            for ideal in enumerate_ideals(h, a)
-        }
-        # the pairs match the orbits of one key one-to-one with the other's
-        assert len({k for k, _ in pairs}) == len(pairs) == len({o for _, o in pairs})
+        key, moves = generator_orbit_key(a), harness._moves(degrees)
+        for h in valid_hilbert_functions(a, a.sigma_ci):
+            orbits = Counter(key(ideal) for ideal in enumerate_ideals(h, a))
+            leaves = [(key(ideal), size) for ideal, size in harness._walk(h, a, None, moves)]
+            # one leaf per orbit, and its size is the number of ideals there
+            assert len(leaves) == len(orbits) and dict(leaves) == orbits, str(h)
 
-    @pytest.mark.parametrize(
-        "degrees,points,cells,moves", [((3, 3, 4), False, 9, 2), ((2, 2, 3, 3), True, 36, 4)]
-    )
-    def test_cells_are_rows_unless_x_n_shares_its_degree(self, degrees, points, cells, moves):
-        # (3,3,4), the sweep-betti box, keys by its 3*3 inner row starts;
-        # (2,2,3,3) expands them into the 2*2*3*3 points of its box
-        a = DegreeList(degrees)
-        runs, _, getters = harness._orbit_moves(degrees)
-        assert bool(runs) == points and len(getters) == moves
-        ideal = next(enumerate_ideals(ci_hilbert_function(a), a))
-        assert len(harness._orbit_key(a)(ideal)) == cells
 
-    def test_row_starts_in_another_box_are_refused(self):
-        a = DegreeList((2, 2, 3))
-        key = harness._orbit_key(a)
-        assert key(a.powers_ideal()) == key(next(enumerate_ideals(ci_hilbert_function(a), a)))
-        with pytest.raises(ValueError, match="box"):
-            key(parse_ideal("x1, x2^2, x3^3"))
+class TestOrbitWalk:
+    # per-h (ideals, orbits) of A = (2,2,2,3,3), whose group has 3! * 2! = 12
+    # permutations, as the full walk keyed by the largest image of each
+    # ideal's points counted them
+    SAMPLE = {
+        "1 5 12 18 18 12 5 1 0": (1, 1),
+        "1 5 12 18 18 7 0": (792, 97),
+        "1 5 12 18 17 6 1 0": (452, 45),
+        "1 5 12 18 14 6 0": (645, 72),
+        "1 5 12 18 1 0": (18, 5),
+        "1 5 12 17 15 7 2 0": (15, 3),
+        "1 5 12 16 12 4 0": (2637, 248),
+        "1 5 12 15 13 7 2 0": (3, 1),
+        "1 5 12 15 11 4 1 0": (246, 24),
+        "1 5 12 14 6 2 0": (4038, 368),
+        "1 5 12 13 9 1 0": (1269, 121),
+        "1 5 11 15 13 7 1 0": (6, 1),
+        "1 5 10 13 5 2 0": (9, 2),
+        "1 5 9 2 1 0": (84, 12),
+        "1 5 8 0": (495, 65),
+    }
+
+    @pytest.mark.parametrize("hf", SAMPLE)
+    def test_counts_of_a_sample_of_2_2_2_3_3(self, hf):
+        r = lpp_dominance_check(HilbertFunction.from_string(hf), DegreeList((2, 2, 2, 3, 3)))
+        assert r.ok and (r.details["ideals"], r.details["orbits"]) == self.SAMPLE[hf]
