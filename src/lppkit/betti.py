@@ -15,13 +15,19 @@ few hundred.  Inside, homology is computed once per distinct complex, keyed
 by an integer face mask, bit v set when the face with vertex bitmask v is in
 K.  Ranks are computed by exact Gaussian elimination, over the rationals in
 characteristic 0 or modulo p otherwise.
+
+The rows are read through one plan per box (``monomials._row_plan``), built
+on first use: the box's runs of rows that differ only in the last prefix
+coordinate, each with its first row, its prefix degree, the rows that key its
+first row and the slices of the row starts whose zip keys the rest.  The plan
+has one entry per run, not per row, so a box of a million rows in one run
+costs one entry.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -30,7 +36,7 @@ from .monomials import (
     DegreeList,
     MonomialIdeal,
     NotArtinianError,
-    _row_strides,
+    _row_plan,
     colon,
     pure_power,
 )
@@ -101,11 +107,9 @@ class BettiDiagram:
         return sorted(self.entries.items())
 
     def first_violation(self, other: BettiDiagram) -> tuple[int, int] | None:
-        keys = sorted(set(self.entries) | set(other.entries))
-        for i, j in keys:
-            if self.beta(i, j) < other.beta(i, j):
-                return (i, j)
-        return None
+        """The least (i, j) where this diagram is below ``other``, if any."""
+        get = self.entries.get
+        return min((key for key, v in other.entries.items() if get(key, 0) < v), default=None)
 
     def render(self) -> str:
         """Macaulay2-style table: columns = homological index, rows = j - i.
@@ -234,29 +238,6 @@ def _homology_of_mask(mask: int, p: int) -> tuple[int, ...]:
     return _reduced_homology_dims(faces, p)
 
 
-@lru_cache(maxsize=4)
-def _row_runs(sides: tuple[int, ...]):
-    """The rows of the box prod [0, sides_k) in runs: a run holds the rows
-    whose prefixes agree but in the last prefix coordinate, which has row
-    stride 1.  Returns the row strides of the other prefix coordinates (the
-    outer prefix) and, per support of the outer prefix, the values each
-    outer coordinate takes (the runs' outer prefixes are their product, in
-    row order), the row offsets of the subsets j of the support (bit m of j
-    for its m-th coordinate), and the same with the last prefix coordinate
-    added to each subset.  In each list subset 0 is the row itself and the
-    last subset the full step down."""
-    strides = _row_strides(sides)[:-1]
-    plan = []
-    for mask in range(1 << len(strides)):
-        axes, steps = [], [0]
-        for k, stride in enumerate(strides):
-            axes.append(range(1, sides[k]) if mask >> k & 1 else (0,))
-            if mask >> k & 1:
-                steps += [step + stride for step in steps]
-        plan.append((axes, steps, steps + [step + 1 for step in steps]))
-    return strides, plan
-
-
 @lru_cache(maxsize=8)
 def _faces(k: int):
     """The nonempty faces v of the simplex on vertices 0..k, as (1 << v, v's
@@ -271,7 +252,7 @@ def _row_contribution(p: int, starts: tuple[int, ...]) -> tuple[tuple[int, int, 
     """The Betti numbers (homological index, c, dim) that the points (prefix, c)
     of one row give, from the starts of the 2^k rows one step below the row
     along each subset of the k coordinates of its prefix support, ordered as
-    in :func:`_row_runs` (``starts[0]`` the row's own start).
+    in :func:`_row_plan` (``starts[0]`` the row's own start).
 
     The complex K^b of b = (prefix, c) is relabelled onto the vertices
     0..k-1 (the support, in order) and k (x_n): the face with vertex bitmask
@@ -301,45 +282,29 @@ def _row_contribution(p: int, starts: tuple[int, ...]) -> tuple[tuple[int, int, 
     return tuple(out)
 
 
-def _koszul_rows(i: MonomialIdeal, p: int):
-    """Yield (prefix, contribution) for every row of I's box whose
-    :func:`_row_contribution` is not empty; the point (prefix, c) then has
-    Betti number dim at homological index ``index`` for each (index, c, dim)
-    of the contribution.  The starts of a run's rows and of the rows below
-    them are read as slices of the row starts."""
-    sides, starts = i._row_starts()
-    run, first = (sides[-2], (0,)) if len(sides) > 1 else (1, ())
-    strides, plan = _row_runs(sides)
-    for axes, steps, run_steps in plan:
-        for outer in itertools.product(*axes):
-            base = sum(map(operator.mul, outer, strides))
-            contribution = _row_contribution(p, tuple([starts[base - s] for s in steps]))
-            if contribution:
-                yield outer + first, contribution
-            below = [starts[base + 1 - s : base + run - s] for s in run_steps]
-            for e, key in enumerate(zip(*below), 1):
-                contribution = _row_contribution(p, key)
-                if contribution:
-                    yield outer + (e,), contribution
-
-
 def betti_diagram(i: MonomialIdeal, f: FieldSpec = QQ) -> BettiDiagram:
     """Full Betti diagram of R/I for an Artinian monomial ideal I.
 
     The pure-power profile is read first, so a non-Artinian ideal is refused
-    before its box is built."""
+    before its box is built.  The rows are read run by run, as
+    :func:`_row_plan` lays them out: the first row's key by its indices, the
+    others' as slices of the row starts zipped."""
     profile = i.pure_power_profile()
     if None in profile:
         raise NotArtinianError("Betti diagram needs an Artinian ideal")
     if profile[0] == 0:  # the unit ideal
         return BettiDiagram(i.n, {})
-    beta: Counter[tuple[int, int]] = Counter()
-    beta[(0, 0)] = 1
-    for prefix, contribution in _koszul_rows(i, f.characteristic):
-        degree = sum(prefix)
-        for index, c, dim in contribution:
-            beta[(index, degree + c)] += dim
-    return BettiDiagram(i.n, dict(beta))
+    p = f.characteristic
+    sides, starts = i._row_starts()
+    _, runs, _ = _row_plan(sides)
+    beta = {(0, 0): 1}
+    for _, degree, first, bounds in runs:
+        head = tuple(map(starts.__getitem__, first))
+        keys = itertools.chain([head], zip(*[starts[lo:hi] for lo, hi in bounds]))
+        for d, key in enumerate(keys, degree):
+            for index, c, dim in _row_contribution(p, key):
+                beta[index, d + c] = beta.get((index, d + c), 0) + dim
+    return BettiDiagram(i.n, beta)
 
 
 @dataclass(frozen=True)

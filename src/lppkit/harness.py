@@ -135,22 +135,12 @@ def _walk(h: HilbertFunction, a: DegreeList, guard: int | None, moves):
     guard = _ideal_guard(guard)
     order = len(moves) + 1
     sides = tuple(deg + 1 for deg in a.degrees)
-    strides = _row_strides(sides)
-    point_strides = _row_strides(a.degrees + (1,))
+    offsets, below, fresh = _frame(a.degrees)
     last = a.degrees[-1]
-    # the rows that can hold standard monomials, lex-descending, as
-    # (row index, |p|, indices of the rows one step below); the point of
-    # degree d in row r has index offsets[r] + d in prod [0, a_k)
-    rows = []
-    offsets = [0] * math.prod(sides[:-1])
-    for prefix in itertools.product(*(range(e - 1, -1, -1) for e in a.degrees[:-1])):
-        r = sum(p * s for p, s in zip(prefix, strides))
-        rows.append((r, sum(prefix), [r - s for p, s in zip(prefix, strides) if p]))
-        offsets[r] = sum(p * s for p, s in zip(prefix, point_strides)) - sum(prefix)
     starts = [0] * len(offsets)
     count = 0
 
-    def walk(d: int, stabilizer: list):
+    def walk(d: int, stabilizer: list, raised: tuple):
         nonlocal count
         need = h.at(d)
         if need == 0:
@@ -160,10 +150,12 @@ def _walk(h: HilbertFunction, a: DegreeList, guard: int | None, moves):
                 raise GuardExceeded(f"more than {guard} ideals; raise the guard")
             yield _ideal_of_rows(a.n, sides, starts), size
             return
+        # a row can grow at d only if it grew at d - 1 or its first point has
+        # degree d; then it holds c = starts[r] points, c = d - |p|
         candidates = []
-        for r, d0, below in rows:
-            c = d - d0
-            if c < last and starts[r] == c and all(starts[q] > c for q in below):
+        for r in sorted(raised + fresh[d], reverse=True) if d < len(fresh) else raised:
+            c = starts[r]
+            if c < last and all(starts[q] > c for q in below[r]):
                 candidates.append(r)
         for combo in itertools.combinations(candidates, need):
             fixed = stabilizer and _fixing(stabilizer, [offsets[r] + d for r in combo])
@@ -171,11 +163,33 @@ def _walk(h: HilbertFunction, a: DegreeList, guard: int | None, moves):
                 continue
             for r in combo:
                 starts[r] += 1
-            yield from walk(d + 1, fixed)
+            yield from walk(d + 1, fixed, combo)
             for r in combo:
                 starts[r] -= 1
 
-    yield from walk(0, list(moves))
+    yield from walk(0, list(moves), ())
+
+
+# one frame per degree list: 1 in a sweep benchmark pass
+@lru_cache(maxsize=32)
+def _frame(degrees: tuple[int, ...]):
+    """The rows of the box prod [0, a_k + 1) that can hold standard
+    monomials, the prefixes below A, for :func:`_walk`: per row index r, the
+    offset of its points (the point of degree d in row r has index
+    ``offsets[r] + d`` in prod [0, a_k)) and the rows one step below it; and
+    per degree d, the rows whose first point has degree d, lex-descending (a
+    row's index grows with its prefix in lex order)."""
+    strides = _row_strides(tuple(deg + 1 for deg in degrees))
+    point_strides = _row_strides(degrees + (1,))
+    offsets = [0] * math.prod(deg + 1 for deg in degrees[:-1])
+    below = [()] * len(offsets)
+    fresh = [()] * (sum(degrees[:-1]) - len(degrees) + 2)
+    for prefix in itertools.product(*(range(e - 1, -1, -1) for e in degrees[:-1])):
+        r = sum(map(operator.mul, prefix, strides))
+        offsets[r] = sum(map(operator.mul, prefix, point_strides)) - sum(prefix)
+        below[r] = tuple(r - s for p, s in zip(prefix, strides) if p)
+        fresh[sum(prefix)] += (r,)
+    return tuple(offsets), tuple(below), tuple(fresh)
 
 
 def _fixing(stabilizer: list, layer: list[int]) -> list | None:

@@ -14,6 +14,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 
 class DimensionError(ValueError):
@@ -335,15 +336,18 @@ class MonomialIdeal:
         """H(R/I, d) = number of degree-d monomials outside I, down to 0.
 
         Row p holds the standard monomials of degrees |p| to |p| + start - 1,
-        so the counts are the running sum of +1 at |p| and -1 at |p| + start
-        over the rows; for the unit ideal every row starts at 0, giving (0,).
+        so the counts are the running sum of the rows of each degree |p|
+        (cached per box by :func:`_row_plan`) less one at |p| + start per
+        row; for the unit ideal every row starts at 0, giving (0,).
         """
-        sides, rows = self._box_rows()
-        diff = [0] * (sum(sides) + 1)
-        for _, prefix, t in rows:
-            d0 = sum(prefix)
-            diff[d0] += 1
-            diff[d0 + t] -= 1
+        if None in self.pure_power_profile():
+            raise NotArtinianError("ideal is not Artinian")
+        sides, starts = self._row_starts()
+        run, runs, degree_counts = _row_plan(sides)
+        diff = list(degree_counts)
+        for base, degree, _, _ in runs:
+            for d in map(operator.add, range(degree, degree + run), starts[base : base + run]):
+                diff[d] -= 1
         return HilbertFunction._of_counts(list(itertools.accumulate(diff)))
 
     def socle_monomials(self) -> dict[int, tuple[Monomial, ...]]:
@@ -389,6 +393,36 @@ def minimalize(n: int, gens) -> MonomialIdeal:
 def _row_strides(sides: tuple[int, ...]) -> list[int]:
     """Index step between rows one step apart in each prefix coordinate."""
     return [math.prod(sides[k + 1 : -1]) for k in range(len(sides) - 1)]
+
+
+# one plan per box: 1 in a sweep benchmark pass
+@lru_cache(maxsize=32)
+def _row_plan(sides: tuple[int, ...]):
+    """The rows of the box prod [0, sides_k) in runs: a run holds the rows
+    whose prefixes agree but in the last prefix coordinate, which has row
+    stride 1.  Returns the run length, per run in row order
+    ``(base, degree, first, bounds)``, and the number of rows of each prefix
+    degree |p|, 0 to sum(sides).
+
+    ``base`` is the run's first row and ``degree`` its |p|.  The key of a
+    row (see :func:`betti._row_contribution`) is the starts of the rows one
+    step below it along the subsets j of its prefix support, bit m of j for
+    its m-th coordinate: ``first`` holds those rows for the run's first row,
+    and ``bounds`` the slices of the row starts whose e-th entries, zipped,
+    key its row e + 1 (the last prefix coordinate is the top bit)."""
+    strides = _row_strides(sides)[:-1]
+    run = sides[-2] if len(sides) > 1 else 1
+    runs, counts = [], [0] * (sum(sides) + 1)
+    for outer in itertools.product(*map(range, sides[:-2])):
+        base, degree, steps = sum(map(operator.mul, outer, strides)), sum(outer), [0]
+        for e, stride in zip(outer, strides):
+            if e:
+                steps += [step + stride for step in steps]
+        bounds = tuple((base + 1 - s, base + run - s) for s in steps + [s + 1 for s in steps])
+        runs.append((base, degree, tuple(base - s for s in steps), bounds))
+        counts[degree] += 1
+        counts[degree + run] -= 1
+    return run, tuple(runs), tuple(itertools.accumulate(counts))
 
 
 def _generator_box(corners) -> tuple[int, ...]:

@@ -16,8 +16,8 @@ from lppkit.betti import (
     BettiDiagram,
     FieldSpec,
     QQ,
-    _koszul_rows,
     _reduced_homology_dims,
+    _row_contribution,
     betti_diagram,
 )
 from lppkit.growth import (
@@ -33,6 +33,7 @@ from lppkit.monomials import (
     MonomialIdeal,
     NotArtinianError,
     _exps_of_degree,
+    _row_strides,
     ideal_to_json_dict,
     minimalize,
     pure_power,
@@ -519,12 +520,22 @@ def betti_euler_by_multidegree(
     i: MonomialIdeal, f: FieldSpec = QQ
 ) -> dict[tuple[int, ...], int]:
     """Alternating Betti sums per multidegree b = prefix + (c,) from the
-    library's row contributions, for the Taylor cross-check."""
+    library's row contributions, for the Taylor cross-check.  Every row of
+    the box is keyed here by the starts of the rows one step below it along
+    each subset j of its prefix support (bit m of j for its m-th coordinate),
+    in the order :func:`_row_contribution` reads them."""
     if i.is_unit:
         return {}
+    sides, starts = i._row_starts()
+    strides = _row_strides(sides)
     out = {(0,) * i.n: 1}
-    for prefix, contribution in _koszul_rows(i, f.characteristic):
-        for index, c, dim in contribution:
+    for r, prefix in enumerate(itertools.product(*(range(s) for s in sides[:-1]))):
+        steps = [0]
+        for e, stride in zip(prefix, strides):
+            if e:
+                steps += [step + stride for step in steps]
+        key = tuple(starts[r - step] for step in steps)
+        for index, c, dim in _row_contribution(f.characteristic, key):
             b = prefix + (c,)
             out[b] = out.get(b, 0) + (-1) ** index * dim
     return {b: chi for b, chi in out.items() if chi}

@@ -3,6 +3,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lppkit import (
     BettiDiagram,
@@ -62,6 +64,19 @@ class TestBettiDiagram:
     def test_unit_ideal_zero_diagram(self):
         u = MonomialIdeal(2, (unit_monomial(2),))
         assert betti_diagram(u).entries == {}
+
+    def test_first_violation_is_the_least_key_below(self):
+        lpp = BettiDiagram(3, {(0, 0): 1, (1, 2): 1, (2, 3): 5, (3, 5): 1})
+        other = BettiDiagram(3, {(0, 0): 1, (1, 2): 1, (1, 3): 2, (2, 3): 6, (3, 4): 1})
+        assert lpp.first_violation(other) == (1, 3)
+        assert other.first_violation(lpp) == (3, 5)
+        assert lpp.first_violation(lpp) is None
+
+    @given(*[st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 6)), st.integers(1, 3))] * 2)
+    def test_first_violation_by_definition(self, mine, theirs):
+        a, b = BettiDiagram(3, mine), BettiDiagram(3, theirs)
+        below = [k for k in sorted(set(mine) | set(theirs)) if a.beta(*k) < b.beta(*k)]
+        assert a.first_violation(b) == (below[0] if below else None)
 
     def test_characteristic_two_agrees_on_small_corpus(self):
         a = DegreeList((2, 2, 3))

@@ -367,3 +367,21 @@ class TestOrbitWalk:
     def test_counts_of_a_sample_of_2_2_2_3_3(self, hf):
         r = lpp_dominance_check(HilbertFunction.from_string(hf), DegreeList((2, 2, 2, 3, 3)))
         assert r.ok and (r.details["ideals"], r.details["orbits"]) == self.SAMPLE[hf]
+
+    # sha256 of the walk's leaves with the moves of A over every valid h, one
+    # (h, row starts, orbit size) per line, as a walk that tested every row
+    # of the box at every degree gave them
+    STREAM_DIGESTS = {
+        (3, 3, 4): "25b25573965624bb5570762ea117775fbcc05111034211c7cd1a7a5c3b8b734b",
+        (2, 2, 3, 3): "2e5798bb1eba510b9005a21cfff69d772c0da8baa280032a976e1f93710be652",
+    }
+
+    @pytest.mark.parametrize("degrees", sorted(STREAM_DIGESTS), ids=str)
+    def test_stream_is_pinned(self, degrees):
+        a, moves = DegreeList(degrees), harness._moves(degrees)
+        text = "\n".join(
+            repr((str(h), ideal._row_starts()[1], size))
+            for h in valid_hilbert_functions(a, a.sigma_ci)
+            for ideal, size in harness._walk(h, a, None, moves)
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == self.STREAM_DIGESTS[degrees]

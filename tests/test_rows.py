@@ -52,6 +52,7 @@ from lppkit.vectors import EMPTY, dual, enumerate_vectors, ideal_of_vector
 from conftest import brute_colon, hf_by_inclusion_exclusion
 from oracles import (
     add_maximal_power_by_minimalize,
+    betti_diagram_by_contains,
     colon_by_intersection,
     contains,
     enumerate_ideals_by_kept_points,
@@ -175,6 +176,82 @@ class TestRowStarts:
     @given(ideals(max_n=3, artinian=True))
     def test_hilbert_function_by_inclusion_exclusion(self, i):
         assert i.hilbert_function() == hf_by_inclusion_exclusion(i)
+
+
+def rows_below(sides: tuple[int, ...]):
+    """Per row of the box prod [0, sides_k), in order: (row, |p|, the rows one
+    step below it along each subset j of its prefix support, bit m of j for
+    its m-th coordinate), by the definition."""
+    strides = [math.prod(sides[k + 1 : -1]) for k in range(len(sides) - 1)]
+    for r, prefix in enumerate(itertools.product(*(range(s) for s in sides[:-1]))):
+        below = [r]
+        for e, stride in zip(prefix, strides):
+            if e:
+                below += [q - stride for q in below]
+        yield r, sum(prefix), tuple(below)
+
+
+def held_in_wider_boxes():
+    """Artinian ideals that keep row starts in a box larger than their
+    generator box: walk ideals with a pure power below A, I + m^t where x_1^t
+    replaces I's power of x_1, and (P : I) for the pure powers P."""
+    wide = [ideal for ideal, _ in carried_and_twins((2, 3, 3))][::7]
+    wide.append(add_maximal_power(parse_ideal("x1^5, x2^3, x1*x3^2"), 3))
+    powers = DegreeList((2, 3, 4)).powers_ideal()
+    wide += [colon(powers, parse_ideal(text, 3)) for text in ("x1*x2", "x2^2*x3", "x1*x2*x3")]
+    for ideal in wide:
+        assert ideal._row_starts()[0] != MonomialIdeal(ideal.n, ideal.gens)._row_starts()[0]
+    return wide
+
+
+class TestRowPlan:
+    """The runs of rows that the Hilbert function and the Betti diagram read a
+    box through: one entry per run, whatever the run's length."""
+
+    @pytest.mark.parametrize(
+        "sides, runs", [((1000000, 2), 1), ((4, 4, 5), 4), ((7,), 1), ((2, 3, 2, 3), 6)]
+    )
+    def test_one_entry_per_run(self, sides, runs):
+        run, plan, counts = monomials._row_plan(sides)
+        assert len(plan) == runs
+        assert run * runs == math.prod(sides[:-1]) == sum(counts)
+
+    @pytest.mark.parametrize("sides", [(5,), (4, 3), (4, 4, 5), (2, 3, 2, 3), (3, 1, 2)], ids=str)
+    def test_runs_key_every_row_as_defined(self, sides):
+        run, plan, counts = monomials._row_plan(sides)
+        rows = []
+        for base, degree, first, bounds in plan:
+            assert all(hi - lo == run - 1 for lo, hi in bounds)
+            rows.append((base, degree, tuple(first)))
+            rows += [(base + e, degree + e, tuple(lo + e - 1 for lo, _ in bounds))
+                     for e in range(1, run)]
+        want = list(rows_below(sides))
+        assert rows == want
+        degrees = Counter(degree for _, degree, _ in want)
+        assert counts == tuple(degrees[d] for d in range(sum(sides) + 1))
+
+    @pytest.mark.parametrize(
+        "text",
+        ["x1^5", "x1", "x1^2, x2^3", "x1^3, x1*x2, x2^4", "x1^6, x2", "x1, x2^6",
+         "x1^2, x2^2, x3^2, x1*x2*x3", "x1^2, x2, x3^3, x4^2, x1*x3^2*x4"],
+    )
+    def test_readers_match_their_oracles(self, text):
+        i = parse_ideal(text)
+        assert i.hilbert_function() == hf_by_inclusion_exclusion(i)
+        for f in (FieldSpec(0), FieldSpec(2)):
+            assert betti_diagram(i, f) == betti_diagram_by_contains(i, f)
+
+    def test_readers_of_ideals_in_wider_boxes(self):
+        for i in held_in_wider_boxes():
+            assert i.hilbert_function() == hf_by_inclusion_exclusion(i), i
+            for f in (FieldSpec(0), FieldSpec(2)):
+                assert betti_diagram(i, f) == betti_diagram_by_contains(i, f), i
+
+    @settings(max_examples=60, deadline=None)
+    @given(ideals(max_n=4, artinian=True), st.sampled_from([0, 2]))
+    def test_random_ideals(self, i, p):
+        assert i.hilbert_function() == hf_by_inclusion_exclusion(i)
+        assert betti_diagram(i, FieldSpec(p)) == betti_diagram_by_contains(i, FieldSpec(p))
 
 
 def starts_in_box(i: MonomialIdeal, sides: tuple[int, ...]) -> list[int]:
@@ -730,7 +807,8 @@ class TestEnumeration:
 
 
     @pytest.mark.parametrize(
-        "degrees", [(2, 3, 3), (3, 3, 4), (2, 3, 4), (2, 2, 2, 2), (2, 2, 3, 3)]
+        "degrees",
+        [(2, 3, 3), (3, 3, 4), (2, 3, 4), (2, 2, 2, 2), (2, 2, 3, 3), (1, 2, 2), (3, 4, 4)],
     )
     def test_stream_matches_the_kept_points_walk(self, degrees):
         a = DegreeList(degrees)
