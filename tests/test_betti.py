@@ -30,6 +30,8 @@ from oracles import (
 )
 
 GF2 = FieldSpec(2)
+# entries of small Betti diagrams: (i, j) -> a positive count
+DIAGRAMS = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 6)), st.integers(1, 3))
 
 
 def ideal(text, n=None):
@@ -72,7 +74,7 @@ class TestBettiDiagram:
         assert other.first_violation(lpp) == (3, 5)
         assert lpp.first_violation(lpp) is None
 
-    @given(*[st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 6)), st.integers(1, 3))] * 2)
+    @given(DIAGRAMS, DIAGRAMS)
     def test_first_violation_by_definition(self, mine, theirs):
         a, b = BettiDiagram(3, mine), BettiDiagram(3, theirs)
         below = [k for k in sorted(set(mine) | set(theirs)) if a.beta(*k) < b.beta(*k)]

@@ -247,12 +247,6 @@ class TestRowPlan:
             for f in (FieldSpec(0), FieldSpec(2)):
                 assert betti_diagram(i, f) == betti_diagram_by_contains(i, f), i
 
-    @settings(max_examples=60, deadline=None)
-    @given(ideals(max_n=4, artinian=True), st.sampled_from([0, 2]))
-    def test_random_ideals(self, i, p):
-        assert i.hilbert_function() == hf_by_inclusion_exclusion(i)
-        assert betti_diagram(i, FieldSpec(p)) == betti_diagram_by_contains(i, FieldSpec(p))
-
 
 def starts_in_box(i: MonomialIdeal, sides: tuple[int, ...]) -> list[int]:
     """Row starts of I in the box prod [0, sides_k), by ``contains``."""
