@@ -26,6 +26,7 @@ from .monomials import (
     MonomialIdeal,
     _ideal_of_rows,
     _lex_above_powers,
+    _row_steps,
     _row_strides,
     add_maximal_power,
     colon,
@@ -297,27 +298,11 @@ def _starts_attain(ideal: MonomialIdeal, h: HilbertFunction) -> bool:
     Raises NotArtinianError as :meth:`MonomialIdeal.hilbert_function` does."""
     sides, starts = ideal._row_starts()
     lower, upper = _row_steps(sides)
-    get = starts.__getitem__
     return (
         starts[0] < sides[-1]
-        and all(map(operator.ge, map(get, lower), map(get, upper)))
+        and all(map(operator.ge, lower(starts), upper(starts)))
         and ideal.hilbert_function() == h
     )
-
-
-# one key per box: 1 in a sweep benchmark pass
-@lru_cache(maxsize=32)
-def _row_steps(sides: tuple[int, ...]) -> tuple[list[int], list[int]]:
-    """Every pair of rows one step apart along a prefix axis of the box
-    prod [0, sides_k), as two parallel lists: the lower row, the upper row."""
-    strides = _row_strides(sides)
-    lower, upper = [], []
-    for r, prefix in enumerate(itertools.product(*(range(s) for s in sides[:-1]))):
-        for p, stride in zip(prefix, strides):
-            if p:
-                lower.append(r - stride)
-                upper.append(r)
-    return lower, upper
 
 
 def lpp_dominance_check(

@@ -218,9 +218,10 @@ class MonomialIdeal:
     build instances with :func:`minimalize` unless the input is already
     canonical.  The unit ideal is generated by the all-zero tuple.  An ideal
     built from row starts (:func:`_ideal_of_rows`) keeps them and reads its
-    generators off them on first use.  ``==`` and ``hash`` go by
-    ``(n, generators)`` whatever the box, so they never build one; ``gens``
-    and ``repr`` build :class:`Monomial`s when read.
+    generators off them on first use.  ``==`` compares the row starts when
+    both ideals hold them in the same box, and the generators otherwise;
+    ``hash`` goes by ``(n, generators)`` whatever the box.  Neither builds a
+    box.  ``gens`` and ``repr`` build :class:`Monomial`s when read.
     """
 
     __slots__ = ("_n", "_gens", "_rows")
@@ -250,7 +251,12 @@ class MonomialIdeal:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._n == other._n and self._corners() == other._corners()
+        if self._n != other._n:
+            return False
+        # in one box, equal starts mean equal members, so equal ideals
+        if self._rows is not None and other._rows is not None and self._rows[0] == other._rows[0]:
+            return self._rows[1] == other._rows[1]
+        return self._corners() == other._corners()
 
     def __hash__(self) -> int:
         return hash((self._n, self._corners()))
@@ -273,15 +279,15 @@ class MonomialIdeal:
         """Per variable, the least e with x_i^e in the ideal (None if none).
 
         Read from the row starts when the ideal has them: x_k^e is in it when
-        row e * e_k starts at 0, and x_n^e when row 0 starts at or before e.
-        Otherwise read from the generators, so no box is built.
+        row e * e_k starts at 0, the first 0 of the strided slice of the starts
+        along axis k, and x_n^e when row 0 starts at or before e.  Otherwise
+        read from the generators, so no box is built.
         """
         if self._rows is not None:
             sides, starts = self._rows
-            prof = [
-                next((e for e in range(side) if not starts[e * stride]), None)
-                for side, stride in zip(sides, _row_strides(sides))
-            ]
+            strides = _row_strides(sides)
+            axes = (starts[: side * stride : stride] for side, stride in zip(sides, strides))
+            prof = [axis.index(0) if 0 in axis else None for axis in axes]
             prof.append(starts[0] if starts[0] < sides[-1] else None)
             return tuple(prof)
         prof = [None] * self.n
@@ -322,32 +328,22 @@ class MonomialIdeal:
         self._rows = (sides, tuple(_starts_of_corners(sides, corners)))
         return self._rows
 
-    def _box_rows(self):
-        """The box sides and, per row, (row index, prefix, start), rows in
-        lex-descending order.  Requires an Artinian ideal, so every row ends
-        inside the ideal."""
-        if None in self.pure_power_profile():
-            raise NotArtinianError("ideal is not Artinian")
-        sides, starts = self._row_starts()
-        prefixes = itertools.product(*(range(s - 1, -1, -1) for s in sides[:-1]))
-        return sides, zip(range(len(starts) - 1, -1, -1), prefixes, reversed(starts))
-
     def hilbert_function(self) -> HilbertFunction:
         """H(R/I, d) = number of degree-d monomials outside I, down to 0.
 
         Row p holds the standard monomials of degrees |p| to |p| + start - 1,
         so the counts are the running sum of the rows of each degree |p|
-        (cached per box by :func:`_row_plan`) less one at |p| + start per
-        row; for the unit ideal every row starts at 0, giving (0,).
+        (cached per box by :func:`_row_plan`, with the |p| of every row) less
+        one at |p| + start per row; for the unit ideal every row starts at 0,
+        giving (0,).
         """
         if None in self.pure_power_profile():
             raise NotArtinianError("ideal is not Artinian")
         sides, starts = self._row_starts()
-        run, runs, degree_counts = _row_plan(sides)
+        row_degrees, _, degree_counts = _row_plan(sides)
         diff = list(degree_counts)
-        for base, degree, _, _ in runs:
-            for d in map(operator.add, range(degree, degree + run), starts[base : base + run]):
-                diff[d] -= 1
+        for d in map(operator.add, itertools.chain.from_iterable(row_degrees), starts):
+            diff[d] -= 1
         return HilbertFunction._of_counts(list(itertools.accumulate(diff)))
 
     def socle_monomials(self) -> dict[int, tuple[Monomial, ...]]:
@@ -356,16 +352,22 @@ class MonomialIdeal:
         Only the last standard monomial (p, t - 1) of a row can have x_n * m
         in I; for it, x_k * m is in I when the row one step up in k starts
         before t.  A row with t > 0 has p_k below x_k's pure power, so that
-        row is inside the box.
+        row is inside the box; a row at the top of axis k starts at 0, so
+        the start read past it (0, or a row that wraps round) never counts.
+        Prefixes are built only for the rows kept.
         """
-        sides, rows = self._box_rows()
-        starts = self._row_starts()[1]
-        row_strides = _row_strides(sides)
+        if None in self.pure_power_profile():
+            raise NotArtinianError("ideal is not Artinian")
+        sides, starts = self._row_starts()
+        strides = _row_strides(sides)
+        ups = [starts[s:] + (0,) * s for s in strides]
+        # per row, the latest start one step up; max needs two iterables
+        above = map(max, *ups) if len(ups) > 1 else ups[0] if ups else (0,) * len(starts)
+        kept = itertools.compress(range(len(starts)), map(operator.lt, above, starts))
         out: dict[int, list[Monomial]] = {}
-        for r, prefix, t in rows:
-            if t and all(starts[r + stride] < t for stride in row_strides):
-                exps = prefix + (t - 1,)
-                out.setdefault(sum(exps), []).append(Monomial(exps))
+        for r in reversed(list(kept)):
+            exps = tuple(r // s % side for s, side in zip(strides, sides)) + (starts[r] - 1,)
+            out.setdefault(sum(exps), []).append(Monomial(exps))
         return {d: tuple(ms) for d, ms in sorted(out.items())}
 
     def __str__(self) -> str:
@@ -390,9 +392,18 @@ def minimalize(n: int, gens) -> MonomialIdeal:
     return MonomialIdeal(n, tuple(sorted(minimal, reverse=True)))
 
 
-def _row_strides(sides: tuple[int, ...]) -> list[int]:
+@lru_cache(maxsize=64)
+def _row_strides(sides: tuple[int, ...]) -> tuple[int, ...]:
     """Index step between rows one step apart in each prefix coordinate."""
-    return [math.prod(sides[k + 1 : -1]) for k in range(len(sides) - 1)]
+    return tuple(math.prod(sides[k + 1 : -1]) for k in range(len(sides) - 1))
+
+
+def _getter(indices):
+    """``operator.itemgetter(*indices)``, but giving a tuple for any number
+    of indices."""
+    if len(indices) > 1:
+        return operator.itemgetter(*indices)
+    return lambda seq: tuple(map(seq.__getitem__, indices))
 
 
 # one plan per box: 1 in a sweep benchmark pass
@@ -400,9 +411,9 @@ def _row_strides(sides: tuple[int, ...]) -> list[int]:
 def _row_plan(sides: tuple[int, ...]):
     """The rows of the box prod [0, sides_k) in runs: a run holds the rows
     whose prefixes agree but in the last prefix coordinate, which has row
-    stride 1.  Returns the run length, per run in row order
-    ``(base, degree, first, bounds)``, and the number of rows of each prefix
-    degree |p|, 0 to sum(sides).
+    stride 1.  Returns per run in row order the range of its rows' |p|, per
+    run ``(base, degree, first, bounds)``, and the number of rows of each
+    prefix degree |p|, 0 to sum(sides).
 
     ``base`` is the run's first row and ``degree`` its |p|.  The key of a
     row (see :func:`betti._row_contribution`) is the starts of the rows one
@@ -412,17 +423,35 @@ def _row_plan(sides: tuple[int, ...]):
     key its row e + 1 (the last prefix coordinate is the top bit)."""
     strides = _row_strides(sides)[:-1]
     run = sides[-2] if len(sides) > 1 else 1
-    runs, counts = [], [0] * (sum(sides) + 1)
+    degrees, runs, counts = [], [], [0] * (sum(sides) + 1)
     for outer in itertools.product(*map(range, sides[:-2])):
         base, degree, steps = sum(map(operator.mul, outer, strides)), sum(outer), [0]
         for e, stride in zip(outer, strides):
             if e:
                 steps += [step + stride for step in steps]
         bounds = tuple((base + 1 - s, base + run - s) for s in steps + [s + 1 for s in steps])
+        degrees.append(range(degree, degree + run))
         runs.append((base, degree, tuple(base - s for s in steps), bounds))
         counts[degree] += 1
         counts[degree + run] -= 1
-    return run, tuple(runs), tuple(itertools.accumulate(counts))
+    return tuple(degrees), tuple(runs), tuple(itertools.accumulate(counts))
+
+
+# one table per box that asks for it: 1 in a sweep-residual pass
+@lru_cache(maxsize=32)
+def _row_steps(sides: tuple[int, ...]):
+    """Every pair of rows one step apart along a prefix axis of the box
+    prod [0, sides_k), as two getters (see :func:`_getter`) of the row
+    starts: the lower rows, the upper rows.  One entry per pair, so unlike
+    :func:`_row_plan` this grows with the rows of the box."""
+    strides = _row_strides(sides)
+    lower, upper = [], []
+    for r, prefix in enumerate(itertools.product(*(range(s) for s in sides[:-1]))):
+        for p, stride in zip(prefix, strides):
+            if p:
+                lower.append(r - stride)
+                upper.append(r)
+    return _getter(lower), _getter(upper)
 
 
 def _generator_box(corners) -> tuple[int, ...]:
@@ -441,22 +470,29 @@ def _starts_of_corners(sides: tuple[int, ...], corners) -> list[int]:
     the exponent tuples ``corners``, as in :meth:`MonomialIdeal._row_starts`.
 
     Each start is the least last exponent of a corner in the row, or of the
-    start of a row one step below.  A corner whose prefix is outside the box
-    is never read, and a start past the box is ``sides[-1]``.
+    start of a row one step below.  So each row first takes its corners' own
+    start, and then a running minimum is taken along each prefix axis: along
+    the last, of stride 1, over each run of rows; along a wider one, block
+    by block, each against the block one step below.  A corner whose prefix
+    is outside the box is never read, and a start past the box is
+    ``sides[-1]``.
     """
     last = sides[-1]
-    own: dict[tuple[int, ...], int] = {}
+    strides = _row_strides(sides)
+    starts = [last] * math.prod(sides[:-1])
     for g in corners:
-        key = g[:-1]
-        own[key] = min(own.get(key, last), g[-1])
-    row_strides = _row_strides(sides)
-    starts: list[int] = []
-    for r, prefix in enumerate(itertools.product(*(range(s) for s in sides[:-1]))):
-        t = own.get(prefix, last)
-        for k, stride in enumerate(row_strides):
-            if prefix[k] and starts[r - stride] < t:
-                t = starts[r - stride]
-        starts.append(t)
+        if all(map(operator.lt, g[:-1], sides)):
+            r = sum(map(operator.mul, g, strides))
+            starts[r] = min(starts[r], g[-1])
+    if len(sides) > 1:
+        run = sides[-2]
+        runs = (starts[lo : lo + run] for lo in range(0, len(starts), run))
+        starts = list(itertools.chain.from_iterable(itertools.accumulate(c, min) for c in runs))
+    for side, stride in zip(sides, strides[:-1]):
+        for lo in range(stride, len(starts), stride):
+            if lo % (side * stride):
+                below = starts[lo - stride : lo]
+                starts[lo : lo + stride] = map(min, starts[lo : lo + stride], below)
     return starts
 
 
@@ -635,14 +671,27 @@ def is_lex_segment(i: MonomialIdeal, d: int) -> bool:
 def _members_first(i: MonomialIdeal, d: int, caps) -> bool:
     """Do I's members come before its non-members among the degree-d exponent
     tuples in lex-descending order (only the tuples below ``caps``, when
-    given)?
+    given)?  Each tuple is read as the row and column of
+    :func:`_lex_table`: it is a member when the row starts at or before the
+    column."""
+    sides, starts = i._row_starts()
+    rows, columns = _lex_table(sides, caps, d)
+    members = list(map(operator.le, rows(starts), columns))
+    return True not in members[members.count(True) :]
+
+
+# one table per box, caps and degree: 94 in a sweep-residual pass
+@lru_cache(maxsize=256)
+def _lex_table(sides: tuple[int, ...], caps, d: int):
+    """The degree-d exponent tuples below ``caps`` (all of them when it is
+    None), lex-descending, as a getter (see :func:`_getter`) of their rows'
+    starts in the box prod [0, sides_k) and a tuple of their last
+    exponents.  Membership does not change beyond the box, so each
+    coordinate is clamped to it.
 
     The tuples are built one coordinate at a time, each prefix as its degree
-    and row.  Membership is read from the row starts; beyond the box it does
-    not change, so each coordinate is clamped to the box.
-    """
-    sides, starts = i._row_starts()
-    caps = caps or (d + 1,) * i.n
+    and row."""
+    caps = caps or (d + 1,) * len(sides)
     prefixes = [(0, 0)]
     for cap, side, stride in zip(caps, sides, _row_strides(sides)):
         prefixes = [
@@ -651,8 +700,8 @@ def _members_first(i: MonomialIdeal, d: int, caps) -> bool:
             for e in range(min(cap - 1, d - s), -1, -1)
         ]
     top = sides[-1] - 1
-    members = [min(d - s, top) >= starts[r] for s, r in prefixes if d - s < caps[-1]]
-    return members == sorted(members, reverse=True)
+    kept = [(r, min(d - s, top)) for s, r in prefixes if d - s < caps[-1]]
+    return _getter([r for r, _ in kept]), tuple(c for _, c in kept)
 
 
 # ---------------------------------------------------------------------------

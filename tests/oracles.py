@@ -184,8 +184,12 @@ def profile_degrees(i: MonomialIdeal) -> DegreeList:
 def standard_monomials(i: MonomialIdeal) -> dict[int, tuple[Monomial, ...]]:
     """Monomials outside the ideal, grouped by degree (lex-descending), read
     from the row starts.  Requires an Artinian ideal."""
+    if None in i.pure_power_profile():
+        raise NotArtinianError("ideal is not Artinian")
+    sides, starts = i._row_starts()
+    prefixes = itertools.product(*(range(s - 1, -1, -1) for s in sides[:-1]))
     by_degree: dict[int, list[Monomial]] = {}
-    for _, prefix, t in i._box_rows()[1]:
+    for prefix, t in zip(prefixes, reversed(starts)):
         d0 = sum(prefix)
         for c in range(t - 1, -1, -1):
             by_degree.setdefault(d0 + c, []).append(Monomial(prefix + (c,)))

@@ -59,6 +59,7 @@ from oracles import (
     ideal_of_vector_by_minimalize,
     is_lex_segment_by_contains,
     is_lpp_by_contains,
+    socle_by_definition,
     unit_monomial,
 )
 from test_bench_smoke import workloads as bench_workloads
@@ -177,6 +178,21 @@ class TestRowStarts:
     def test_hilbert_function_by_inclusion_exclusion(self, i):
         assert i.hilbert_function() == hf_by_inclusion_exclusion(i)
 
+    @settings(max_examples=150, deadline=None)
+    @given(ideals(), st.data())
+    def test_starts_of_corners_in_any_box(self, i, data):
+        # boxes smaller than the generator box (corners outside it) and larger
+        sides = tuple(data.draw(st.integers(1, 6)) for _ in range(i.n))
+        got = monomials._starts_of_corners(sides, i._corners())
+        assert got == starts_in_box(i, sides)
+
+    def test_one_long_prefix_axis(self):
+        # 999,999 rows of one point each: x1^e for e < 999999 is outside
+        i = parse_ideal("x1^999999, x2")
+        assert i._row_starts() == ((1000000, 2), (1,) * 999999 + (0,))
+        assert i.hilbert_function().values == (1,) * 999999 + (0,)
+        assert i.socle_monomials() == {999998: (Monomial((999998, 0)),)}
+
 
 def rows_below(sides: tuple[int, ...]):
     """Per row of the box prod [0, sides_k), in order: (row, |p|, the rows one
@@ -212,15 +228,17 @@ class TestRowPlan:
         "sides, runs", [((1000000, 2), 1), ((4, 4, 5), 4), ((7,), 1), ((2, 3, 2, 3), 6)]
     )
     def test_one_entry_per_run(self, sides, runs):
-        run, plan, counts = monomials._row_plan(sides)
-        assert len(plan) == runs
-        assert run * runs == math.prod(sides[:-1]) == sum(counts)
+        degrees, plan, counts = monomials._row_plan(sides)
+        assert len(plan) == len(degrees) == runs
+        assert sum(map(len, degrees)) == math.prod(sides[:-1]) == sum(counts)
 
     @pytest.mark.parametrize("sides", [(5,), (4, 3), (4, 4, 5), (2, 3, 2, 3), (3, 1, 2)], ids=str)
     def test_runs_key_every_row_as_defined(self, sides):
-        run, plan, counts = monomials._row_plan(sides)
+        degrees, plan, counts = monomials._row_plan(sides)
+        run = len(degrees[0])
         rows = []
-        for base, degree, first, bounds in plan:
+        for (base, degree, first, bounds), span in zip(plan, degrees):
+            assert span == range(degree, degree + run)
             assert all(hi - lo == run - 1 for lo, hi in bounds)
             rows.append((base, degree, tuple(first)))
             rows += [(base + e, degree + e, tuple(lo + e - 1 for lo, _ in bounds))
@@ -229,6 +247,19 @@ class TestRowPlan:
         assert rows == want
         degrees = Counter(degree for _, degree, _ in want)
         assert counts == tuple(degrees[d] for d in range(sum(sides) + 1))
+
+    @pytest.mark.parametrize("sides", [(5,), (2, 4), (4, 3), (3, 1, 2), (2, 3, 2, 3)], ids=str)
+    def test_row_steps_pair_each_row_with_the_rows_one_step_below(self, sides):
+        # the single steps of rows_below are its subsets j = 1 << m
+        lower, upper = monomials._row_steps(sides)
+        rows = list(range(math.prod(sides[:-1])))
+        want = [
+            (below[1 << m], r)
+            for r, _, below in rows_below(sides)
+            for m in range(len(below).bit_length() - 1)
+        ]
+        assert list(zip(lower(rows), upper(rows))) == want
+        assert len(lower(rows)) == len(upper(rows)) == len(want)
 
     @pytest.mark.parametrize(
         "text",
@@ -351,6 +382,89 @@ class TestCarriedRowStarts:
         }
 
 
+# per n, a degree list whose walk has ideals with a pure power below A
+READER_DEGREES = [(3,), (2, 3), (2, 3, 3), (2, 2, 2, 2)]
+
+
+def hf_by_contains(i: MonomialIdeal) -> HilbertFunction:
+    """The points of the pure-power box outside I, counted by degree."""
+    counts = Counter(
+        sum(b) for b in itertools.product(*map(range, i.pure_power_profile()))
+        if not contains(i, Monomial(b))
+    )
+    return HilbertFunction(tuple(counts[d] for d in range(max(counts, default=-1) + 2)))
+
+
+def readers_corpus(degrees):
+    """Ideals that hold row starts in a box other than their generator box:
+    walk ideals with a power below A, with their h; I + m^t, t the first
+    zero of h, for such an ideal I with its power of x_1 raised to
+    x_1^(t + 1) (the box keeps that side, past the generator x_1^t); and
+    (P : I) for the pure powers P and the k-th walk ideal I moved one step
+    up along x_(k mod n), so that some of its corners leave the box of A."""
+    a = DegreeList(degrees)
+    n = a.n
+    carried = []
+    for h in valid_hilbert_functions(a, a.sigma_ci):
+        carried += [(ideal, h) for ideal in enumerate_ideals(h, a)
+                    if ideal._row_starts()[0] != MonomialIdeal(n, ideal.gens)._row_starts()[0]]
+    widened, residuals = [], []
+    for k, (ideal, h) in enumerate(carried):
+        gens = [g.exps for g in ideal.gens]
+        raised = [(h.sigma + 1,) + g[1:] if g[0] and g.count(0) == n - 1 else g for g in gens]
+        widened.append(add_maximal_power(minimalize(n, raised), h.sigma))
+        past = minimalize(n, [tuple(e + (j == k % n) for j, e in enumerate(g)) for g in gens])
+        residuals.append(colon(a.powers_ideal(), past))
+    return a, carried, widened, residuals
+
+
+@pytest.fixture(scope="module", params=READER_DEGREES, ids=lambda d: f"n={len(d)}")
+def readers(request):
+    return readers_corpus(request.param)
+
+
+class TestReadersInOtherBoxes:
+    """Each reader of row starts against an oracle, for ideals whose starts
+    are held in a box other than their generator box."""
+
+    def test_profile_hf_and_socle(self, readers):
+        a, carried, widened, residuals = readers
+        corpus = [ideal for ideal, _ in carried] + widened + residuals
+        wide = [i._row_starts()[0] != MonomialIdeal(i.n, i.gens)._row_starts()[0] for i in corpus]
+        assert len(carried) >= 2 and all(wide[len(carried) : 2 * len(carried)])
+        for i in corpus:
+            sides, starts = i._row_starts()
+            assert list(starts) == starts_in_box(i, sides), i
+            profile = i.pure_power_profile()
+            assert profile == profile_by_contains(i, max(sides)), i
+            if None in profile:
+                continue
+            assert i.hilbert_function() == hf_by_contains(i), i
+            assert i.socle_monomials() == socle_by_definition(i), i
+
+    def test_row_starts_attain_h(self, readers):
+        _, carried, _, _ = readers
+        for ideal, h in carried:
+            assert harness._starts_attain(ideal, h)
+            assert not harness._starts_attain(ideal, HilbertFunction((*h.values[:-1], 1, 0)))
+
+    def test_lex_predicates(self, readers):
+        a, carried, widened, residuals = readers
+        for i in [ideal for ideal, _ in carried] + widened + residuals:
+            assert_lex_predicates_match(i, a)
+
+    def test_identity_across_boxes(self, readers):
+        _, carried, widened, residuals = readers
+        corpus = [ideal for ideal, _ in carried] + widened + residuals
+        for i in corpus:
+            wider = rebuilt(i, max(i._row_starts()[0]) + 1)
+            for copy in (rebuilt(i, "gens"), rebuilt(i, "gens and starts"), wider):
+                assert i == copy and copy == i and hash(i) == hash(copy), i
+        # ideals in one box compare by their starts, in two boxes by generators
+        for x, y in itertools.product(corpus[:60], repeat=2):
+            assert (x == y) == (x.gens == y.gens)
+
+
 def count_monomial_builds(monkeypatch) -> Counter:
     """Count every Monomial built from here on, under ``"monomials"``."""
     calls = Counter()
@@ -410,13 +524,14 @@ def enumerated_starts(a: DegreeList) -> list[tuple[int, ...]]:
     ]
 
 
-WALK_DEGREES = [(2, 2, 2), (2, 2, 3)]
+# one to four variables; (1, 3) has a single pair of rows one step apart
+WALK_DEGREES = [(3,), (1, 3), (2, 3), (2, 2, 2), (2, 2, 3), (2, 2, 2, 2)]
 ENUMERATED_STARTS = {degrees: enumerated_starts(DegreeList(degrees)) for degrees in WALK_DEGREES}
 
 
 @st.composite
 def walk_starts(draw):
-    """Row starts in the walk box prod [0, a_k] of A=(2,2,2) or (2,2,3): the
+    """Row starts in the walk box prod [0, a_k] of an A of WALK_DEGREES: the
     starts of an enumerated ideal with up to three rows set to any value from
     0 to the box side (a row with no member in the box), so that many are
     not a down-set."""
