@@ -471,28 +471,28 @@ def _starts_of_corners(sides: tuple[int, ...], corners) -> list[int]:
 
     Each start is the least last exponent of a corner in the row, or of the
     start of a row one step below.  So each row first takes its corners' own
-    start, and then a running minimum is taken along each prefix axis: along
-    the last, of stride 1, over each run of rows; along a wider one, block
-    by block, each against the block one step below.  A corner whose prefix
-    is outside the box is never read, and a start past the box is
-    ``sides[-1]``.
+    start; then, run by run (see :func:`_row_plan`), the minimum with the
+    run one step below along each wider prefix axis, and a running minimum
+    along the run.  A corner whose prefix is outside the box is never read,
+    and a start past the box is ``sides[-1]``.
     """
     last = sides[-1]
     strides = _row_strides(sides)
-    starts = [last] * math.prod(sides[:-1])
+    own = [last] * math.prod(sides[:-1])
     for g in corners:
         if all(map(operator.lt, g[:-1], sides)):
             r = sum(map(operator.mul, g, strides))
-            starts[r] = min(starts[r], g[-1])
-    if len(sides) > 1:
-        run = sides[-2]
-        runs = (starts[lo : lo + run] for lo in range(0, len(starts), run))
-        starts = list(itertools.chain.from_iterable(itertools.accumulate(c, min) for c in runs))
-    for side, stride in zip(sides, strides[:-1]):
-        for lo in range(stride, len(starts), stride):
-            if lo % (side * stride):
-                below = starts[lo - stride : lo]
-                starts[lo : lo + stride] = map(min, starts[lo : lo + stride], below)
+            own[r] = min(own[r], g[-1])
+    run = sides[-2] if len(sides) > 1 else 1
+    # per wider prefix axis, its row step and the rows of a block along it
+    axes = [(stride, side * stride) for side, stride in zip(sides, strides[:-1])]
+    starts: list[int] = []
+    for lo in range(0, len(own), run):
+        row = own[lo : lo + run]
+        for stride, block in axes:
+            if lo % block >= stride:
+                row = map(min, row, starts[lo - stride : lo - stride + run])
+        starts += itertools.accumulate(row, min)
     return starts
 
 
@@ -681,7 +681,7 @@ def _members_first(i: MonomialIdeal, d: int, caps) -> bool:
 
 
 # one table per box, caps and degree: 94 in a sweep-residual pass
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=128)
 def _lex_table(sides: tuple[int, ...], caps, d: int):
     """The degree-d exponent tuples below ``caps`` (all of them when it is
     None), lex-descending, as a getter (see :func:`_getter`) of their rows'
