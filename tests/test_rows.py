@@ -461,7 +461,8 @@ class TestReadersInOtherBoxes:
             for copy in (rebuilt(i, "gens"), rebuilt(i, "gens and starts"), wider):
                 assert i == copy and copy == i and hash(i) == hash(copy), i
         # ideals in one box compare by their starts, in two boxes by generators
-        for x, y in itertools.product(corpus[:60], repeat=2):
+        sample = corpus[:: max(1, len(corpus) // 40)]
+        for x, y in itertools.product(sample, repeat=2):
             assert (x == y) == (x.gens == y.gens)
 
 
