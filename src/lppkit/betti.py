@@ -34,6 +34,7 @@ from functools import lru_cache
 
 from .monomials import (
     DegreeList,
+    DimensionError,
     MonomialIdeal,
     NotArtinianError,
     _row_plan,
@@ -326,7 +327,7 @@ def mapping_cone_check(
     |j|, and t_j = |j| exactly when every pure power is a minimal generator.
     """
     if i.n != a.n:
-        raise ValueError(f"{i.n} vs {a.n} variables")
+        raise DimensionError(f"{i.n} vs {a.n} variables")
     profile = i.pure_power_profile()
     for k, (least, e) in enumerate(zip(profile, a.degrees)):
         if least is None or least > e:

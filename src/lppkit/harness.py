@@ -16,7 +16,7 @@ import json
 import math
 import operator
 import os
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from functools import lru_cache
 
 from .monomials import (
@@ -49,20 +49,17 @@ DEFAULT_GUARD = 100_000
 CELL_GUARD = 4096
 
 
-def default_guard() -> int:
-    raw = os.environ.get("LPPKIT_GUARD")
-    if raw:
+def _ideal_guard(max_ideals: int | None) -> int:
+    """The ideal guard: ``max_ideals``, or when it is None the
+    ``LPPKIT_GUARD`` environment variable, or DEFAULT_GUARD.  Raises
+    ValueError when it is below 1 or LPPKIT_GUARD is not an integer."""
+    guard = max_ideals
+    if guard is None:
+        raw = os.environ.get("LPPKIT_GUARD")
         try:
-            return int(raw)
+            guard = int(raw) if raw else DEFAULT_GUARD
         except ValueError:
             raise ValueError(f"bad LPPKIT_GUARD value {raw!r}") from None
-    return DEFAULT_GUARD
-
-
-def _ideal_guard(max_ideals: int | None) -> int:
-    """The ideal guard: ``max_ideals``, or :func:`default_guard` when it is
-    None.  Raises ValueError when it is below 1."""
-    guard = default_guard() if max_ideals is None else max_ideals
     if guard < 1:
         raise ValueError(f"the ideal guard must be at least 1, not {guard}")
     return guard
@@ -89,16 +86,7 @@ class CheckReport:
         return self.verdict == "pass"
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "check": self.check,
-                "instance": self.instance,
-                "verdict": self.verdict,
-                "witnesses": self.witnesses,
-                "details": self.details,
-            },
-            sort_keys=False,
-        )
+        return json.dumps(asdict(self))
 
 
 def enumerate_ideals(h: HilbertFunction, a: DegreeList, max_ideals: int | None = None):
@@ -311,26 +299,16 @@ def lpp_dominance_check(
     f: FieldSpec = QQ,
     max_ideals: int | None = None,
 ) -> CheckReport:
-    """Betti dominance of the lex-plus-powers ideal over the enumerated class.
-
-    The permutations of variables of equal degree in A map the class onto
-    itself and leave Betti diagrams unchanged, so the diagram, and its first
-    entry above the lex-plus-powers diagram, is computed for one ideal per
-    orbit (``details["orbits"]``), while ``details["ideals"]`` counts every
-    ideal of the class; witnesses are listed as :func:`_orbit_witnesses`
-    says.
+    """Betti dominance of the lex-plus-powers ideal over the enumerated class:
+    an ideal is a witness at the first entry of its diagram above the
+    lex-plus-powers diagram, and ``details["first_betti_dominance"]`` says
+    that no such entry is a first Betti number.  The class is walked as
+    :func:`_against_lpp` says.
     """
-    instance = {"A": list(a.degrees), "H": str(h), "char": f.characteristic}
-    guard = _ideal_guard(max_ideals)
-    lpp = lpp_ideal_for(h, a)
-    if lpp is None:
-        return CheckReport("lpp-dominance", instance, "not-valid", [], {})
-    b_lpp = betti_diagram(lpp, f)
     first_betti_ok = True
 
-    def witnesses_of(ideal):
+    def rule(ideal, b, lpp, b_lpp):
         nonlocal first_betti_ok
-        b = betti_diagram(ideal, f)
         violation = b_lpp.first_violation(b)
         if violation is None:
             return []
@@ -347,25 +325,38 @@ def lpp_dominance_check(
             }
         ]
 
-    witnesses, ideals, orbits = _orbit_witnesses(h, a, guard, witnesses_of)
-    details = {
-        "ideals": ideals,
-        "orbits": orbits,
-        "first_betti_dominance": first_betti_ok,
-    }
-    return CheckReport.from_witnesses("lpp-dominance", instance, witnesses, details)
+    report = _against_lpp("lpp-dominance", h, a, f, max_ideals, rule)
+    if report.verdict != "not-valid":
+        report.details["first_betti_dominance"] = first_betti_ok
+    return report
 
 
-def _orbit_witnesses(h: HilbertFunction, a: DegreeList, guard: int, witnesses_of):
-    """``(witnesses, ideals, orbits)`` of a check that finds the witnesses of
-    one ideal by ``witnesses_of(ideal)``, whose verdict must be the same on
-    every ideal of an orbit of the permutations of variables of equal degree
-    in A.
+def _against_lpp(
+    check: str, h: HilbertFunction, a: DegreeList, f: FieldSpec, max_ideals: int | None, rule
+) -> CheckReport:
+    """The report of ``check``, which compares each ideal of the class of h
+    with the lex-plus-powers ideal L_h by ``rule(ideal, b, lpp, b_lpp)``, a
+    list of witnesses, where b and b_lpp are the Betti diagrams over f of
+    the ideal and of L_h.  It is ``not-valid`` when no L_h has powers
+    exactly A; the ideal guard is refused before that.
 
-    It is called on one ideal per orbit, until one has witnesses.  Then it is
-    called once more on every ideal of the class, in the order of
-    :func:`enumerate_ideals`, so the witnesses are those that calling it on
-    every ideal gives."""
+    The permutations of variables of equal degree in A map the class onto
+    itself and leave Betti diagrams unchanged, so the rule, whose verdict
+    must be the same on every ideal of an orbit, is called on one ideal per
+    orbit (``details["orbits"]``) until one has witnesses, while
+    ``details["ideals"]`` counts every ideal of the class.  Then it is called
+    once more on every ideal, in the order of :func:`enumerate_ideals`, so
+    the witnesses are those that calling it on every ideal gives."""
+    instance = {"A": list(a.degrees), "H": str(h), "char": f.characteristic}
+    guard = _ideal_guard(max_ideals)
+    lpp = lpp_ideal_for(h, a)
+    if lpp is None:
+        return CheckReport(check, instance, "not-valid")
+    b_lpp = betti_diagram(lpp, f)
+
+    def witnesses_of(ideal):
+        return rule(ideal, betti_diagram(ideal, f), lpp, b_lpp)
+
     ideals = orbits = 0
     violated = False
     for ideal, size in _walk(h, a, guard, _moves(a.degrees)):
@@ -376,7 +367,8 @@ def _orbit_witnesses(h: HilbertFunction, a: DegreeList, guard: int, witnesses_of
     if violated:
         for ideal in enumerate_ideals(h, a, guard):
             witnesses += witnesses_of(ideal)
-    return witnesses, ideals, orbits
+    details = {"ideals": ideals, "orbits": orbits}
+    return CheckReport.from_witnesses(check, instance, witnesses, details)
 
 
 def residual_lpp_check(a: DegreeList) -> CheckReport:
@@ -470,24 +462,14 @@ def socle_equivalence_check(
     max_ideals: int | None = None,
 ) -> CheckReport:
     """Socle dominance of the lex-plus-powers ideal, the single-degree variant
-    at regularity, and truncation consistency of the last column.
-
-    As in :func:`lpp_dominance_check`, the Betti diagrams of an ideal and of
-    its truncation are computed for one ideal per orbit (``details["orbits"]``)
-    and ``details["ideals"]`` counts the class; ``(x_1, ..., x_n)^rho`` is
+    at regularity, and truncation consistency of the last column, over the
+    class walked as :func:`_against_lpp` says.  ``(x_1, ..., x_n)^rho`` is
     symmetric, so the truncation commutes with the permutations.
     """
-    instance = {"A": list(a.degrees), "H": str(h), "char": f.characteristic}
-    guard = _ideal_guard(max_ideals)
-    lpp = lpp_ideal_for(h, a)
-    if lpp is None:
-        return CheckReport("socle-equivalence", instance, "not-valid", [], {})
     n = a.n
     rho = h.rho
-    b_lpp = betti_diagram(lpp, f)
 
-    def witnesses_of(ideal):
-        b = betti_diagram(ideal, f)
+    def rule(ideal, b, lpp, b_lpp):
         witnesses = []
         for j in sorted({jj for (i, jj) in set(b.entries) | set(b_lpp.entries) if i == n}):
             if b_lpp.beta(n, j) < b.beta(n, j):
@@ -528,7 +510,4 @@ def socle_equivalence_check(
                     )
         return witnesses
 
-    witnesses, ideals, orbits = _orbit_witnesses(h, a, guard, witnesses_of)
-    return CheckReport.from_witnesses(
-        "socle-equivalence", instance, witnesses, {"ideals": ideals, "orbits": orbits}
-    )
+    return _against_lpp("socle-equivalence", h, a, f, max_ideals, rule)

@@ -663,8 +663,19 @@ def _lex_above_powers(i: MonomialIdeal, caps: tuple[int, ...]) -> bool:
 
 
 def is_lex_segment(i: MonomialIdeal, d: int) -> bool:
-    """Is the degree-d piece of I closed upward under lex order?  Raises
-    GuardExceeded when I's box has more than BOX_GUARD points."""
+    """Is the degree-d piece of I closed upward under lex order?
+
+    Past the socle degree sum(e_k - 1) of an Artinian I with pure powers e,
+    every monomial of degree d is in I, so it is, with nothing read.
+    Otherwise the C(d + n - 1, n - 1) monomials of degree d are read in lex
+    order.  Raises GuardExceeded when they are more than BOX_GUARD, or when
+    I's box has more than BOX_GUARD points."""
+    profile = i.pure_power_profile()
+    if None not in profile and d > sum(profile) - i.n:
+        return True
+    count = math.comb(d + i.n - 1, i.n - 1) if d >= 0 else 0
+    if count > BOX_GUARD:
+        raise GuardExceeded(f"{count} monomials of degree {d} exceeds {BOX_GUARD}")
     return _members_first(i, d, None)
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from lppkit import (
     BettiDiagram,
     DegreeList,
+    DimensionError,
     FieldSpec,
     HilbertFunction,
     MonomialIdeal,
@@ -241,3 +242,7 @@ class TestMappingCone:
     def test_precondition(self):
         with pytest.raises(ValueError):
             mapping_cone_check(ideal("x1^3, x2^2"), DegreeList((2, 2)))
+
+    def test_variable_counts_must_agree(self):
+        with pytest.raises(DimensionError, match="3 vs 2 variables"):
+            mapping_cone_check(ideal("x1^2, x2^2, x3^2"), DegreeList((2, 2)))

@@ -144,7 +144,9 @@ class TestLppIdealConstruction:
         a = DegreeList((3, 3, 3))
         h = HilbertFunction.from_string("1 2 2 1")
         assert lpp_ideal_for(h, a) is None
-        assert lpp_dominance_check(h, a).verdict == "not-valid"
+        for check in (lpp_dominance_check, socle_equivalence_check):
+            r = check(h, a)
+            assert (r.verdict, r.witnesses, r.details) == ("not-valid", [], {}), check
 
 
 class TestGrowthCheck:
@@ -181,23 +183,36 @@ class TestDominanceCheck:
         assert data["verdict"] == "pass"
 
 
-# sha256 of the lpp-dominance reports over every valid h, one JSON per line
+# sha256 of a check's reports over every valid h, one JSON per line
 SWEEP_DIGESTS = {
-    ((3, 3, 4), 0): "5403626673e7db3e7995d28cd192bc262a65bb3d88df820b4fcd0577896db38d",
-    ((3, 3, 4), 2): "a553e8c8cfd0c6e3134ed1f05bc119d74b531b24aec06f374687f0091854de1a",
-    ((2, 2, 3, 3), 0): "6697c3cdf23e876493a6ef077920d41fd4ffec2138b9a4a636f45ecfa76d3ae6",
-    ((2, 2, 3, 3), 2): "1707bf242d8292cf795099d770a33c332fa7b82942d6428e529a0c662f595431",
+    ("lpp", (3, 3, 4), 0): "5403626673e7db3e7995d28cd192bc262a65bb3d88df820b4fcd0577896db38d",
+    ("lpp", (3, 3, 4), 2): "a553e8c8cfd0c6e3134ed1f05bc119d74b531b24aec06f374687f0091854de1a",
+    ("lpp", (2, 2, 3, 3), 0): "6697c3cdf23e876493a6ef077920d41fd4ffec2138b9a4a636f45ecfa76d3ae6",
+    ("lpp", (2, 2, 3, 3), 2): "1707bf242d8292cf795099d770a33c332fa7b82942d6428e529a0c662f595431",
+    ("socle", (3, 3, 4), 0): "47e227ccd7bf7408832b9e318983e036a26ce6a6d7c870d07aa8452677f20938",
+    ("socle", (3, 3, 4), 2): "50ae289228bb357f3b573b3c835d1f1f15f4e8dbe578ad94f0ce0d72aca0021b",
+    ("socle", (2, 2, 3, 3), 0): "60f1a910cb2bc54d1a222a7d2db85f2d3ca1b7190b64c64c4d35fddcc956174f",
+    ("socle", (2, 2, 3, 3), 2): "2122b8179f11e5c2a25edbeac0b6eb52d300fe791fb4e4c659760d6b51b064b0",
 }
+SWEEP_CHECKS = {"lpp": lpp_dominance_check, "socle": socle_equivalence_check}
 
 
-@pytest.mark.parametrize("degrees, char", sorted(SWEEP_DIGESTS), ids=str)
-def test_whole_dominance_sweep_reports_are_pinned(degrees, char):
+def _sweep_id(key) -> str:
+    name, degrees, char = key
+    # the lpp sweeps keep their ids from before the socle sweeps were pinned
+    return f"{degrees}-{char}" if name == "lpp" else f"{name}-{degrees}-{char}"
+
+
+@pytest.mark.parametrize(
+    "name, degrees, char", [pytest.param(*k, id=_sweep_id(k)) for k in sorted(SWEEP_DIGESTS)]
+)
+def test_whole_dominance_sweep_reports_are_pinned(name, degrees, char):
     a = DegreeList(degrees)
     text = "\n".join(
-        lpp_dominance_check(h, a, FieldSpec(char)).to_json()
+        SWEEP_CHECKS[name](h, a, FieldSpec(char)).to_json()
         for h in valid_hilbert_functions(a, sum(degrees))
     )
-    assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_DIGESTS[degrees, char]
+    assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_DIGESTS[name, degrees, char]
 
 
 class TestResidualCheck:

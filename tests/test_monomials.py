@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from lppkit import (
     DegreeList,
     DimensionError,
+    GuardExceeded,
     HilbertFunction,
     Monomial,
     MonomialIdeal,
@@ -21,6 +22,7 @@ from lppkit import (
 )
 from lppkit.growth import gk_coefficients
 from lppkit.monomials import (
+    _lex_table,
     format_monomial,
     ideal_from_json_dict,
     ideal_to_json_dict,
@@ -213,6 +215,18 @@ class TestIsLexSegment:
     def test_past_the_box_of_a_non_artinian_ideal(self):
         # x3 lies past the box of (x1) in k[x1, x2, x3] and is not in the ideal
         assert is_lex_segment(ideal("x1", 3), 1)
+
+    def test_past_the_socle_degree_reads_no_table(self):
+        # every monomial of degree above 2 + 2 + 2 is in the ideal
+        i = ideal("x1^3, x2^3, x3^3, x1*x2*x3")
+        tables = _lex_table.cache_info().currsize
+        assert is_lex_segment(i, 3000)
+        assert _lex_table.cache_info().currsize == tables
+
+    def test_too_many_monomials_of_the_degree(self):
+        # C(3002, 2) = 4,504,501 monomials of degree 3000 in three variables
+        with pytest.raises(GuardExceeded, match="4504501 monomials of degree 3000"):
+            is_lex_segment(ideal("x1", 3), 3000)
 
 
 class TestSocle:
