@@ -199,7 +199,7 @@ SWEEP_CHECKS = {"lpp": lpp_dominance_check, "socle": socle_equivalence_check}
 
 def _sweep_id(key) -> str:
     name, degrees, char = key
-    # the lpp sweeps keep their ids from before the socle sweeps were pinned
+    # an lpp sweep is named by its degrees and characteristic alone, so its id is stable
     return f"{degrees}-{char}" if name == "lpp" else f"{name}-{degrees}-{char}"
 
 
