@@ -7,26 +7,26 @@ the coefficient field gives the Betti numbers of R/I in multidegree b
 the diagram.  Membership is read from the ideal's row starts (b is in I when
 its last exponent is at least the start of its row).
 
-The work is memoized at two levels.  A row's contribution, the Betti numbers
-of all its points, depends only on the characteristic and the starts of the
-rows one step below it along the subsets of its prefix support, so it is
-computed once per such configuration: a sweep's thousands of ideals share a
-few hundred.  Inside, homology is computed once per distinct complex, keyed
-by an integer face mask, bit v set when the face with vertex bitmask v is in
-K.  Ranks are computed by exact Gaussian elimination, over the rationals in
-characteristic 0 or modulo p otherwise.
+The work is memoized at three levels.  A row's contribution, the Betti
+numbers of all its points, depends only on the characteristic and the starts
+of the rows one step below it along the subsets of its prefix support, so it
+is computed once per such configuration: a sweep's thousands of ideals share
+a few hundred.  Above it, a block of up to RUN_BLOCK consecutive rows of one
+run is looked up as a unit, keyed by the starts that its rows read, so most
+runs of a sweep cost one lookup.  Below it, homology is computed once per
+distinct complex, keyed by an integer face mask, bit v set when the face
+with vertex bitmask v is in K.  Ranks are computed by exact Gaussian
+elimination, over the rationals in characteristic 0 or modulo p otherwise.
 
 The rows are read through one plan per box (``monomials._row_plan``), built
 on first use: the box's runs of rows that differ only in the last prefix
-coordinate, each with its first row, its prefix degree, the rows that key its
-first row and the slices of the row starts whose zip keys the rest.  The plan
-has one entry per run, not per row, so a box of a million rows in one run
-costs one entry.
+coordinate, each with its prefix degree and the first rows of the runs one
+step below it.  The plan has one entry per run, not per row, so a box of a
+million rows in one run costs one entry.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -283,13 +283,54 @@ def _row_contribution(p: int, starts: tuple[int, ...]) -> tuple[tuple[int, int, 
     return tuple(out)
 
 
+# betti_diagram reads each run of rows in blocks of at most this many rows,
+# one _run_contribution lookup per block: every run of the sweep boxes is
+# one block, and a key holds at most 2^k * (RUN_BLOCK + 1) row starts
+RUN_BLOCK = 16
+
+
+@lru_cache(maxsize=4096)
+def _run_contribution(
+    p: int, cont: int, width: int, starts: tuple[int, ...]
+) -> tuple[tuple[int, int, int], ...]:
+    """The Betti numbers (homological index, e + c, dim) that the points
+    (prefix, c) of ``width`` consecutive rows of one run give, row e of the
+    block at prefix degree e past the first's.
+
+    ``starts`` concatenates one slice per run one step below the block's
+    run along the subsets of the k coordinates of its outer prefix support,
+    ordered as the first rows of :func:`_row_plan` (the run itself first):
+    the starts of that run's rows from ``cont`` rows before the block's
+    first row (1 when the block continues a run, else 0) through its last.
+    Slice m is ``starts[m * span : (m + 1) * span]`` with span = width +
+    cont, so row e's key for :func:`_row_contribution` is column j = e +
+    cont of every slice, then, when j > 0, column j - 1 (the step down in
+    the last prefix coordinate, the key's top bit).
+
+    Bounded at 4096 entries.  A key holds at most 2^k * (RUN_BLOCK + 1)
+    starts, k <= n - 2, and a value at most (k + 2) * (RUN_BLOCK + sides[-1])
+    triples.  Measured with tracemalloc, lru entry included, an entry takes
+    about 600 bytes on the boxes of the (3,3,4) sweep and 950 on those of
+    (2,2,2,3,3): the full memo holds about 2.5 MB and 4 MB there.
+    """
+    span = width + cont
+    out: dict[tuple[int, int], int] = {}
+    for e, j in enumerate(range(cont, span)):
+        key = starts[j::span] + starts[j - 1 :: span] if j else starts[::span]
+        for index, c, dim in _row_contribution(p, key):
+            out[index, e + c] = out.get((index, e + c), 0) + dim
+    return tuple((index, d, dim) for (index, d), dim in out.items())
+
+
 def betti_diagram(i: MonomialIdeal, f: FieldSpec = QQ) -> BettiDiagram:
     """Full Betti diagram of R/I for an Artinian monomial ideal I.
 
     The pure-power profile is read first, so a non-Artinian ideal is refused
     before its box is built.  The rows are read run by run, as
-    :func:`_row_plan` lays them out: the first row's key by its indices, the
-    others' as slices of the row starts zipped."""
+    :func:`_row_plan` lays them out, in blocks of at most RUN_BLOCK rows:
+    each block's key is the slices of the row starts that its rows read
+    from its run and the runs one step below it (see
+    :func:`_run_contribution`)."""
     profile = i.pure_power_profile()
     if None in profile:
         raise NotArtinianError("Betti diagram needs an Artinian ideal")
@@ -297,14 +338,19 @@ def betti_diagram(i: MonomialIdeal, f: FieldSpec = QQ) -> BettiDiagram:
         return BettiDiagram(i.n, {})
     p = f.characteristic
     sides, starts = i._row_starts()
-    _, runs, _ = _row_plan(sides)
+    row_degrees, runs, _ = _row_plan(sides)
+    run = len(row_degrees[0])
     beta = {(0, 0): 1}
-    for _, degree, first, bounds in runs:
-        head = tuple(map(starts.__getitem__, first))
-        keys = itertools.chain([head], zip(*[starts[lo:hi] for lo, hi in bounds]))
-        for d, key in enumerate(keys, degree):
-            for index, c, dim in _row_contribution(p, key):
-                beta[index, d + c] = beta.get((index, d + c), 0) + dim
+    get = beta.get
+    for degree, first in runs:
+        a = cont = 0  # the block reads its runs' starts from row a on
+        for lo in range(0, run, RUN_BLOCK):
+            b = lo + RUN_BLOCK if lo + RUN_BLOCK < run else run
+            key = sum([starts[r + a : r + b] for r in first], ())
+            for index, d, dim in _run_contribution(p, cont, b - lo, key):
+                entry = index, degree + lo + d
+                beta[entry] = get(entry, 0) + dim
+            a, cont = b - 1, 1
     return BettiDiagram(i.n, beta)
 
 

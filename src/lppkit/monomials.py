@@ -412,26 +412,27 @@ def _row_plan(sides: tuple[int, ...]):
     """The rows of the box prod [0, sides_k) in runs: a run holds the rows
     whose prefixes agree but in the last prefix coordinate, which has row
     stride 1.  Returns per run in row order the range of its rows' |p|, per
-    run ``(base, degree, first, bounds)``, and the number of rows of each
-    prefix degree |p|, 0 to sum(sides).
+    run ``(degree, first)``, and the number of rows of each prefix degree
+    |p|, 0 to sum(sides).
 
-    ``base`` is the run's first row and ``degree`` its |p|.  The key of a
-    row (see :func:`betti._row_contribution`) is the starts of the rows one
-    step below it along the subsets j of its prefix support, bit m of j for
-    its m-th coordinate: ``first`` holds those rows for the run's first row,
-    and ``bounds`` the slices of the row starts whose e-th entries, zipped,
-    key its row e + 1 (the last prefix coordinate is the top bit)."""
+    ``degree`` is the |p| of the run's first row.  The key of a row (see
+    :func:`betti._row_contribution`) is the starts of the rows one step
+    below it along the subsets j of its prefix support, bit m of j for its
+    m-th coordinate: ``first`` holds those rows for the run's first row,
+    which are the first rows of the runs one step below along the outer
+    prefix support, the run itself first.  Row e > 0 of the run reads row
+    e of each of those runs, then row e - 1 of each (the last prefix
+    coordinate is the top bit)."""
     strides = _row_strides(sides)[:-1]
     run = sides[-2] if len(sides) > 1 else 1
     degrees, runs, counts = [], [], [0] * (sum(sides) + 1)
     for outer in itertools.product(*map(range, sides[:-2])):
-        base, degree, steps = sum(map(operator.mul, outer, strides)), sum(outer), [0]
+        degree, first = sum(outer), [sum(map(operator.mul, outer, strides))]
         for e, stride in zip(outer, strides):
             if e:
-                steps += [step + stride for step in steps]
-        bounds = tuple((base + 1 - s, base + run - s) for s in steps + [s + 1 for s in steps])
+                first += [r - stride for r in first]
         degrees.append(range(degree, degree + run))
-        runs.append((base, degree, tuple(base - s for s in steps), bounds))
+        runs.append((degree, tuple(first)))
         counts[degree] += 1
         counts[degree + run] -= 1
     return tuple(degrees), tuple(runs), tuple(itertools.accumulate(counts))
@@ -684,14 +685,25 @@ def _members_first(i: MonomialIdeal, d: int, caps) -> bool:
     tuples in lex-descending order (only the tuples below ``caps``, when
     given)?  Each tuple is read as the row and column of
     :func:`_lex_table`: it is a member when the row starts at or before the
-    column."""
+    column.  A degree with more than LEX_CACHED tuples builds its table
+    without keeping it."""
     sides, starts = i._row_starts()
-    rows, columns = _lex_table(sides, caps, d)
+    n = len(sides)
+    cached = d < 0 or math.comb(d + n - 1, n - 1) <= LEX_CACHED
+    rows, columns = (_lex_table if cached else _lex_table.__wrapped__)(sides, caps, d)
     members = list(map(operator.le, rows(starts), columns))
     return True not in members[members.count(True) :]
 
 
-# one table per box, caps and degree: 94 in a sweep-residual pass
+# Most degree-d exponent tuples, counted without caps, for which the
+# _lex_table is kept in its cache; a larger table (at most BOX_GUARD tuples,
+# about 40 bytes each) is built per call.  Sweeps read tables of at most 15
+# tuples.
+LEX_CACHED = 4096
+
+
+# one table per box, caps and degree: 94 in a sweep-residual pass; at most
+# 128 tables of LEX_CACHED tuples, about 25 MB
 @lru_cache(maxsize=128)
 def _lex_table(sides: tuple[int, ...], caps, d: int):
     """The degree-d exponent tuples below ``caps`` (all of them when it is

@@ -223,6 +223,15 @@ class TestIsLexSegment:
         assert is_lex_segment(i, 3000)
         assert _lex_table.cache_info().misses == built
 
+    def test_large_tables_are_not_cached(self):
+        # C(202, 2) = 20,301 monomials of degree 200 in three variables
+        i = ideal("x1", 3)
+        _lex_table.cache_clear()
+        assert is_lex_segment(i, 200)
+        assert _lex_table.cache_info().currsize == 0
+        assert is_lex_segment(i, 20)  # 231 monomials: kept
+        assert _lex_table.cache_info().currsize == 1
+
     def test_too_many_monomials_of_the_degree(self):
         # C(3002, 2) = 4,504,501 monomials of degree 3000 in three variables
         with pytest.raises(GuardExceeded, match="4504501 monomials of degree 3000"):

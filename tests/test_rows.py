@@ -23,6 +23,7 @@ from lppkit import (
     HilbertFunction,
     Monomial,
     MonomialIdeal,
+    betti,
     betti_diagram,
     growth_check,
     harness,
@@ -186,12 +187,28 @@ class TestRowStarts:
         got = monomials._starts_of_corners(sides, i._corners())
         assert got == starts_in_box(i, sides)
 
-    def test_one_long_prefix_axis(self):
+    def test_one_long_prefix_axis(self, monkeypatch):
         # 999,999 rows of one point each: x1^e for e < 999999 is outside
         i = parse_ideal("x1^999999, x2")
         assert i._row_starts() == ((1000000, 2), (1,) * 999999 + (0,))
         assert i.hilbert_function().values == (1,) * 999999 + (0,)
         assert i.socle_monomials() == {999998: (Monomial((999998, 0)),)}
+        # the one run is read in blocks, each key one slice (k = 0) of at
+        # most RUN_BLOCK + 1 starts
+        keys = []
+        looked_up = betti._run_contribution
+
+        def recording(p, cont, width, starts):
+            keys.append((cont, width, len(starts)))
+            return looked_up(p, cont, width, starts)
+
+        monkeypatch.setattr(betti, "_run_contribution", recording)
+        diagram = betti_diagram(i)
+        assert diagram.items() == [((0, 0), 1), ((1, 1), 1), ((1, 999999), 1), ((2, 1000000), 1)]
+        assert len(keys) == -(-999999 // betti.RUN_BLOCK)
+        assert max(length for _, _, length in keys) == betti.RUN_BLOCK + 1
+        for cont, width, length in keys:
+            assert width <= betti.RUN_BLOCK and length == width + cont
 
 
 def rows_below(sides: tuple[int, ...]):
@@ -237,12 +254,13 @@ class TestRowPlan:
         degrees, plan, counts = monomials._row_plan(sides)
         run = len(degrees[0])
         rows = []
-        for (base, degree, first, bounds), span in zip(plan, degrees):
+        for (degree, first), span in zip(plan, degrees):
             assert span == range(degree, degree + run)
-            assert all(hi - lo == run - 1 for lo, hi in bounds)
-            rows.append((base, degree, tuple(first)))
-            rows += [(base + e, degree + e, tuple(lo + e - 1 for lo, _ in bounds))
-                     for e in range(1, run)]
+            rows.append((first[0], degree, first))
+            # row e > 0 reads row e of each run below, then row e - 1
+            for e in range(1, run):
+                below = tuple(r + e for r in first) + tuple(r + e - 1 for r in first)
+                rows.append((first[0] + e, degree + e, below))
         want = list(rows_below(sides))
         assert rows == want
         degrees = Counter(degree for _, degree, _ in want)

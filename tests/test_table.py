@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lppkit import DegreeList, FieldSpec, Monomial, betti_diagram, is_lpp, minimalize
-from lppkit.betti import _homology_of_mask, _row_contribution
+from lppkit.betti import RUN_BLOCK, _homology_of_mask, _row_contribution, _run_contribution
 from lppkit.harness import enumerate_ideals, valid_hilbert_functions
 from lppkit.monomials import (
     BOX_GUARD,
@@ -140,18 +140,36 @@ class TestBettiMatchesReference:
             gens = [Monomial(tuple(g.exps[k] for k in perm)) for g in i.gens]
             assert betti_diagram(minimalize(i.n, gens)) == b, perm
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "x1^40, x1^17*x2, x1^5*x2^2, x2^3",
+            "x1^3, x2^35, x3^3, x1*x2^20*x3, x2^17*x3^2, x1^2*x2^33",
+            "x1^2, x2^2, x3^34, x4^3, x1*x3^16*x4, x2*x3^30, x3^18*x4^2",
+        ],
+    )
+    def test_runs_longer_than_a_block(self, text):
+        # runs of 35 to 41 rows: three blocks each, two of them continuing
+        i = parse_ideal(text)
+        assert i._row_starts()[0][-2] > 2 * RUN_BLOCK
+        for f in (FieldSpec(0), GF2):
+            _run_contribution.cache_clear()
+            assert betti_diagram(i, f) == betti_diagram_by_contains(i, f)
+
     def test_homology_cache_is_bounded(self):
         assert _homology_of_mask.cache_info().maxsize is not None
 
     def test_row_memo_is_bounded_and_cleared_by_the_benchmark(self):
         caches = benchmark_caches()
-        assert _row_contribution in caches
-        assert _row_contribution.cache_info().maxsize is not None
+        memos = (_row_contribution, _run_contribution)
+        for memo in memos:
+            assert memo in caches
+            assert memo.cache_info().maxsize is not None
         betti_diagram(parse_ideal("x1^3, x1*x2^2, x2^4, x3^2"))
-        assert _row_contribution.cache_info().currsize > 0
+        assert all(memo.cache_info().currsize > 0 for memo in memos)
         for cache in caches:
             cache.cache_clear()
-        assert _row_contribution.cache_info().currsize == 0
+        assert all(memo.cache_info().currsize == 0 for memo in memos)
 
     def test_the_characteristic_is_part_of_the_row_key(self):
         i = rp2_ideal()
@@ -159,8 +177,12 @@ class TestBettiMatchesReference:
         want = {0: betti_diagram_by_contains(i), 2: betti_diagram_by_contains(i, GF2)}
         assert (want[0].beta(3, 6), want[2].beta(3, 6)) == (25, 26)
         assert (want[0].beta(4, 6), want[2].beta(4, 6)) == (15, 16)
-        for p in (0, 2, 0):  # each field with the other's rows in the memo
+        _row_contribution.cache_clear()
+        _run_contribution.cache_clear()
+        for p in (0, 2, 0):  # each field with the other's rows and runs in the memos
             assert betti_diagram(i, FieldSpec(p)) == want[p], p
+        # the last diagram was read from the runs the first one left
+        assert _run_contribution.cache_info().hits > 0
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -175,8 +197,10 @@ class TestBettiMatchesReference:
         cold = []
         for ideal in (i, wide, j):
             _row_contribution.cache_clear()
+            _run_contribution.cache_clear()
             cold.append(betti_diagram(ideal))
         _row_contribution.cache_clear()
+        _run_contribution.cache_clear()
         assert [betti_diagram(ideal) for ideal in (i, wide, j)] == cold
         assert cold[0] == cold[1]
 
