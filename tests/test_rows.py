@@ -282,7 +282,11 @@ class TestRowPlan:
     @pytest.mark.parametrize(
         "text",
         ["x1^5", "x1", "x1^2, x2^3", "x1^3, x1*x2, x2^4", "x1^6, x2", "x1, x2^6",
-         "x1^2, x2^2, x3^2, x1*x2*x3", "x1^2, x2, x3^3, x4^2, x1*x3^2*x4"],
+         "x1^2, x2^2, x3^2, x1*x2*x3", "x1^2, x2, x3^3, x4^2, x1*x3^2*x4",
+         # runs of 35 to 41 rows: each read as three Betti blocks
+         "x1^40, x1^17*x2, x1^5*x2^2, x2^3",
+         "x1^3, x2^35, x3^3, x1*x2^20*x3, x2^17*x3^2, x1^2*x2^33",
+         "x1^2, x2^2, x3^34, x4^3, x1*x3^16*x4, x2*x3^30, x3^18*x4^2"],
     )
     def test_readers_match_their_oracles(self, text):
         i = parse_ideal(text)

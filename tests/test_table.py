@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lppkit import DegreeList, FieldSpec, Monomial, betti_diagram, is_lpp, minimalize
-from lppkit.betti import RUN_BLOCK, _homology_of_mask, _row_contribution, _run_contribution
+from lppkit.betti import _homology_of_mask, _row_contribution, _run_contribution
 from lppkit.harness import enumerate_ideals, valid_hilbert_functions
 from lppkit.monomials import (
     BOX_GUARD,
@@ -139,22 +139,6 @@ class TestBettiMatchesReference:
         for perm in itertools.permutations(range(i.n)):
             gens = [Monomial(tuple(g.exps[k] for k in perm)) for g in i.gens]
             assert betti_diagram(minimalize(i.n, gens)) == b, perm
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "x1^40, x1^17*x2, x1^5*x2^2, x2^3",
-            "x1^3, x2^35, x3^3, x1*x2^20*x3, x2^17*x3^2, x1^2*x2^33",
-            "x1^2, x2^2, x3^34, x4^3, x1*x3^16*x4, x2*x3^30, x3^18*x4^2",
-        ],
-    )
-    def test_runs_longer_than_a_block(self, text):
-        # runs of 35 to 41 rows: three blocks each, two of them continuing
-        i = parse_ideal(text)
-        assert i._row_starts()[0][-2] > 2 * RUN_BLOCK
-        for f in (FieldSpec(0), GF2):
-            _run_contribution.cache_clear()
-            assert betti_diagram(i, f) == betti_diagram_by_contains(i, f)
 
     def test_homology_cache_is_bounded(self):
         assert _homology_of_mask.cache_info().maxsize is not None
