@@ -325,19 +325,19 @@ def _run_contribution(
 def betti_diagram(i: MonomialIdeal, f: FieldSpec = QQ) -> BettiDiagram:
     """Full Betti diagram of R/I for an Artinian monomial ideal I.
 
-    The pure-power profile is read first, so a non-Artinian ideal is refused
-    before its box is built.  The rows are read run by run, as
+    A non-Artinian ideal is refused first, before its box is built when it
+    has generators only (:meth:`MonomialIdeal._is_artinian`), and the unit
+    ideal is the one whose row 0 starts at 0.  The rows are read run by run, as
     :func:`_row_plan` lays them out, in blocks of at most RUN_BLOCK rows:
     each block's key is the slices of the row starts that its rows read
     from its run and the runs one step below it (see
     :func:`_run_contribution`)."""
-    profile = i.pure_power_profile()
-    if None in profile:
+    if not i._is_artinian():
         raise NotArtinianError("Betti diagram needs an Artinian ideal")
-    if profile[0] == 0:  # the unit ideal
+    sides, starts = i._row_starts()
+    if starts[0] == 0:  # the unit ideal
         return BettiDiagram(i.n, {})
     p = f.characteristic
-    sides, starts = i._row_starts()
     row_degrees, runs, _ = _row_plan(sides)
     run = len(row_degrees[0])
     beta = {(0, 0): 1}

@@ -126,33 +126,42 @@ def _walk(h: HilbertFunction, a: DegreeList, guard: int | None, moves):
     sides = tuple(deg + 1 for deg in a.degrees)
     offsets, below, fresh = _frame(a.degrees)
     last = a.degrees[-1]
+    values = h.values  # 1 at degree 0, as h is valid
     starts = [0] * len(offsets)
     count = 0
 
     def walk(d: int, stabilizer: list, raised: tuple):
         nonlocal count
-        need = h.at(d)
-        if need == 0:
-            size = order // (len(stabilizer) + 1)
-            count += size
-            if count > guard:
-                raise GuardExceeded(f"more than {guard} ideals; raise the guard")
-            yield _ideal_of_rows(a.n, sides, starts), size
-            return
+        need = values[d]
         # a row can grow at d only if it grew at d - 1 or its first point has
         # degree d; then it holds c = starts[r] points, c = d - |p|
         candidates = []
         for r in sorted(raised + fresh[d], reverse=True) if d < len(fresh) else raised:
             c = starts[r]
-            if c < last and all(starts[q] > c for q in below[r]):
-                candidates.append(r)
+            if c < last:
+                for q in below[r]:
+                    if starts[q] <= c:
+                        break
+                else:
+                    candidates.append(r)
+        if len(candidates) < need:
+            return
+        # at the last nonzero degree each subset completes an ideal
+        final = values[d + 1] == 0
         for combo in itertools.combinations(candidates, need):
             fixed = stabilizer and _fixing(stabilizer, [offsets[r] + d for r in combo])
             if fixed is None:
                 continue
             for r in combo:
                 starts[r] += 1
-            yield from walk(d + 1, fixed, combo)
+            if final:
+                size = order // (len(fixed) + 1)
+                count += size
+                if count > guard:
+                    raise GuardExceeded(f"more than {guard} ideals; raise the guard")
+                yield _ideal_of_rows(a.n, sides, starts), size
+            else:
+                yield from walk(d + 1, fixed, combo)
             for r in combo:
                 starts[r] -= 1
 

@@ -268,6 +268,19 @@ class MonomialIdeal:
     def is_unit(self) -> bool:
         return self.pure_power_profile()[0] == 0
 
+    def _is_artinian(self) -> bool:
+        """Does the ideal hold a power of every variable?
+
+        With row starts, x_n has one when row 0 starts inside the box, and
+        x_k, k < n, when the row (side_k - 1) * e_k starts at 0: starts
+        never increase along an axis, and beyond the box membership does
+        not change.  An ideal with generators only reads its pure-power
+        profile from them, so no box is built."""
+        if self._rows is None:
+            return None not in self.pure_power_profile()
+        sides, starts = self._rows
+        return starts[0] < sides[-1] and not any(_axis_ends(sides)(starts))
+
     def _corners(self) -> tuple[tuple[int, ...], ...]:
         """The exponent tuples of the minimal generators, lex-descending; an
         ideal built from row starts reads them off its starts once."""
@@ -337,7 +350,7 @@ class MonomialIdeal:
         one at |p| + start per row; for the unit ideal every row starts at 0,
         giving (0,).
         """
-        if None in self.pure_power_profile():
+        if not self._is_artinian():
             raise NotArtinianError("ideal is not Artinian")
         sides, starts = self._row_starts()
         row_degrees, _, degree_counts = _row_plan(sides)
@@ -356,7 +369,7 @@ class MonomialIdeal:
         the start read past it (0, or a row that wraps round) never counts.
         Prefixes are built only for the rows kept.
         """
-        if None in self.pure_power_profile():
+        if not self._is_artinian():
             raise NotArtinianError("ideal is not Artinian")
         sides, starts = self._row_starts()
         strides = _row_strides(sides)
@@ -396,6 +409,14 @@ def minimalize(n: int, gens) -> MonomialIdeal:
 def _row_strides(sides: tuple[int, ...]) -> tuple[int, ...]:
     """Index step between rows one step apart in each prefix coordinate."""
     return tuple(math.prod(sides[k + 1 : -1]) for k in range(len(sides) - 1))
+
+
+# one getter per box: 1 in a sweep benchmark pass
+@lru_cache(maxsize=64)
+def _axis_ends(sides: tuple[int, ...]):
+    """A getter (see :func:`_getter`) of the starts of the last row along
+    each prefix axis of the box prod [0, sides_k), (side_k - 1) * e_k."""
+    return _getter([(side - 1) * stride for side, stride in zip(sides, _row_strides(sides))])
 
 
 def _getter(indices):
@@ -510,16 +531,20 @@ def _ideal_of_rows(n: int, sides: tuple[int, ...], starts) -> MonomialIdeal:
 
 def _corners_of_rows(sides: tuple[int, ...], starts) -> list[tuple[int, ...]]:
     """The minimal generators, as lex-descending exponent tuples, of the
-    ideal whose row starts in the box prod [0, sides_k) are ``starts``.
+    ideal whose row starts in the box prod [0, sides_k) are ``starts``."""
+    return [prefix + (t,) for prefix, t in _corner_rows(sides, starts)]
 
-    A row's start is a minimal generator when it lies in the box and is below
-    the start of every row one step down; no other point is.  Rows are read
-    from the last, so the generators come out lex-descending.
+
+def _corner_rows(sides: tuple[int, ...], starts):
+    """The rows whose start is a minimal generator, as ``(prefix, start)``.
+
+    A row's start is one when it lies in the box and is below the start of
+    every row one step down; no other point is.  Rows are read from the
+    last, so the generators come out lex-descending.
     """
     last = sides[-1]
     axes = list(enumerate(_row_strides(sides)))
     prefixes = itertools.product(*(range(s - 1, -1, -1) for s in sides[:-1]))
-    corners = []
     for r, prefix in zip(range(len(starts) - 1, -1, -1), prefixes):
         t = starts[r]
         if t >= last:
@@ -528,8 +553,7 @@ def _corners_of_rows(sides: tuple[int, ...], starts) -> list[tuple[int, ...]]:
             if prefix[k] and starts[r - stride] <= t:
                 break
         else:
-            corners.append(prefix + (t,))
-    return corners
+            yield prefix, t
 
 
 def colon(j: MonomialIdeal, i: MonomialIdeal) -> MonomialIdeal:
@@ -557,32 +581,53 @@ def _colon_of_powers(sides: tuple[int, ...], a: tuple[int, ...], i: MonomialIdea
     """(x_1^{a_1}, ..., x_n^{a_n}) : I in the box prod [0, sides_k) holding
     the powers.
 
-    With T(q) the start of I's row q clamped to a_n, the point (p, c) with
-    every p_k < a_k is in the colon when (a' - 1 - p, a_n - 1 - c) is
-    outside I, that is c >= a_n - T(a' - 1 - p); every other row is in the
-    powers and starts at 0.  The rows q of prod [0, a_k), k < n, in order
-    are the rows a' - 1 - p in reverse order, so the inner rows are T
-    reversed, then padded along each prefix axis from a_k to sides_k.
+    With T(q) the start of I's row q, a_n for an empty row, clamped to a_n,
+    the point (p, c) with every p_k < a_k is in the colon when
+    (a' - 1 - p, a_n - 1 - c) is outside I, that is c >= a_n - T(a' - 1 - p);
+    every other row is in the powers and starts at 0.  I's starts are read
+    in that order through :func:`_reflection`, a padding row reading one
+    start appended past the end; an I with generators only first gets its
+    starts in the box prod [0, a_k).  A box of more than REFLECT_CACHED rows
+    builds its getter without keeping it.
     """
-    n, last = len(a), a[-1]
+    last = a[-1]
     if i._rows is not None:
-        # read I's starts, each prefix coordinate clamped to I's box
         i_sides, i_starts = i._rows
-        rows = [0]
-        for side, stride, ak in zip(i_sides, _row_strides(i_sides), a):
-            steps = [min(q, side - 1) * stride for q in range(ak)]
-            rows = [r + step for r in rows for step in steps]
-        # a start at or past I's side is an empty row: T is then a_n
-        bound = min(i_sides[-1], last)
-        inner = [last - i_starts[r] if i_starts[r] < bound else 0 for r in reversed(rows)]
     else:
-        inner = [last - t for t in reversed(_starts_of_corners(a, i._corners()))]
-    block = 1
-    for k in range(n - 2, -1, -1):
-        chunk, pad = a[k] * block, [0] * ((sides[k] - a[k]) * block)
-        inner = [x for c in range(0, len(inner), chunk) for x in inner[c : c + chunk] + pad]
-        block *= sides[k]
-    return _ideal_of_rows(n, sides, inner)
+        i_sides, i_starts = a, tuple(_starts_of_corners(a, i._corners()))
+    # a start at or past I's side is an empty row: T is then a_n
+    bound = min(i_sides[-1], last)
+    cached = math.prod(sides[:-1]) <= REFLECT_CACHED
+    rows = (_reflection if cached else _reflection.__wrapped__)(i_sides, a, sides)
+    inner = [last - t if t < bound else 0 for t in rows(i_starts + (bound,))]
+    return _ideal_of_rows(len(a), sides, inner)
+
+
+# Most rows of the colon's box for which the _reflection getter is kept in
+# its cache; a larger one is built per call.  The sweep-residual colons read
+# boxes of at most 36 rows, the cli-large ones boxes of at most 729.
+REFLECT_CACHED = 4096
+
+
+# one getter per pair of boxes and powers: 2 in a sweep-residual pass, 27 in
+# a cli-large pass; at most 32 getters of REFLECT_CACHED rows, about 150 KB
+# each (tracemalloc, lru entry included), so about 5 MB
+@lru_cache(maxsize=32)
+def _reflection(i_sides: tuple[int, ...], a: tuple[int, ...], sides: tuple[int, ...]):
+    """A getter (see :func:`_getter`) of the starts that
+    :func:`_colon_of_powers` reads, in the row order of the box
+    prod [0, sides_k), from the starts of an ideal in the box
+    prod [0, i_sides_k) with one start appended: row p with every p_k < a_k
+    reads row a' - 1 - p, each coordinate clamped to the ideal's box, and
+    every other row reads the appended start."""
+    pad = math.prod(i_sides[:-1])
+    rows = [0]
+    for side, stride, ak, wide in zip(i_sides, _row_strides(i_sides), a, sides):
+        steps = [min(q, side - 1) * stride for q in range(ak - 1, -1, -1)]
+        steps += [pad] * (wide - ak)
+        # a padding step sends the row past every real one, to be read as pad
+        rows = [r + step for r in rows for step in steps]
+    return _getter([min(r, pad) for r in rows])
 
 
 def _colon_of_corners(j: MonomialIdeal, corners) -> MonomialIdeal:
@@ -658,9 +703,25 @@ def is_lpp(i: MonomialIdeal, a: DegreeList) -> bool:
 def _lex_above_powers(i: MonomialIdeal, caps: tuple[int, ...]) -> bool:
     """:func:`is_lpp` once I's pure-power profile is known to be ``caps``:
     in each degree of a minimal generator in two or more variables, the
-    members among the monomials below ``caps`` come first in lex order."""
-    degrees = {sum(g) for g in i._corners() if g.count(0) < i.n - 1}
+    members among the monomials below ``caps`` come first in lex order.
+    The degrees are read from I's row starts when it has them, and from its
+    generators otherwise, so an I without such a generator builds no box."""
+    if i._rows is None:
+        degrees = {sum(g) for g in i._corners() if g.count(0) < i.n - 1}
+    else:
+        degrees = _mixed_degrees(*i._rows)
     return all(_members_first(i, d, caps) for d in degrees)
+
+
+def _mixed_degrees(sides: tuple[int, ...], starts) -> set[int]:
+    """The degrees of the minimal generators in two or more variables of the
+    ideal whose row starts in the box prod [0, sides_k) are ``starts``, with
+    no generator built."""
+    return {
+        sum(prefix) + t
+        for prefix, t in _corner_rows(sides, starts)
+        if len(prefix) - prefix.count(0) + (t > 0) > 1
+    }
 
 
 def is_lex_segment(i: MonomialIdeal, d: int) -> bool:

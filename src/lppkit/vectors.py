@@ -99,7 +99,7 @@ def stats(t: LppVector, a: DegreeList) -> VectorStats:
     st, reason = _measure(t, a.degrees)
     if st is None:
         raise ValueError(f"malformed vector for A={a}: {reason}")
-    return st
+    return VectorStats(*st)
 
 
 def validate(t: LppVector, a: DegreeList) -> Validation:
@@ -114,10 +114,10 @@ def _require_valid(t: LppVector, a: DegreeList) -> None:
         raise ValueError(f"invalid vector for A={a}: {reason}")
 
 
-def _measure(
-    t: LppVector, degrees: tuple[int, ...]
-) -> tuple[VectorStats | None, str | None]:
-    """Statistics and first failed condition of t, in one bottom-up walk.
+def _measure(t: LppVector, degrees: tuple[int, ...]) -> tuple[tuple | None, str | None]:
+    """Statistics, as a tuple ``(length, sigma, alpha, is_ci)`` in the order
+    of :class:`VectorStats`, and first failed condition of t, in one
+    bottom-up walk.
 
     A node's statistics come from its children's alone.  The statistics are
     None when some part of t sits at the wrong depth; the reason is then set.
@@ -125,13 +125,13 @@ def _measure(
     against the last child's length, then sigma < alpha for neighbours.
     """
     if isinstance(t, Empty):
-        return VectorStats(0, 0, 0, False), None
+        return (0, 0, 0, False), None
     n, a1 = len(degrees), degrees[0]
     if isinstance(t, Leaf):
         if n != 1:
             return None, f"leaf where a {n}-variable vector is needed"
         d = t.degree
-        st = VectorStats(d, d, INF if d == a1 else d, d == a1)
+        st = (d, d, INF, True) if d == a1 else (d, d, d, False)
         if d < 1:
             return st, f"leaf degree {d} is not positive"
         if d > a1:
@@ -148,22 +148,24 @@ def _measure(
         subs.append(sub)
         if reason is None and why is not None:
             reason = f"child {idx}: {why}"
-    if any(sub is None for sub in subs):
+    if None in subs:
         return None, reason
     first, last = subs[0], subs[-1]
-    if reason is None and u > last.length:
-        reason = f"length {u} exceeds the last child's length {last.length}"
-    for idx, (left, right) in enumerate(zip(subs, subs[1:]), start=1):
-        if reason is None and not left.sigma < right.alpha:
-            reason = (
-                f"sigma of child {idx} ({left.sigma}) not below "
-                f"alpha of child {idx + 1} ({right.alpha})"
-            )
+    if reason is None and u > last[0]:
+        reason = f"length {u} exceeds the last child's length {last[0]}"
+    if reason is None:
+        for idx, (left, right) in enumerate(zip(subs, subs[1:]), start=1):
+            if not left[1] < right[2]:
+                reason = (
+                    f"sigma of child {idx} ({left[1]}) not below "
+                    f"alpha of child {idx + 1} ({right[2]})"
+                )
+                break
     # a child is CI exactly when it equals the CI vector, hence the last child
-    cis = sum(sub.is_ci for sub in subs)
-    sigma = last.sigma + cis - 1 if last.is_ci else last.sigma
-    alpha = u if u < a1 else u + first.alpha - 1
-    return VectorStats(u, sigma, alpha, u == a1 and cis == u), reason
+    cis = sum(sub[3] for sub in subs)
+    sigma = last[1] + cis - 1 if last[3] else last[1]
+    alpha = u if u < a1 else u + first[2] - 1
+    return (u, sigma, alpha, u == a1 and cis == u), reason
 
 
 def ideal_of_vector(t: LppVector, a: DegreeList) -> MonomialIdeal:
@@ -348,18 +350,18 @@ def _enumerate(degrees: tuple[int, ...]) -> tuple[LppVector, ...]:
         return tuple(Leaf(d) for d in range(1, degrees[0] + 1))
     a1 = degrees[0]
     pool = _enumerate(degrees[1:])
-    st = [_measure(c, degrees[1:])[0] for c in pool]
+    st = [_measure(c, degrees[1:])[0] for c in pool]  # (length, sigma, alpha, is_ci)
     out: list[LppVector] = []
 
     def extend(prefix: list[int]):
         if prefix:
             last = prefix[-1]
-            if len(prefix) <= st[last].length:
+            if len(prefix) <= st[last][0]:
                 out.append(Node(tuple(pool[i] for i in prefix)))
             if len(prefix) == a1:
                 return
         for idx in range(len(pool)):
-            if prefix and not st[prefix[-1]].sigma < st[idx].alpha:
+            if prefix and not st[prefix[-1]][1] < st[idx][2]:
                 continue
             prefix.append(idx)
             extend(prefix)

@@ -400,3 +400,42 @@ class TestOrbitWalk:
             for ideal, size in harness._walk(h, a, None, moves)
         )
         assert hashlib.sha256(text.encode()).hexdigest() == self.STREAM_DIGESTS[degrees]
+
+    # the same, for the full walk (no moves, every orbit of size 1)
+    FULL_STREAM_DIGESTS = {
+        (3, 3, 4): "9dcc50946bf8871e776b4dab449c364086edbadddc3c3ab531604e4ec057bef5",
+        (2, 2, 3, 3): "51879690da4eb0c09f415ffa717d293d4f3c1125b200abdebd55c0e2b0f26975",
+    }
+
+    @pytest.mark.parametrize("degrees", sorted(FULL_STREAM_DIGESTS), ids=str)
+    def test_full_stream_is_pinned(self, degrees):
+        a = DegreeList(degrees)
+        text = "\n".join(
+            repr((str(h), ideal._row_starts()[1], size))
+            for h in valid_hilbert_functions(a, a.sigma_ci)
+            for ideal, size in harness._walk(h, a, None, ())
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == self.FULL_STREAM_DIGESTS[degrees]
+
+    def test_guard_counts_orbit_sizes(self):
+        # 20 orbits of sizes 1, 2 and 4, 56 ideals: the guard stops the walk at
+        # the first orbit that takes the count past it, before yielding it
+        a, h = DegreeList((2, 2, 3, 3)), HilbertFunction.from_string("1 4 8 10 5 0")
+        moves = harness._moves(a.degrees)
+        leaves = [(ideal._row_starts()[1], size) for ideal, size in harness._walk(h, a, None, moves)]
+        sizes = [size for _, size in leaves]
+        assert (len(leaves), sum(sizes), sorted(set(sizes))) == (20, 56, [1, 2, 4])
+        yielded = {}
+        for guard in range(1, 57):
+            got = []
+            try:
+                for ideal, size in harness._walk(h, a, guard, moves):
+                    got.append((ideal._row_starts()[1], size))
+            except GuardExceeded as exc:
+                assert str(exc) == f"more than {guard} ideals; raise the guard"
+                assert sum(size for _, size in leaves[: len(got) + 1]) > guard
+            else:
+                assert guard == 56
+            assert got == leaves[: len(got)] and sum(size for _, size in got) <= guard
+            yielded[guard] = len(got)
+        assert [yielded[g] for g in (1, 2, 3, 5, 7, 10, 20, 30, 56)] == [0, 1, 1, 2, 3, 4, 6, 10, 20]

@@ -64,6 +64,7 @@ from oracles import (
     unit_monomial,
 )
 from test_bench_smoke import workloads as bench_workloads
+from test_table import benchmark_caches
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 
@@ -99,14 +100,20 @@ def unit(n: int) -> MonomialIdeal:
 def powers_colon_pairs(draw):
     """(J, I) with J the pure powers of a random A, built from its generators
     or carried in a box larger than its generator box, and I reaching past
-    the box of A, carried in J's box or another box, or the unit ideal."""
+    the box of A: with generators only, carried in J's box, in a box smaller
+    than, equal to or larger than the powers' generator box, or in another
+    box, or the unit ideal."""
     n = draw(st.integers(1, 4))
     a = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
     j = MonomialIdeal(n, tuple(pure_power(n, k, e) for k, e in enumerate(a)))
     if draw(st.booleans()):
         sides = tuple(e + 1 + draw(st.integers(0, 2)) for e in a)
         j = _ideal_of_rows(n, sides, starts_in_box(j, sides))
-    build = draw(st.sampled_from(["gens", "J's box", "other box", "unit"]))
+    build = draw(
+        st.sampled_from(
+            ["gens", "J's box", "A's box", "powers' box", "larger box", "other box", "unit"]
+        )
+    )
     if build == "unit":
         return j, unit(n)
     gens = draw(st.lists(exponents(n, 6), min_size=1, max_size=4))
@@ -115,6 +122,10 @@ def powers_colon_pairs(draw):
         return j, i
     if build == "J's box":
         sides = j._row_starts()[0]
+    elif build != "other box":
+        # smaller than, equal to and larger than the powers' generator box
+        grow = {"A's box": 0, "powers' box": 1, "larger box": 3}[build]
+        sides = tuple(e + grow for e in a)
     else:  # sides below A's box and past it; I's points in the box generate
         sides = tuple(draw(st.integers(1, 7)) for _ in range(n))
     starts = starts_in_box(i, sides)
@@ -692,9 +703,10 @@ def profile_by_contains(i: MonomialIdeal, top: int) -> tuple:
 
 
 class TestPurePowerProfile:
-    """``pure_power_profile`` is the one reader of an ideal's pure powers, and
-    of the unit and Artinian tests; it reads the row starts when the ideal
-    has them and the generators otherwise."""
+    """``pure_power_profile`` is the one reader of an ideal's pure powers and
+    of the unit test; it reads the row starts when the ideal has them and the
+    generators otherwise.  The Artinian test reads the last row along each
+    prefix axis instead, or the profile of an ideal with generators only."""
 
     @settings(max_examples=120, deadline=None)
     @given(ideals())
@@ -705,6 +717,46 @@ class TestPurePowerProfile:
         carried = _ideal_of_rows(i.n, *i._row_starts())
         assert (i.pure_power_profile(), i.is_unit) == before
         assert (carried.pure_power_profile(), carried.is_unit) == before
+
+    @settings(max_examples=120, deadline=None)
+    @given(ideals(), st.integers(0, 2))
+    def test_artinian_test_agrees_with_the_profile(self, i, wider):
+        artinian = None not in profile_by_contains(i, 4)
+        assert i._is_artinian() is artinian
+        assert i._rows is None  # no box built for generators only
+        sides, starts = i._row_starts()
+        assert i._is_artinian() is artinian
+        box = tuple(side + wider for side in sides)
+        carried = _ideal_of_rows(i.n, box, starts_in_box(i, box))
+        assert carried._is_artinian() is artinian
+
+    @pytest.mark.parametrize("build", ["gens", "rows"])
+    def test_readers_refuse_a_non_artinian_ideal(self, build):
+        # no power of x3; rows (p1, p2) of the box [0, 2]^2 x [0, 3] are
+        # indexed 3 * p1 + p2
+        i = parse_ideal("x1^2, x2^3, x1*x3^2", 3)
+        if build == "rows":
+            i = _ideal_of_rows(3, (3, 4, 4), starts_in_box(i, (3, 4, 4)))
+            assert i._rows[1][0] == 4  # row 0 is empty in the box
+        for read in (
+            i.hilbert_function,
+            i.socle_monomials,
+            lambda: betti_diagram(i),
+            lambda: betti_diagram(i, FieldSpec(2)),
+        ):
+            with pytest.raises(NotArtinianError):
+                read()
+
+    def test_non_artinian_past_the_box_guard_is_refused_first(self):
+        # the generator box has 2001^2 > BOX_GUARD points and is never built
+        i = parse_ideal("x1^2000, x2^2000", 3)
+        assert 2001**2 > BOX_GUARD
+        for read in (i.hilbert_function, i.socle_monomials, lambda: betti_diagram(i)):
+            with pytest.raises(NotArtinianError):
+                read()
+        assert i._rows is None
+        with pytest.raises(GuardExceeded):
+            i._row_starts()
 
     @settings(max_examples=60, deadline=None)
     @given(colon_pairs())
@@ -773,8 +825,29 @@ class TestColon:
         with mock.patch.object(monomials, "_colon_of_corners", side_effect=AssertionError):
             got = colon(j, i)
         assert got._row_starts()[0] == j._row_starts()[0]
+        assert got == monomials._colon_of_corners(j, i._corners())
         assert got == colon_by_intersection(j, i)
         assert got == brute_colon(j, i, sum(j.pure_power_profile()))
+
+    def test_large_reflections_are_not_cached(self):
+        reflection = monomials._reflection
+        # 65 * 65 = 4225 rows, past REFLECT_CACHED
+        assert 65 * 65 > monomials.REFLECT_CACHED
+        large, i = parse_ideal("x1^64, x2^64, x3^2"), parse_ideal("x1^60*x2^3*x3, x1*x2*x3", 3)
+        reflection.cache_clear()
+        assert colon(large, i) == colon_by_intersection(large, i)
+        assert reflection.cache_info().currsize == 0
+        colon(parse_ideal("x1^2, x2^3, x3^3"), parse_ideal("x1*x2", 3))
+        assert reflection.cache_info().currsize == 1
+
+    def test_reflection_cache_is_cleared_by_the_benchmark(self):
+        caches = benchmark_caches()
+        assert monomials._reflection in caches and monomials._axis_ends in caches
+        colon(parse_ideal("x1^2, x2^3, x3^3"), parse_ideal("x1*x2", 3))
+        assert monomials._reflection.cache_info().currsize > 0
+        for cache in caches:
+            cache.cache_clear()
+        assert monomials._reflection.cache_info().currsize == 0
 
     def test_no_pass_per_generator_in_the_residual_sweep(self, monkeypatch):
         """One pass of the sweep-residual benchmark (seed 1) takes every colon

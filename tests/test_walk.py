@@ -9,7 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lppkit import EMPTY, DegreeList, Empty, Leaf, Node, enumerate_vectors, stats, validate
+from lppkit import (
+    EMPTY,
+    DegreeList,
+    Empty,
+    Leaf,
+    Node,
+    VectorStats,
+    dual,
+    enumerate_vectors,
+    stats,
+    validate,
+)
+from lppkit.vectors import _measure
 
 from oracles import stats_by_recursion, validate_by_recursion
 
@@ -69,10 +81,54 @@ def test_stats_rejects_a_malformed_middle_child():
     "degrees", [(2, 2, 2), (3, 4, 5), (2, 2, 3, 3), (4, 4, 6), (5, 7)]
 )
 def test_walk_matches_on_every_valid_vector(degrees):
+    # and on their duals; the walk measures on plain tuples, and stats
+    # builds the VectorStats
     a = DegreeList(degrees)
-    for t in enumerate_vectors(a):
+    vectors = enumerate_vectors(a)
+    for t in vectors + [dual(t, a) for t in vectors]:
         assert validate(t, a)
-        assert stats(t, a) == stats_by_recursion(t, a)
+        st = stats(t, a)
+        assert type(st) is VectorStats and st == stats_by_recursion(t, a)
+        assert _measure(t, degrees) == ((st.length, st.sigma, st.alpha, st.is_ci), None)
+
+
+# one malformed vector per condition of the walk, with the reason it gives
+REASONS = {
+    "leaf-where-a-node-is-needed": (
+        Leaf(2), (3, 4), "leaf where a 2-variable vector is needed"
+    ),
+    "leaf-not-positive": (Leaf(0), (4,), "leaf degree 0 is not positive"),
+    "leaf-above-its-bound": (Leaf(5), (4,), "leaf degree 5 exceeds the bound 4"),
+    "node-where-a-leaf-is-needed": (
+        Node((Leaf(1),)), (4,), "node where a one-variable vector is needed"
+    ),
+    "longer-than-a1": (Node((Leaf(9),) * 4), (3, 5), "length 4 exceeds a_1 = 3"),
+    "bad-child": (
+        Node((Leaf(1), Leaf(1), Leaf(0))), (3, 5), "child 3: leaf degree 0 is not positive"
+    ),
+    "bad-grandchild": (
+        Node((Node((Leaf(1),)), Node((Leaf(2), Leaf(7))))),
+        (2, 3, 5),
+        "child 2: child 2: leaf degree 7 exceeds the bound 5",
+    ),
+    "longer-than-the-last-child": (
+        Node((Leaf(1), Leaf(2), Leaf(2))), (3, 5), "length 3 exceeds the last child's length 2"
+    ),
+    "sigma-not-below-alpha": (
+        Node((Leaf(1), Leaf(4), Leaf(3))),
+        (3, 5),
+        "sigma of child 2 (4) not below alpha of child 3 (3)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", REASONS.values(), ids=list(REASONS))
+def test_reasons_are_pinned(case):
+    t, degrees, reason = case
+    a = DegreeList(degrees)
+    assert validate(t, a).reason == reason
+    with pytest.raises(ValueError, match=f"invalid vector for A={a}: "):
+        dual(t, a)
 
 
 def test_benchmark_entry_points_resolve():
