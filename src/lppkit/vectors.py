@@ -131,7 +131,7 @@ def _measure(t: LppVector, degrees: tuple[int, ...]) -> tuple[tuple | None, str 
         if n != 1:
             return None, f"leaf where a {n}-variable vector is needed"
         d = t.degree
-        st = (d, d, INF, True) if d == a1 else (d, d, d, False)
+        st = (d, d, INF if d == a1 else d, d == a1)
         if d < 1:
             return st, f"leaf degree {d} is not positive"
         if d > a1:
@@ -150,9 +150,10 @@ def _measure(t: LppVector, degrees: tuple[int, ...]) -> tuple[tuple | None, str 
             reason = f"child {idx}: {why}"
     if None in subs:
         return None, reason
-    first, last = subs[0], subs[-1]
-    if reason is None and u > last[0]:
-        reason = f"length {u} exceeds the last child's length {last[0]}"
+    first_alpha = subs[0][2]
+    last_length, last_sigma, _, last_ci = subs[-1]
+    if reason is None and u > last_length:
+        reason = f"length {u} exceeds the last child's length {last_length}"
     if reason is None:
         for idx, (left, right) in enumerate(zip(subs, subs[1:]), start=1):
             if not left[1] < right[2]:
@@ -163,8 +164,8 @@ def _measure(t: LppVector, degrees: tuple[int, ...]) -> tuple[tuple | None, str 
                 break
     # a child is CI exactly when it equals the CI vector, hence the last child
     cis = sum(sub[3] for sub in subs)
-    sigma = last[1] + cis - 1 if last[3] else last[1]
-    alpha = u if u < a1 else u + first[2] - 1
+    sigma = last_sigma + cis - 1 if last_ci else last_sigma
+    alpha = u if u < a1 else u + first_alpha - 1
     return (u, sigma, alpha, u == a1 and cis == u), reason
 
 
