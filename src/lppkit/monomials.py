@@ -619,15 +619,21 @@ def _reflection(i_sides: tuple[int, ...], a: tuple[int, ...], sides: tuple[int, 
     prod [0, sides_k), from the starts of an ideal in the box
     prod [0, i_sides_k) with one start appended: row p with every p_k < a_k
     reads row a' - 1 - p, each coordinate clamped to the ideal's box, and
-    every other row reads the appended start."""
+    every other row reads the appended start.  The rows p of
+    prod [0, a_k), k < n, are laid out first, then padded along each prefix
+    axis from a_k to sides_k, innermost first."""
     pad = math.prod(i_sides[:-1])
     rows = [0]
-    for side, stride, ak, wide in zip(i_sides, _row_strides(i_sides), a, sides):
+    for side, stride, ak in zip(i_sides, _row_strides(i_sides), a):
         steps = [min(q, side - 1) * stride for q in range(ak - 1, -1, -1)]
-        steps += [pad] * (wide - ak)
-        # a padding step sends the row past every real one, to be read as pad
         rows = [r + step for r in rows for step in steps]
-    return _getter([min(r, pad) for r in rows])
+    block = 1
+    for k in range(len(a) - 2, -1, -1):
+        chunk, fill = a[k] * block, [pad] * ((sides[k] - a[k]) * block)
+        chunks = (rows[c : c + chunk] + fill for c in range(0, len(rows), chunk))
+        rows = list(itertools.chain.from_iterable(chunks))
+        block *= sides[k]
+    return _getter(rows)
 
 
 def _colon_of_corners(j: MonomialIdeal, corners) -> MonomialIdeal:
