@@ -126,7 +126,7 @@ def _walk(h: HilbertFunction, a: DegreeList, guard: int | None, moves):
     sides = tuple(deg + 1 for deg in a.degrees)
     offsets, below, fresh = _frame(a.degrees)
     last = a.degrees[-1]
-    values = h.values  # 1 at degree 0, as h is valid
+    values = h.values  # valid: 1 at degree 0, so the walk ends at its one 0
     starts = [0] * len(offsets)
     count = 0
 

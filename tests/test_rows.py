@@ -731,13 +731,16 @@ class TestPurePowerProfile:
         assert carried._is_artinian() is artinian
 
     @pytest.mark.parametrize("build", ["gens", "rows"])
-    def test_readers_refuse_a_non_artinian_ideal(self, build):
-        # no power of x3; rows (p1, p2) of the box [0, 2]^2 x [0, 3] are
-        # indexed 3 * p1 + p2
-        i = parse_ideal("x1^2, x2^3, x1*x3^2", 3)
+    @pytest.mark.parametrize(
+        "text", ["x1^2, x2^3, x1*x3^2", "x2^3, x3^2, x1*x2*x3"], ids=["no-x3", "no-x1"]
+    )
+    def test_readers_refuse_a_non_artinian_ideal(self, text, build):
+        # in the box [0, 2] x [0, 3] x [0, 3], with no power of x3 row 0 is
+        # empty, and with none of x1 the last row along x1 starts above 0
+        i = parse_ideal(text, 3)
         if build == "rows":
             i = _ideal_of_rows(3, (3, 4, 4), starts_in_box(i, (3, 4, 4)))
-            assert i._rows[1][0] == 4  # row 0 is empty in the box
+            assert i._rows[1][0] == 4 or i._rows[1][2 * 4] > 0
         for read in (
             i.hilbert_function,
             i.socle_monomials,
