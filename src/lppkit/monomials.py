@@ -279,7 +279,10 @@ class MonomialIdeal:
         if self._rows is None:
             return None not in self.pure_power_profile()
         sides, starts = self._rows
-        return starts[0] < sides[-1] and not any(_axis_ends(sides)(starts))
+        for side, stride in zip(sides, _row_strides(sides)):
+            if starts[(side - 1) * stride]:
+                return False
+        return starts[0] < sides[-1]
 
     def _corners(self) -> tuple[tuple[int, ...], ...]:
         """The exponent tuples of the minimal generators, lex-descending; an
@@ -411,16 +414,6 @@ def _row_strides(sides: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(math.prod(sides[k + 1 : -1]) for k in range(len(sides) - 1))
 
 
-# one getter per box: 1 in a sweep benchmark pass; at most 64 getters of
-# n - 1 indices, under 1.5 KB each for n <= 8 (tracemalloc, lru entry
-# included), so under 100 KB
-@lru_cache(maxsize=64)
-def _axis_ends(sides: tuple[int, ...]):
-    """A getter (see :func:`_getter`) of the starts of the last row along
-    each prefix axis of the box prod [0, sides_k), (side_k - 1) * e_k."""
-    return _getter([(side - 1) * stride for side, stride in zip(sides, _row_strides(sides))])
-
-
 def _getter(indices):
     """``operator.itemgetter(*indices)``, but giving a tuple for any number
     of indices."""
@@ -533,20 +526,16 @@ def _ideal_of_rows(n: int, sides: tuple[int, ...], starts) -> MonomialIdeal:
 
 def _corners_of_rows(sides: tuple[int, ...], starts) -> list[tuple[int, ...]]:
     """The minimal generators, as lex-descending exponent tuples, of the
-    ideal whose row starts in the box prod [0, sides_k) are ``starts``."""
-    return [prefix + (t,) for prefix, t in _corner_rows(sides, starts)]
+    ideal whose row starts in the box prod [0, sides_k) are ``starts``.
 
-
-def _corner_rows(sides: tuple[int, ...], starts):
-    """The rows whose start is a minimal generator, as ``(prefix, start)``.
-
-    A row's start is one when it lies in the box and is below the start of
-    every row one step down; no other point is.  Rows are read from the
-    last, so the generators come out lex-descending.
+    A row's start is a minimal generator when it lies in the box and is below
+    the start of every row one step down; no other point is.  Rows are read
+    from the last, so the generators come out lex-descending.
     """
     last = sides[-1]
     axes = list(enumerate(_row_strides(sides)))
     prefixes = itertools.product(*(range(s - 1, -1, -1) for s in sides[:-1]))
+    corners = []
     for r, prefix in zip(range(len(starts) - 1, -1, -1), prefixes):
         t = starts[r]
         if t >= last:
@@ -555,7 +544,8 @@ def _corner_rows(sides: tuple[int, ...], starts):
             if prefix[k] and starts[r - stride] <= t:
                 break
         else:
-            yield prefix, t
+            corners.append(prefix + (t,))
+    return corners
 
 
 def colon(j: MonomialIdeal, i: MonomialIdeal) -> MonomialIdeal:
@@ -711,18 +701,8 @@ def is_lpp(i: MonomialIdeal, a: DegreeList) -> bool:
 def _lex_above_powers(i: MonomialIdeal, caps: tuple[int, ...]) -> bool:
     """:func:`is_lpp` once I's pure-power profile is known to be ``caps``:
     in each degree of a minimal generator in two or more variables, the
-    members among the monomials below ``caps`` come first in lex order.
-    The degrees are read off I's row starts when it has them, with no
-    generator built, and from its generators otherwise, so an I without
-    such a generator builds no box."""
-    if i._rows is None:
-        degrees = {sum(g) for g in i._corners() if g.count(0) < i.n - 1}
-    else:
-        degrees = {
-            sum(prefix) + t
-            for prefix, t in _corner_rows(*i._rows)
-            if len(prefix) - prefix.count(0) + (t > 0) > 1
-        }
+    members among the monomials below ``caps`` come first in lex order."""
+    degrees = {sum(g) for g in i._corners() if g.count(0) < i.n - 1}
     return all(_members_first(i, d, caps) for d in degrees)
 
 
