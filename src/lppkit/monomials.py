@@ -279,10 +279,7 @@ class MonomialIdeal:
         if self._rows is None:
             return None not in self.pure_power_profile()
         sides, starts = self._rows
-        for side, stride in zip(sides, _row_strides(sides)):
-            if starts[(side - 1) * stride]:
-                return False
-        return starts[0] < sides[-1]
+        return starts[0] < sides[-1] and not any(_axis_ends(sides)(starts))
 
     def _corners(self) -> tuple[tuple[int, ...], ...]:
         """The exponent tuples of the minimal generators, lex-descending; an
@@ -412,6 +409,17 @@ def minimalize(n: int, gens) -> MonomialIdeal:
 def _row_strides(sides: tuple[int, ...]) -> tuple[int, ...]:
     """Index step between rows one step apart in each prefix coordinate."""
     return tuple(math.prod(sides[k + 1 : -1]) for k in range(len(sides) - 1))
+
+
+# one getter per box: 1 in a sweep benchmark pass; at most 64 getters of
+# n - 1 indices, under 1.5 KB each for n <= 8 (tracemalloc, lru entry
+# included), so under 100 KB.  sweep-betti read 3-6% more items_per_s with
+# it than with a loop over _row_strides (paired runs in BENCH_22.json).
+@lru_cache(maxsize=64)
+def _axis_ends(sides: tuple[int, ...]):
+    """A getter (see :func:`_getter`) of the starts of the last row along
+    each prefix axis of the box prod [0, sides_k), (side_k - 1) * e_k."""
+    return _getter([(side - 1) * stride for side, stride in zip(sides, _row_strides(sides))])
 
 
 def _getter(indices):
