@@ -35,9 +35,10 @@ from .monomials import (
 )
 from .growth import ci_hilbert_function, is_lpp_sequence, lpp_bound
 from .vectors import (
+    MISSING,
     _dual,
+    _enumerate,
     _ideal,
-    enumerate_vectors,
     format_vector,
     ideal_of_vector,
     vector_of_hf,
@@ -383,17 +384,27 @@ def _against_lpp(
 def residual_lpp_check(a: DegreeList) -> CheckReport:
     """Residuals of vector ideals inside the pure powers are again vector
     ideals: colon(powers, W_T) = W_(T*), duality is an involution, and the
-    residual is lex-plus-powers for its own profile."""
+    residual is lex-plus-powers for its own profile.
+
+    Every vector and its dual are read from the table of
+    :func:`vectors._enumerate`, which the ideal guard bounds: W_T and W_(T*)
+    from their row starts, T* and T** by their indices.  A dual that is not
+    in the table is not a valid vector, and is refused as
+    :func:`ideal_of_vector` refuses it (ValueError)."""
     instance = {"A": list(a.degrees)}
     powers = a.powers_ideal()
+    vectors, starts, _, duals = _enumerate(a.degrees, _ideal_guard(None))
+    sides = tuple(deg + 1 for deg in a.degrees)
+    unit = (0,) * len(starts[0])  # the rows of the empty vector's ideal
+    ci = duals.index(None)  # the dual of the empty vector
     witnesses = []
-    count = 0
-    for vec in enumerate_vectors(a):  # valid by construction
-        count += 1
-        ideal = _ideal(vec, a)
-        dual_vec = _dual(vec, a.degrees)
-        expected = ideal_of_vector(dual_vec, a)  # checks dual_vec
-        actual = colon(powers, ideal)
+    for i, vec in enumerate(vectors):
+        j = duals[i]
+        if j == MISSING:
+            ideal_of_vector(_dual(vec, a.degrees), a)
+            raise ValueError(f"the dual of {format_vector(vec)} is not enumerated for A={a}")
+        expected = _ideal_of_rows(a.n, sides, unit if j is None else starts[j])
+        actual = colon(powers, _ideal_of_rows(a.n, sides, starts[i]))
         if actual != expected:
             witnesses.append(
                 {
@@ -404,7 +415,7 @@ def residual_lpp_check(a: DegreeList) -> CheckReport:
                 }
             )
             continue
-        if _dual(dual_vec, a.degrees) != vec:
+        if (ci if j is None else duals[j]) != i:
             witnesses.append(
                 {"reason": "duality is not an involution", "vector": format_vector(vec)}
             )
@@ -429,19 +440,23 @@ def residual_lpp_check(a: DegreeList) -> CheckReport:
                     }
                 )
     return CheckReport.from_witnesses(
-        "residual-lpp", instance, witnesses, {"vectors": count}
+        "residual-lpp", instance, witnesses, {"vectors": len(vectors)}
     )
 
 
 def lexseg_lemma_check(a: DegreeList) -> CheckReport:
     """Where the residual's pure-power degree drops below A's, the residual's
-    graded piece at that degree is a lex segment."""
+    graded piece at that degree is a lex segment.  The vectors' ideals are
+    read from their row starts in the table of :func:`vectors._enumerate`,
+    which the ideal guard bounds."""
     instance = {"A": list(a.degrees)}
     powers = a.powers_ideal()
+    vectors, starts = _enumerate(a.degrees, _ideal_guard(None))[:2]
+    sides = tuple(deg + 1 for deg in a.degrees)
     witnesses = []
     count = 0
-    for vec in enumerate_vectors(a):  # valid by construction
-        ideal = _ideal(vec, a)
+    for vec, rows in zip(vectors, starts):
+        ideal = _ideal_of_rows(a.n, sides, rows)
         if ideal.pure_power_profile() != a.degrees:
             continue  # lemma is about ideals with powers exactly A
         count += 1

@@ -11,7 +11,9 @@ The calculus here provides: validity checking and the ``length / sigma /
 alpha`` statistics (one bottom-up walk computes both), the ideal and Hilbert
 function of a vector, the inverse map from Hilbert functions to vectors, and
 the dual vector whose ideal is the residual of the original inside the
-pure-powers complete intersection.
+pure-powers complete intersection.  The enumeration of every valid vector
+keeps a table that holds each vector's row starts, statistics and dual,
+built from its children's entries by the same node rules.
 """
 
 from __future__ import annotations
@@ -21,8 +23,9 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
-from .monomials import DegreeList, HilbertFunction, MonomialIdeal, _ideal_of_rows
+from .monomials import DegreeList, GuardExceeded, HilbertFunction, MonomialIdeal, _ideal_of_rows
 from .growth import _rows, is_lpp_sequence
 
 INF = math.inf
@@ -150,8 +153,7 @@ def _measure(t: LppVector, degrees: tuple[int, ...]) -> tuple[tuple | None, str 
             reason = f"child {idx}: {why}"
     if None in subs:
         return None, reason
-    first_alpha = subs[0][2]
-    last_length, last_sigma, _, last_ci = subs[-1]
+    last_length = subs[-1][0]
     if reason is None and u > last_length:
         reason = f"length {u} exceeds the last child's length {last_length}"
     if reason is None:
@@ -162,11 +164,18 @@ def _measure(t: LppVector, degrees: tuple[int, ...]) -> tuple[tuple | None, str 
                     f"alpha of child {idx + 1} ({right[2]})"
                 )
                 break
+    return _node_stats(subs, a1), reason
+
+
+def _node_stats(subs: list[tuple], a1: int) -> tuple:
+    """The statistics of a node from its children's ``subs``, in order."""
+    u = len(subs)
     # a child is CI exactly when it equals the CI vector, hence the last child
     cis = sum(sub[3] for sub in subs)
+    last_sigma, last_ci = subs[-1][1], subs[-1][3]
     sigma = last_sigma + cis - 1 if last_ci else last_sigma
-    alpha = u if u < a1 else u + first_alpha - 1
-    return (u, sigma, alpha, u == a1 and cis == u), reason
+    alpha = u if u < a1 else u + subs[0][2] - 1
+    return (u, sigma, alpha, u == a1 and cis == u)
 
 
 def ideal_of_vector(t: LppVector, a: DegreeList) -> MonomialIdeal:
@@ -190,18 +199,24 @@ def _starts(t: LppVector, degrees: tuple[int, ...]) -> list[int]:
     """Row starts of the ideal of t in the box prod [0, a_k], as in
     :meth:`MonomialIdeal._row_starts`.
 
-    The children's ideals descend, so below x_1^u the rows at x_1-exponent
-    e_1 are those of child u - e_1 (1-based); from x_1^u on every row starts
-    at 0, as do all rows of the empty vector.
+    All rows of the empty vector start at 0.
     """
     if isinstance(t, Leaf):
         return [t.degree]
     rows = math.prod(deg + 1 for deg in degrees[:-1])
     if isinstance(t, Empty):
         return [0] * rows
+    return _node_starts([_starts(child, degrees[1:]) for child in t.children], rows)
+
+
+def _node_starts(subs: list, rows: int) -> list[int]:
+    """The ``rows`` row starts of a node from its children's ``subs``, in
+    order.  The children's ideals descend, so below x_1^u the rows at
+    x_1-exponent e_1 are those of child u - e_1 (1-based); from x_1^u on
+    every row starts at 0."""
     out: list[int] = []
-    for child in reversed(t.children):
-        out += _starts(child, degrees[1:])
+    for sub in reversed(subs):
+        out += sub
     return out + [0] * (rows - len(out))
 
 
@@ -330,46 +345,93 @@ def _dual(t: LppVector, degrees: tuple[int, ...]) -> LppVector:
         d = t.degree
         return Leaf(a1 - d) if d < a1 else EMPTY
     tail = degrees[1:]
-    children = []
-    for child in reversed(t.children):
-        sub = _dual(child, tail)
-        if not isinstance(sub, Empty):
-            children.append(sub)
-    children.extend([_ci_vector(tail)] * (a1 - len(t.children)))
+    subs = [_dual(child, tail) for child in t.children]
+    children = _node_dual(subs, a1, _ci_vector(tail), EMPTY)
     return Node(tuple(children)) if children else EMPTY
+
+
+def _node_dual(subs: list, a1: int, ci, empty) -> list:
+    """The children of a node's dual from its children's duals ``subs``, in
+    order: reversed, with the ``empty`` ones dropped and ``ci``, the
+    complete intersection of the tail, appended up to length a1 less the
+    node's length.  No children means the dual is empty."""
+    children = [sub for sub in reversed(subs) if sub is not empty]
+    return children + [ci] * (a1 - len(subs))
 
 
 def enumerate_vectors(a: DegreeList) -> list[LppVector]:
     """All valid vectors for A, deterministically ordered."""
-    return list(_enumerate(a.degrees))
+    return list(_enumerate(a.degrees, INF).vectors)
 
 
-# one key per degree list and its tails: 7 in a sweep benchmark pass
+# The dual index of a vector whose dual is not a valid vector, so not in the
+# table; a node with such a child has one too.
+MISSING = -1
+
+
+class VectorTable(NamedTuple):
+    """The valid vectors of a degree list, in the order of
+    :func:`enumerate_vectors`, and per vector: its row starts as a tuple (as
+    :func:`_starts` gives them), its statistics (as :func:`_measure` gives
+    them), and the index of its dual, None for the empty vector."""
+
+    vectors: tuple[LppVector, ...]
+    starts: tuple[tuple[int, ...], ...]
+    stats: tuple[tuple, ...]
+    duals: tuple[int | None, ...]
+
+
+# one key per degree list and its tails, and guard: 7 in a sweep benchmark pass
 @lru_cache(maxsize=32)
-def _enumerate(degrees: tuple[int, ...]) -> tuple[LppVector, ...]:
-    if len(degrees) == 1:
-        return tuple(Leaf(d) for d in range(1, degrees[0] + 1))
+def _enumerate(degrees: tuple[int, ...], guard: int | float) -> VectorTable:
+    """The table of the valid vectors for ``degrees``, each node's entries
+    built from its children's in the table of the tail.  Raises
+    GuardExceeded before it holds more than ``guard`` vectors; the table of
+    a tail never holds more than the table of its degree list, as every
+    tail vector T gives the valid vector (T)."""
     a1 = degrees[0]
-    pool = _enumerate(degrees[1:])
-    st = [_measure(c, degrees[1:])[0] for c in pool]  # (length, sigma, alpha, is_ci)
-    out: list[LppVector] = []
+    if len(degrees) == 1:
+        if a1 > guard:
+            raise GuardExceeded(f"more than {guard} vectors; raise the guard")
+        leaves = tuple(Leaf(d) for d in range(1, a1 + 1))
+        index = {leaf: i for i, leaf in enumerate(leaves)}
+        return VectorTable(
+            leaves,
+            tuple(tuple(_starts(leaf, degrees)) for leaf in leaves),
+            tuple(_measure(leaf, degrees)[0] for leaf in leaves),
+            tuple(index.get(_dual(leaf, degrees)) for leaf in leaves),  # EMPTY: None
+        )
+    pool = _enumerate(degrees[1:], guard)
+    st = pool.stats  # (length, sigma, alpha, is_ci)
+    keys: list[tuple[int, ...]] = []  # per vector, its children's indices in the pool
+    # per sigma, the pool indices a child of that sigma may precede, in order
+    after = {s: [i for i, sub in enumerate(st) if s < sub[2]] for s in {sub[1] for sub in st}}
 
-    def extend(prefix: list[int]):
-        if prefix:
-            last = prefix[-1]
-            if len(prefix) <= st[last][0]:
-                out.append(Node(tuple(pool[i] for i in prefix)))
-            if len(prefix) == a1:
-                return
-        for idx in range(len(pool)):
-            if prefix and not st[prefix[-1]][1] < st[idx][2]:
-                continue
+    def extend(prefix: list[int], following):
+        for idx in following:
             prefix.append(idx)
-            extend(prefix)
+            if len(prefix) <= st[idx][0]:
+                if len(keys) >= guard:
+                    raise GuardExceeded(f"more than {guard} vectors; raise the guard")
+                keys.append(tuple(prefix))
+            if len(prefix) < a1:
+                extend(prefix, after[st[idx][1]])
             prefix.pop()
 
-    extend([])
-    return tuple(out)
+    extend([], range(len(st)))
+    rows = math.prod(deg + 1 for deg in degrees[:-1])
+    index = {key: i for i, key in enumerate(keys)}
+    ci = pool.duals.index(None)  # only the complete intersection has the empty dual
+    duals = []
+    for key in keys:
+        children = _node_dual([pool.duals[c] for c in key], a1, ci, None)
+        duals.append(index.get(tuple(children), MISSING) if children else None)
+    return VectorTable(
+        tuple(Node(tuple(map(pool.vectors.__getitem__, key))) for key in keys),
+        tuple(tuple(_node_starts([pool.starts[c] for c in key], rows)) for key in keys),
+        tuple(_node_stats([st[c] for c in key], a1) for key in keys),
+        tuple(duals),
+    )
 
 
 # ---------------------------------------------------------------------------

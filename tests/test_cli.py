@@ -352,6 +352,13 @@ class TestChecks:
         )
         assert r.exit_code == 3
 
+    @pytest.mark.parametrize("name", ["residual", "lexseg"])
+    def test_guard_env_var_counts_vectors(self, name):
+        args = ["check", name, "--A", "3,4,5"]
+        r = CliRunner().invoke(main, args, env={"LPPKIT_GUARD": "10"})
+        assert r.exit_code == 3
+        assert "more than 10 vectors" in r.output
+
     @pytest.mark.parametrize(
         "max_count,env", [("-1", None), ("0", None), (None, "0"), (None, "-5")], ids=str
     )

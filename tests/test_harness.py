@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import re
 from collections import Counter
 
 import pytest
@@ -26,7 +27,7 @@ from lppkit import harness
 from lppkit.betti import FieldSpec
 from lppkit.growth import standard_monomials_of_degree
 from lppkit.harness import lpp_ideal_for
-from lppkit.vectors import ideal_of_vector, parse_vector
+from lppkit.vectors import INF, MISSING, Leaf, Node, _enumerate, format_vector, ideal_of_vector, parse_vector
 
 from oracles import (
     contains,
@@ -241,6 +242,103 @@ class TestLexsegCheck:
     def test_no_drop_is_vacuous(self):
         r = lexseg_lemma_check(DegreeList((2, 2)))
         assert r.ok
+
+
+# sha256 of to_json() of the residual and lex-segment reports, as the
+# recursive vector routines gave them before the checks read the table
+RESIDUAL_DIGESTS = {
+    (3, 4, 5): "86e89d2d90714a6bc6cfa7f0d41ce0c0d8ed57092d1bd58698ea9747911d3958",
+    (2, 2, 3, 3): "4a9cd83d649151d8da77b4e8a0a965ce387795e6401154aede547d818ff64cbc",
+    (3, 3, 4): "eea59c223ed30e3ecf192738279a19e373c75ffc6a18fe47d5153780a32eca8f",
+    (2, 3, 3): "f59d9e58c69d4115d56d7dbef4c52679a522873399d2e76c7a265c56a693bc64",
+    (5, 7): "4f5040fc82b1c4fc0a3ebf15112ad39531427e0508c58ca23734eaaa295cbba0",
+}
+LEXSEG_DIGESTS = {
+    (3, 4, 5): "6fee4061b82a895381e90ca3c238cb8a459bf3a1f86e4c67daacc1232a22d5d8",
+    (2, 2, 3, 3): "6a1722dd712211398d184ba7903ff5470db756a14db18e0f28420c190f80a935",
+    (3, 3, 4): "98d37c8df18c0581b7e15c8979e0341a07f9c8e85f4c251f80998ea1a3961664",
+    (2, 3, 3): "44e009c983523f96ab447a4e17e2e47ac9c264590cf64d6e3bb046262e4273a0",
+    (5, 7): "24dfb2373fe6a0b433120cad81b2f93f9512fa88a48c4c52e609c93f8e400ca7",
+}
+
+
+def patch_table(monkeypatch, a: DegreeList, **entries):
+    """Have the checks read a copy of A's vector table with ``entries``
+    replaced."""
+    table = _enumerate(a.degrees, INF)._replace(**entries)
+    monkeypatch.setattr(harness, "_enumerate", lambda degrees, guard: table)
+
+
+class TestResidualTable:
+    """The residual and lex-segment checks read the vector table, and still
+    compare something the table does not hold: the colon."""
+
+    @pytest.mark.parametrize("degrees", list(RESIDUAL_DIGESTS), ids=str)
+    def test_reports_are_pinned(self, degrees):
+        a = DegreeList(degrees)
+        for check, digests in ((residual_lpp_check, RESIDUAL_DIGESTS), (lexseg_lemma_check, LEXSEG_DIGESTS)):
+            assert hashlib.sha256(check(a).to_json().encode()).hexdigest() == digests[degrees]
+
+    def test_a_moved_residual_row_is_a_witness(self, monkeypatch):
+        a = DegreeList((2, 3, 3))
+        calls = Counter()
+
+        def moved(j, i):
+            residual = colon(j, i)
+            calls["colon"] += 1
+            if calls["colon"] > 1:
+                return residual
+            sides, starts = residual._row_starts()
+            return harness._ideal_of_rows(a.n, sides, (starts[0] + 1,) + starts[1:])
+
+        monkeypatch.setattr(harness, "colon", moved)
+        r = residual_lpp_check(a)
+        first = format_vector(_enumerate(a.degrees, INF).vectors[0])
+        assert [(w["reason"], w["vector"]) for w in r.witnesses] == [
+            ("colon differs from the dual vector's ideal", first)
+        ]
+
+    def test_a_corrupt_dual_index_is_a_witness(self, monkeypatch):
+        a = DegreeList((2, 3, 3))
+        duals = list(_enumerate(a.degrees, INF).duals)
+        i = next(k for k, j in enumerate(duals) if j not in (None, k))
+        true = duals[i]
+        duals[i] = next(k for k in range(len(duals)) if k not in (true, i))
+        patch_table(monkeypatch, a, duals=tuple(duals))
+        r = residual_lpp_check(a)
+        assert Counter(w["reason"] for w in r.witnesses) == {
+            "colon differs from the dual vector's ideal": 1,
+            "duality is not an involution": 1,
+        }
+
+    def test_a_dual_missing_from_the_table_is_refused(self, monkeypatch):
+        a = DegreeList((2, 3, 3))
+        duals = _enumerate(a.degrees, INF).duals
+        patch_table(monkeypatch, a, duals=(MISSING,) + duals[1:])
+        with pytest.raises(ValueError, match="is not enumerated for A="):
+            residual_lpp_check(a)
+        # an invalid dual is refused with the error of ideal_of_vector
+        bad = Node((Leaf(1),))
+        monkeypatch.setattr(harness, "_dual", lambda t, degrees: bad)
+        with pytest.raises(ValueError) as expected:
+            ideal_of_vector(bad, a)
+        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+            residual_lpp_check(a)
+
+    @pytest.mark.parametrize("check", [residual_lpp_check, lexseg_lemma_check])
+    def test_the_ideal_guard_counts_vectors(self, check, monkeypatch):
+        a = DegreeList((3, 4, 5))  # 1193 vectors
+        monkeypatch.delenv("LPPKIT_GUARD", raising=False)
+        assert check(a).ok  # its table is now cached
+        monkeypatch.setenv("LPPKIT_GUARD", "1192")
+        with pytest.raises(GuardExceeded, match="more than 1192 vectors"):
+            check(a)
+        monkeypatch.setenv("LPPKIT_GUARD", "1193")
+        assert check(a).ok
+        # 364,920 vectors: refused before the table is built
+        monkeypatch.delenv("LPPKIT_GUARD")
+        with pytest.raises(GuardExceeded, match="more than 100000 vectors"):
+            check(DegreeList((4, 4, 4, 4)))
 
 
 class TestSocleEquivalenceCheck:

@@ -18,6 +18,7 @@ ALLOWED = {
     "growth.standard_monomials_of_degree",  # traced by name in perfbench/spans.py
     "vectors.ci_vector",  # the vector of the pure powers
     "vectors.decompose",  # one split of the inverse map, checked on its own
+    "vectors.enumerate_vectors",  # every valid vector; the checks read the table behind it
     "harness.valid_hilbert_functions",  # the h a sweep runs over
     "betti.mapping_cone_check",  # the linkage check; gets a caller in the sweeps
     "monomials.is_lpp",  # the LPP predicate; the residual check holds the profile already

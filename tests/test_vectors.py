@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -27,7 +28,8 @@ from lppkit import (
     vector_of_hf,
 )
 from lppkit.growth import gk_coefficients, lpp_bound
-from lppkit.vectors import INF
+from lppkit import GuardExceeded
+from lppkit.vectors import INF, _dual, _enumerate, _measure, _starts
 
 from conftest import all_degree_lists
 from oracles import (
@@ -406,3 +408,51 @@ class TestLppIdealSequenceInvariants:
                     continue
                 s1, _, _ = decompose(h, a)
                 assert sequence_alpha(s1, a) < sequence_alpha(h, a), (a, str(h))
+
+
+TABLE_DEGREES = [a.degrees for a in all_degree_lists(3, 4)] + [(3, 4, 5), (2, 2, 3, 3), (2, 2, 2, 2)]
+
+# sha256 of the format_vector stream of enumerate_vectors, as the recursive
+# enumeration gave it: one line per degree list of all_degree_lists(3, 4),
+# and one vector per line for the others
+VECTOR_STREAM_DIGESTS = {
+    "all(3, 4)": "2c3ac1de402593d29e29ae4f32ef071d47658ec6f1c0259281c9d57b9cf54ab7",
+    (3, 4, 5): "827292031c68c2718b73125685f2a6d78f9d94d190b22ee20842a415e473a3f3",
+    (2, 2, 3, 3): "e3d51d126986d8a3d7f57b2e6bd578255ed78efbf970c491ab790aeee9f63951",
+    (2, 2, 2, 2): "9018f2a6a03c0274a210fa9d680436090b0aba43fe3392e42fda5f18962ea162",
+}
+
+
+class TestVectorTable:
+    """``_enumerate`` builds each vector's row starts, statistics and dual
+    index from its children's entries; the recursive routines build them
+    from the vector alone."""
+
+    @pytest.mark.parametrize("degrees", TABLE_DEGREES, ids=str)
+    def test_entries_agree_with_the_recursion(self, degrees):
+        vecs, starts, table_stats, duals = _enumerate(degrees, INF)
+        assert len(vecs) == len(starts) == len(table_stats) == len(duals)
+        for v, rows, st, j in zip(vecs, starts, table_stats, duals):
+            assert rows == tuple(_starts(v, degrees))
+            assert st == _measure(v, degrees)[0]
+            assert (EMPTY if j is None else vecs[j]) == _dual(v, degrees)
+
+    @pytest.mark.parametrize("key", list(VECTOR_STREAM_DIGESTS), ids=str)
+    def test_enumeration_order_is_pinned(self, key):
+        if key == "all(3, 4)":
+            text = "\n".join(
+                f"{a.degrees}: " + " ".join(map(format_vector, enumerate_vectors(a)))
+                for a in all_degree_lists(3, 4)
+            )
+        else:
+            text = "\n".join(map(format_vector, enumerate_vectors(DegreeList(key))))
+        assert hashlib.sha256(text.encode()).hexdigest() == VECTOR_STREAM_DIGESTS[key]
+
+    @pytest.mark.parametrize("degrees, count", [((3, 4, 5), 1193), ((2, 2, 3, 3), 194)])
+    def test_guard_bounds_the_vectors_held(self, degrees, count):
+        assert len(_enumerate(degrees, count).vectors) == count
+        with pytest.raises(GuardExceeded, match=f"more than {count - 1} vectors"):
+            _enumerate(degrees, count - 1)
+        # the table of a tail is refused too: it is never larger
+        with pytest.raises(GuardExceeded, match="more than 2 vectors"):
+            _enumerate((3,), 2)
