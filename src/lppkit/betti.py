@@ -16,7 +16,8 @@ run is looked up as a unit, keyed by the starts that its rows read, so most
 runs of a sweep cost one lookup.  Below it, homology is computed once per
 distinct complex, keyed by an integer face mask, bit v set when the face
 with vertex bitmask v is in K.  Ranks are computed by exact Gaussian
-elimination, over the rationals in characteristic 0 or modulo p otherwise.
+elimination: fraction-free, in the integers, in characteristic 0, and modulo
+p otherwise.
 
 The rows are read through one plan per box (``monomials._row_plan``), built
 on first use: the box's runs of rows that differ only in the last prefix
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 from .monomials import (
@@ -154,16 +154,19 @@ class BettiDiagram:
 
 
 def _rank(rows: list[list[int]], p: int) -> int:
-    """Rank of an integer matrix over Q (p = 0) or over GF(p)."""
+    """Rank of an integer matrix over Q (p = 0) or over GF(p).
+
+    Over Q by fraction-free elimination (Bareiss, Math. Comp. 22, 1968):
+    every row below the pivot row becomes pivot * row - v * pivot row,
+    divided by the previous pivot.  The division is exact, as each entry is
+    then a minor of the matrix, so all arithmetic stays in the integers."""
     if not rows or not rows[0]:
         return 0
-    if p:
-        mat = [[v % p for v in row] for row in rows]
-    else:
-        mat = [[Fraction(v) for v in row] for row in rows]
+    mat = [[v % p for v in row] for row in rows] if p else list(rows)
     nrows, ncols = len(mat), len(mat[0])
     rank = 0
     row = 0
+    previous = 1
     for col in range(ncols):
         pivot = None
         for r in range(row, nrows):
@@ -173,18 +176,20 @@ def _rank(rows: list[list[int]], p: int) -> int:
         if pivot is None:
             continue
         mat[row], mat[pivot] = mat[pivot], mat[row]
-        pv = mat[row][col]
-        inv = pow(pv, p - 2, p) if p else None
-        for r in range(row + 1, nrows):
-            v = mat[r][col]
-            if v == 0:
-                continue
-            if p:
-                factor = (v * inv) % p
-                mat[r] = [(x - factor * y) % p for x, y in zip(mat[r], mat[row])]
-            else:
-                factor = v / pv
-                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[row])]
+        top = mat[row]
+        pv = top[col]
+        if p:
+            inv = pow(pv, p - 2, p)
+            for r in range(row + 1, nrows):
+                v = mat[r][col]
+                if v:
+                    factor = (v * inv) % p
+                    mat[r] = [(x - factor * y) % p for x, y in zip(mat[r], top)]
+        else:
+            for r in range(row + 1, nrows):
+                v = mat[r][col]
+                mat[r] = [(pv * x - v * y) // previous for x, y in zip(mat[r], top)]
+            previous = pv
         rank += 1
         row += 1
         if row == nrows:

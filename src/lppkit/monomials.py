@@ -388,18 +388,25 @@ class MonomialIdeal:
 
 
 def minimalize(n: int, gens) -> MonomialIdeal:
-    """Drop generators divisible by another; canonical lex-descending order."""
+    """Drop generators divisible by another; canonical lex-descending order.
+
+    A divisor of e other than e itself has smaller degree, so the distinct
+    generators are read by ascending degree and each is tested only against
+    the kept generators of smaller degree."""
     pool = {g.exps if isinstance(g, Monomial) else tuple(g) for g in gens}
+    by_degree: dict[int, list[tuple[int, ...]]] = {}
     for e in pool:
         if len(e) != n:
             raise DimensionError(f"generator with wrong variable count for {n} variables")
         if min(e, default=0) < 0:
             raise ValueError(f"negative exponent in {e}")
+        by_degree.setdefault(sum(e), []).append(e)
     minimal: list[tuple[int, ...]] = []
-    # ascending degree scan: a divisor always has smaller-or-equal degree
-    for e in sorted(pool, key=lambda e: (sum(e), e)):
-        if not any(all(map(operator.le, g, e)) for g in minimal):
-            minimal.append(e)
+    for d in sorted(by_degree):
+        group = by_degree[d]
+        for g in minimal:
+            group = [e for e in group if not all(map(operator.le, g, e))]
+        minimal += group
     if not minimal:
         raise ValueError("zero ideal is not representable here")
     return MonomialIdeal(n, tuple(sorted(minimal, reverse=True)))
@@ -483,7 +490,12 @@ def _generator_box(corners) -> tuple[int, ...]:
     """Sides of the least box prod [0, sides_k) that holds every exponent
     tuple of ``corners``.  Raises GuardExceeded when it has more than
     BOX_GUARD points."""
-    sides = tuple(max(column) + 1 for column in zip(*corners))
+    return _checked_box(tuple(max(column) + 1 for column in zip(*corners)))
+
+
+def _checked_box(sides: tuple[int, ...]) -> tuple[int, ...]:
+    """``sides``, unless the box prod [0, sides_k) has more than BOX_GUARD
+    points: then raises GuardExceeded."""
     volume = math.prod(sides)
     if volume > BOX_GUARD:
         raise GuardExceeded(f"box of {volume} points exceeds {BOX_GUARD}")
@@ -572,8 +584,10 @@ def colon(j: MonomialIdeal, i: MonomialIdeal) -> MonomialIdeal:
         raise DimensionError(f"{j.n} vs {i.n} variables")
     j_gens = j._corners()
     if len(j_gens) == j.n and all(g.count(0) == j.n - 1 for g in j_gens):
-        sides = j._rows[0] if j._rows is not None else _generator_box(j_gens)
-        return _colon_of_powers(sides, j.pure_power_profile(), i)
+        # one pure power per variable: its exponents are the column maxima
+        a = tuple(map(max, *j_gens)) if j.n > 1 else j_gens[0]
+        sides = j._rows[0] if j._rows is not None else _checked_box(tuple(e + 1 for e in a))
+        return _colon_of_powers(sides, a, i)
     return _colon_of_corners(j, i._corners())
 
 
@@ -800,10 +814,25 @@ def format_ideal(i: MonomialIdeal) -> str:
 
 
 def parse_monomial(text: str, n: int) -> Monomial:
+    return Monomial(_parse_exps(text, n))
+
+
+def _parse_exps(text: str, n: int) -> tuple[int, ...]:
+    """The exponent tuple, in n variables, of ``1`` or a product of factors
+    ``x<i>`` and ``x<i>^<e>`` (a variable may repeat)."""
     text = text.strip()
-    exps = [0] * n
     if text == "1":
-        return Monomial(tuple(exps))
+        if n < 1:
+            raise ValueError("monomial needs at least one variable")
+        return (0,) * n
+    return _exps(n, _factors(text, n))
+
+
+def _factors(text: str, n: int | None = None) -> list[tuple[int, int]]:
+    """The (variable index from 0, exponent) pair of each factor of a
+    stripped product, in order.  Raises at the first factor that is
+    malformed, is x0, or (when n is given) is past x_n."""
+    out = []
     for factor in text.split("*"):
         factor = factor.strip()
         match = _FACTOR_RE.match(factor)
@@ -812,10 +841,17 @@ def parse_monomial(text: str, n: int) -> Monomial:
         idx = int(match.group(1))
         if idx == 0:
             raise ValueError("variable x0: variables are numbered from x1")
-        if idx > n:
+        if n is not None and idx > n:
             raise ValueError(f"variable x{idx} out of range for n={n}")
-        exps[idx - 1] += int(match.group(2) or 1)
-    return Monomial(tuple(exps))
+        out.append((idx - 1, int(match.group(2) or 1)))
+    return out
+
+
+def _exps(n: int, factors) -> tuple[int, ...]:
+    exps = [0] * n
+    for k, e in factors:
+        exps[k] += e
+    return tuple(exps)
 
 
 def _infer_n(text: str) -> int:
@@ -825,11 +861,25 @@ def _infer_n(text: str) -> int:
     return max(indices)
 
 
+def _parse_inferring_n(tokens: list[str]):
+    """n, the largest variable index, and the exponent tuples of the
+    stripped monomials ``tokens``, read in one pass.  None when a token is
+    malformed or no variable appears: the caller then reports the error that
+    :func:`_infer_n` and :func:`_parse_exps` give, in their order."""
+    try:
+        products = [[] if tok == "1" else _factors(tok) for tok in tokens]
+        n = 1 + max(k for factors in products for k, _ in factors)
+    except ValueError:
+        return None
+    return n, [_exps(n, factors) for factors in products]
+
+
 def parse_ideal(text: str, n: int | None = None) -> MonomialIdeal:
     """Parse either the JSON format or the human generator list.
 
     JSON: ``{"n": 3, "gens": [[2,0,0], [0,3,0]]}``.  Human: comma-separated
-    monomials like ``x1^2, x2^3, x1*x2^2`` (exponent 1 elided, 0 omitted).
+    monomials like ``x1^2, x2^3, x1*x2^2`` (exponent 1 elided, 0 omitted);
+    without n, n is the largest variable index.
     """
     text = text.strip()
     if text.startswith("{"):
@@ -838,9 +888,13 @@ def parse_ideal(text: str, n: int | None = None) -> MonomialIdeal:
         except json.JSONDecodeError as exc:
             raise ValueError(f"bad ideal JSON: {exc}") from None
         return ideal_from_json_dict(data)
+    tokens = [tok for tok in map(str.strip, text.split(",")) if tok]
     if n is None:
+        parsed = _parse_inferring_n(tokens)
+        if parsed is not None:
+            return minimalize(*parsed)
         n = _infer_n(text)
-    gens = [parse_monomial(tok, n) for tok in text.split(",") if tok.strip()]
+    gens = [_parse_exps(tok, n) for tok in tokens]
     if not gens:
         raise ValueError(f"no generators in {text!r}")
     return minimalize(n, gens)
@@ -861,4 +915,9 @@ def ideal_from_json_dict(data: dict) -> MonomialIdeal:
     for v in (n, *itertools.chain.from_iterable(gens)):
         if type(v) is not int:
             raise ValueError(f"bad ideal JSON object: {json.dumps(v)} is not an integer")
-    return minimalize(n, [Monomial(g) for g in gens])
+    for g in gens:
+        if not g:
+            raise ValueError("monomial needs at least one variable")
+        if min(g) < 0:
+            raise ValueError(f"negative exponent in {g}")
+    return minimalize(n, gens)

@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter, defaultdict
+from fractions import Fraction
 from functools import lru_cache
 
 from lppkit import harness
@@ -134,6 +136,39 @@ def contains(i: MonomialIdeal, m: Monomial) -> bool:
     if m.n != i.n:
         raise DimensionError(f"{m.n} vs {i.n} variables")
     return any(all(a <= b for a, b in zip(g, m.exps)) for g in i._corners())
+
+
+def minimalize_by_all_pairs(gens) -> tuple[tuple[int, ...], ...]:
+    """The exponent tuples of ``gens`` that no other one divides,
+    duplicates once, lex-descending: every pair is tested."""
+    pool = set(map(tuple, gens))
+    return tuple(
+        sorted(
+            (e for e in pool if not any(g != e and all(map(operator.le, g, e)) for g in pool)),
+            reverse=True,
+        )
+    )
+
+
+def rank_by_fractions(rows: list[list[int]]) -> int:
+    """Rank over Q of an integer matrix by Gaussian elimination in
+    ``Fraction`` arithmetic."""
+    if not rows or not rows[0]:
+        return 0
+    mat = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    for col in range(len(mat[0])):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        top = mat[rank]
+        for r in range(rank + 1, len(mat)):
+            if mat[r][col]:
+                factor = mat[r][col] / top[col]
+                mat[r] = [x - factor * y for x, y in zip(mat[r], top)]
+        rank += 1
+    return rank
 
 
 def times(m1: Monomial, m2: Monomial) -> Monomial:

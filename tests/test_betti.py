@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -17,12 +18,14 @@ from lppkit import (
     mapping_cone_check,
     parse_ideal,
 )
-from lppkit.betti import EMPTY_RUN, PRIME_LIMIT, _is_prime
+from lppkit import betti
+from lppkit.betti import EMPTY_RUN, PRIME_LIMIT, _is_prime, _rank, _reduced_homology_dims
 from lppkit.harness import enumerate_ideals, valid_hilbert_functions
 
 from oracles import (
     betti_euler_by_multidegree,
     last_betti_consequences,
+    rank_by_fractions,
     socle_dims,
     stanley_check,
     stanley_first_mismatch,
@@ -147,6 +150,73 @@ class TestFieldSpec:
     def test_rejects_every_characteristic_from_the_limit_on(self, p):
         with pytest.raises(ValueError, match="too large"):
             FieldSpec(p)
+
+
+def random_matrix(rng: random.Random, shape: str) -> list[list[int]]:
+    """A random integer matrix: ``tall`` or ``wide`` with entries up to 9 in
+    absolute value, ``deficient`` a product through a thinner middle, and
+    ``zero-columns`` a matrix with some columns cleared."""
+    rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+    if shape == "tall":
+        rows, cols = max(rows, cols) + 1, min(rows, cols)
+    elif shape == "wide":
+        rows, cols = min(rows, cols), max(rows, cols) + 1
+    if shape == "deficient":
+        middle = rng.randint(1, min(rows, cols))
+        left = [[rng.randint(-3, 3) for _ in range(middle)] for _ in range(rows)]
+        right = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(middle)]
+        return [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+    mat = [[rng.choice((0, 0, 1, -1, rng.randint(-9, 9))) for _ in range(cols)] for _ in range(rows)]
+    if shape == "zero-columns":
+        for c in rng.sample(range(cols), rng.randint(1, cols)):
+            for row in mat:
+                row[c] = 0
+    return mat
+
+
+def complexes_on_five_vertices() -> list[list[tuple[int, ...]]]:
+    """Every simplicial complex on at most 5 vertices (the void complex left
+    out), as its nonempty faces.  A complex is built as a face mask, bit v
+    set when the face with vertex bitmask v is in it: faces are added in
+    increasing v, each to the complexes that hold its boundary."""
+    masks = [0]
+    for v in range(1, 32):
+        boundary = [v ^ 1 << b for b in range(5) if v >> b & 1 and v != 1 << b]
+        masks += [m | 1 << v for m in masks if all(m >> u & 1 for u in boundary)]
+    return [
+        [tuple(b for b in range(5) if v >> b & 1) for v in range(32) if m >> v & 1]
+        for m in masks
+    ]
+
+
+class TestRank:
+    @pytest.mark.parametrize("shape", ["tall", "wide", "deficient", "zero-columns"])
+    def test_equals_the_fraction_oracle(self, shape):
+        rng = random.Random(shape)
+        for _ in range(500):
+            mat = random_matrix(rng, shape)
+            before = [row[:] for row in mat]
+            assert _rank(mat, 0) == rank_by_fractions(mat), mat
+            assert mat == before
+
+    def test_empty_matrices(self):
+        assert _rank([], 0) == _rank([[]], 0) == 0
+
+    def test_entries_grow_past_the_input_without_losing_exactness(self):
+        # a Hilbert-like matrix of full rank: the minors grow fast
+        mat = [[(i + 1) ** j for j in range(8)] for i in range(8)]
+        assert _rank(mat, 0) == rank_by_fractions(mat) == 8
+        mat.append([sum(col) for col in zip(*mat)])
+        assert _rank(mat, 0) == 8
+
+    def test_homology_of_every_complex_on_five_vertices(self, monkeypatch):
+        complexes = complexes_on_five_vertices()
+        assert len(complexes) == 7580  # the Dedekind number M(5) = 7581, less the void complex
+        got = {p: [_reduced_homology_dims(c, p) for c in complexes] for p in (0, 2, 3, 5)}
+        monkeypatch.setattr(betti, "_rank", lambda rows, p: rank_by_fractions(rows))
+        assert got[0] == [_reduced_homology_dims(c, 0) for c in complexes]
+        # no complex on five vertices has torsion: every field agrees
+        assert got[2] == got[3] == got[5] == got[0]
 
 
 class TestTaylorOracle:

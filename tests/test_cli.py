@@ -239,6 +239,12 @@ class TestIdealCommands:
         assert r.exit_code == 1
         assert "Error: variable x0: variables are numbered from x1" in r.output
 
+    def test_colon_by_names_a_variable_past_the_ideal(self):
+        # --by is read in the variables of --ideal
+        r = CliRunner().invoke(main, ["colon", "--ideal", "x1^2, x2^2", "--by", "x1*x3"])
+        assert r.exit_code == 1
+        assert "Error: variable x3 out of range for n=2" in r.output
+
 
 class TestBoxGuard:
     @pytest.mark.parametrize("command", ["betti", "hf", "socle"])

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +36,7 @@ from oracles import (
     contains,
     divides,
     lex_compare,
+    minimalize_by_all_pairs,
     monomials_of_degree,
     profile_degrees,
     times,
@@ -308,6 +310,77 @@ class TestTextFormats:
             parse_monomial("y2", 2)
         with pytest.raises(ValueError):
             parse_ideal('{"n": 2, "gens": "nope"}')
+
+
+# (text, n, error type, message): each parse error, as the parser words it
+PARSE_ERRORS = [
+    ("x1^2, y3", None, ValueError, "bad monomial factor 'y3'"),
+    ("x1**x2", None, ValueError, "bad monomial factor ''"),
+    ("x1^2, x0", None, ValueError, "variable x0: variables are numbered from x1"),
+    ("x1*x3", 2, ValueError, "variable x3 out of range for n=2"),
+    ("x5*y", 2, ValueError, "variable x5 out of range for n=2"),  # the first factor decides
+    ("y, z", None, ValueError, "cannot infer variable count from 'y, z'"),
+    ("1", None, ValueError, "cannot infer variable count from '1'"),
+    ("y, x2", None, ValueError, "bad monomial factor 'y'"),  # n is inferred before any token
+    ("1, x0", None, ValueError, "monomial needs at least one variable"),  # n = 0 from x0
+    (" , ", 2, ValueError, "no generators in ','"),
+    ('{"n": 2, "gens": [[1, 0.5]]}', None, ValueError,
+     "bad ideal JSON object: 0.5 is not an integer"),
+    ('{"n": 2, "gens": [[1, -1]]}', None, ValueError, "negative exponent in (1, -1)"),
+    ('{"n": 2, "gens": [[1, -1, 0]]}', None, ValueError, "negative exponent in (1, -1, 0)"),
+    ('{"n": 2, "gens": [[1, 0, 0]]}', None, DimensionError,
+     "generator with wrong variable count for 2 variables"),
+    ('{"n": 2, "gens": [[]]}', None, ValueError, "monomial needs at least one variable"),
+    ('{"n": 2, "gens": []}', None, ValueError, "zero ideal is not representable here"),
+    # a string of generators reads as one-letter generators
+    ('{"n": 2, "gens": "nope"}', None, ValueError, 'bad ideal JSON object: "n" is not an integer'),
+    ('{"n": 2}', None, ValueError, "bad ideal JSON object: 'gens'"),
+]
+
+
+class TestParser:
+    @pytest.mark.parametrize("text, n, error, message", PARSE_ERRORS)
+    def test_error_messages(self, text, n, error, message):
+        with pytest.raises(error) as exc:
+            parse_ideal(text, n)
+        assert type(exc.value) is error
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "text, n, gens",
+        [
+            ("1", 2, ((0, 0),)),
+            ("1, x2", None, ((0, 0),)),
+            ("x1*x1^2, x2", None, ((3, 0), (0, 1))),
+            ("x2^2 * x1, x1^0*x2^3, x1^02", None, ((2, 0), (1, 2), (0, 3))),
+            ("x1, x1^2, x1, , x2", None, ((1, 0), (0, 1))),
+            ("x1", 3, ((1, 0, 0),)),
+        ],
+    )
+    def test_generators(self, text, n, gens):
+        assert parse_ideal(text, n)._corners() == gens
+
+    @pytest.mark.parametrize("text, n", [("x1*x1^2", 2), ("1", 3), ("x2 * x1^4", 2)])
+    def test_one_monomial(self, text, n):
+        assert parse_monomial(text, n).exps == parse_ideal(text, n)._corners()[0]
+
+    def test_json_dict_takes_lists(self):
+        i = ideal_from_json_dict({"n": 2, "gens": [[2, 0], [1, 1], [3, 0], [0, 2]]})
+        assert i._corners() == ((2, 0), (1, 1), (0, 2))
+
+
+def test_minimalize_equals_the_all_pairs_oracle():
+    rng = random.Random(20050508)
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        top = rng.randint(0, 4)
+        gens = [tuple(rng.randint(0, top) for _ in range(n)) for _ in range(rng.randint(1, 14))]
+        gens += rng.sample(gens, rng.randint(0, len(gens)))  # duplicates
+        if rng.random() < 0.1:
+            gens.append((0,) * n)  # the unit monomial
+        want = minimalize_by_all_pairs(gens)
+        assert minimalize(n, gens)._corners() == want, gens
+        assert minimalize(n, map(Monomial, gens))._corners() == want, gens
 
 
 small_exps = st.tuples(

@@ -22,6 +22,7 @@ ALLOWED = {
     "harness.valid_hilbert_functions",  # the h a sweep runs over
     "betti.mapping_cone_check",  # the linkage check; gets a caller in the sweeps
     "monomials.is_lpp",  # the LPP predicate; the residual check holds the profile already
+    "monomials.parse_monomial",  # one monomial from text; parse_ideal reads exponent tuples
 }
 
 # Methods and properties of public classes with no caller in the package.
@@ -35,9 +36,7 @@ MONOMIAL_SITES = [
     "growth.standard_monomials_of_degree",  # traced by name in perfbench/spans.py
     "monomials.MonomialIdeal.gens",  # the generators, for the caller and repr
     "monomials.MonomialIdeal.socle_monomials",  # the socle, for the caller
-    "monomials.ideal_from_json_dict",  # JSON input
-    "monomials.parse_monomial",  # text input: "1"
-    "monomials.parse_monomial",  # text input: a product of powers
+    "monomials.parse_monomial",  # text input of one monomial
     "monomials.pure_power",  # for the caller and an error message
 ]
 

@@ -13,7 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lppkit import DegreeList, FieldSpec, Monomial, betti_diagram, is_lpp, minimalize
-from lppkit.betti import _homology_of_mask, _row_contribution, _run_contribution
+from lppkit.betti import (
+    _homology_of_mask,
+    _reduced_homology_dims,
+    _row_contribution,
+    _run_contribution,
+)
 from lppkit.harness import enumerate_ideals, valid_hilbert_functions
 from lppkit.monomials import (
     BOX_GUARD,
@@ -46,14 +51,17 @@ def benchmark_caches() -> list:
     return run.lru_caches(run.workloads.load_lppkit("sweep-betti"))
 
 
+# the facets of the 6-vertex real projective plane
+RP2_FACETS = {"123", "134", "145", "156", "126", "235", "245", "246", "346", "356"}
+
+
 def rp2_ideal():
     """The Stanley-Reisner ideal of the 6-vertex real projective plane (the
     triples that are not facets) plus the squares: its homology has
     2-torsion, so its diagrams over QQ and GF(2) differ."""
-    facets = {"123", "134", "145", "156", "126", "235", "245", "246", "346", "356"}
     gens = [pure_power(6, k, 2) for k in range(6)]
     for t in itertools.combinations(range(1, 7), 3):
-        if "".join(map(str, t)) not in facets:
+        if "".join(map(str, t)) not in RP2_FACETS:
             gens.append(Monomial(tuple(int(k in t) for k in range(1, 7))))
     return minimalize(6, gens)
 
@@ -167,6 +175,18 @@ class TestBettiMatchesReference:
             assert betti_diagram(i, FieldSpec(p)) == want[p], p
         # the last diagram was read from the runs the first one left
         assert _run_contribution.cache_info().hits > 0
+
+    def test_the_projective_plane_has_homology_only_over_gf2(self):
+        faces = {
+            tuple(sorted(face))
+            for facet in RP2_FACETS
+            for k in (1, 2, 3)
+            for face in itertools.combinations(map(int, facet), k)
+        }
+        # (H_-1, H_0, H_1, H_2): H_1 is Z/2, so both H_1 and H_2 vanish over QQ
+        assert _reduced_homology_dims(sorted(faces), 0) == (0, 0, 0, 0)
+        assert _reduced_homology_dims(sorted(faces), 2) == (0, 0, 1, 1)
+        assert _reduced_homology_dims(sorted(faces), 3) == (0, 0, 0, 0)
 
     @settings(max_examples=40, deadline=None)
     @given(
