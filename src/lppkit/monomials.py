@@ -848,6 +848,7 @@ def _factors(text: str, n: int | None = None) -> list[tuple[int, int]]:
 
 
 def _exps(n: int, factors) -> tuple[int, ...]:
+    """The exponent tuple in n variables of the (index, exponent) ``factors``."""
     exps = [0] * n
     for k, e in factors:
         exps[k] += e

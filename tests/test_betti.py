@@ -203,7 +203,7 @@ class TestRank:
         assert _rank([], 0) == _rank([[]], 0) == 0
 
     def test_entries_grow_past_the_input_without_losing_exactness(self):
-        # a Hilbert-like matrix of full rank: the minors grow fast
+        # a Vandermonde matrix of full rank: its minors grow fast
         mat = [[(i + 1) ** j for j in range(8)] for i in range(8)]
         assert _rank(mat, 0) == rank_by_fractions(mat) == 8
         mat.append([sum(col) for col in zip(*mat)])
