@@ -214,9 +214,9 @@ class HilbertFunction:
 class MonomialIdeal:
     """A monomial ideal stored by its minimal generators, as exponent tuples.
 
-    The tuples are lex-descending and minimal (no generator divides another);
-    build instances with :func:`minimalize` unless the input is already
-    canonical.  The unit ideal is generated by the all-zero tuple.  An ideal
+    The tuples are lex-descending and minimal (no generator divides another),
+    whatever generators the constructor is given, so equal ideals have equal
+    generators.  The unit ideal is generated by the all-zero tuple.  An ideal
     built from row starts (:func:`_ideal_of_rows`) keeps them and reads its
     generators off them on first use.  ``==`` compares the row starts when
     both ideals hold them in the same box, and the generators otherwise;
@@ -227,17 +227,36 @@ class MonomialIdeal:
     __slots__ = ("_n", "_gens", "_rows")
 
     def __init__(self, n: int, gens):
-        """``gens``: the minimal generators, lex-descending, as Monomials or
-        exponent tuples."""
+        """The ideal in n variables generated by ``gens``, Monomials or
+        exponent tuples in any order, repeats and non-minimal ones allowed.
+
+        This is where generators are checked: an empty generator or a
+        negative exponent is refused in input order, before no generators
+        or a wrong length.  A divisor of e other than e itself has smaller
+        degree, so the distinct generators are read by ascending degree and
+        each is tested only against the kept generators of smaller degree."""
         if n < 1:
             raise ValueError("need at least one variable")
-        gens = tuple(g.exps if isinstance(g, Monomial) else tuple(g) for g in gens)
-        if not gens:
+        pool = dict.fromkeys(g.exps if isinstance(g, Monomial) else tuple(g) for g in gens)
+        by_degree: dict[int, list[tuple[int, ...]]] = {}
+        for e in pool:
+            if not e:
+                raise ValueError("monomial needs at least one variable")
+            if min(e) < 0:
+                raise ValueError(f"negative exponent in {e}")
+            by_degree.setdefault(sum(e), []).append(e)
+        if not pool:
             raise ValueError("zero ideal is not representable here")
-        if any(len(g) != n for g in gens):
-            raise DimensionError("generator with wrong variable count")
+        if set(map(len, pool)) != {n}:
+            raise DimensionError(f"generator with wrong variable count for {n} variables")
+        minimal: list[tuple[int, ...]] = []
+        for d in sorted(by_degree):
+            group = by_degree[d]
+            for g in minimal:
+                group = [e for e in group if not all(map(operator.le, g, e))]
+            minimal += group
         self._n = n
-        self._gens = gens
+        self._gens = tuple(sorted(minimal, reverse=True))
         self._rows = None
 
     @property
@@ -263,10 +282,6 @@ class MonomialIdeal:
 
     def __repr__(self) -> str:
         return f"MonomialIdeal(n={self._n!r}, gens={self.gens!r})"
-
-    @property
-    def is_unit(self) -> bool:
-        return self.pure_power_profile()[0] == 0
 
     def _is_artinian(self) -> bool:
         """Does the ideal hold a power of every variable?
@@ -388,28 +403,9 @@ class MonomialIdeal:
 
 
 def minimalize(n: int, gens) -> MonomialIdeal:
-    """Drop generators divisible by another; canonical lex-descending order.
-
-    A divisor of e other than e itself has smaller degree, so the distinct
-    generators are read by ascending degree and each is tested only against
-    the kept generators of smaller degree."""
-    pool = {g.exps if isinstance(g, Monomial) else tuple(g) for g in gens}
-    by_degree: dict[int, list[tuple[int, ...]]] = {}
-    for e in pool:
-        if len(e) != n:
-            raise DimensionError(f"generator with wrong variable count for {n} variables")
-        if min(e, default=0) < 0:
-            raise ValueError(f"negative exponent in {e}")
-        by_degree.setdefault(sum(e), []).append(e)
-    minimal: list[tuple[int, ...]] = []
-    for d in sorted(by_degree):
-        group = by_degree[d]
-        for g in minimal:
-            group = [e for e in group if not all(map(operator.le, g, e))]
-        minimal += group
-    if not minimal:
-        raise ValueError("zero ideal is not representable here")
-    return MonomialIdeal(n, tuple(sorted(minimal, reverse=True)))
+    """The ideal generated by ``gens``: :class:`MonomialIdeal` drops the
+    generators divisible by another and sorts the rest lex-descending."""
+    return MonomialIdeal(n, gens)
 
 
 @lru_cache(maxsize=64)
@@ -907,7 +903,8 @@ def ideal_to_json_dict(i: MonomialIdeal) -> dict:
 
 def ideal_from_json_dict(data: dict) -> MonomialIdeal:
     """The ideal of a JSON object; ``n`` and every exponent must be JSON
-    integers (not floats, booleans or strings)."""
+    integers (not floats, booleans or strings).  :class:`MonomialIdeal`
+    checks the generators."""
     try:
         n = data["n"]
         gens = [tuple(g) for g in data["gens"]]
@@ -916,9 +913,4 @@ def ideal_from_json_dict(data: dict) -> MonomialIdeal:
     for v in (n, *itertools.chain.from_iterable(gens)):
         if type(v) is not int:
             raise ValueError(f"bad ideal JSON object: {json.dumps(v)} is not an integer")
-    for g in gens:
-        if not g:
-            raise ValueError("monomial needs at least one variable")
-        if min(g) < 0:
-            raise ValueError(f"negative exponent in {g}")
-    return minimalize(n, gens)
+    return MonomialIdeal(n, gens)

@@ -456,15 +456,17 @@ def parse_vector(text: str, n: int) -> LppVector:
 
 
 def _coerce(obj, n: int, original: str) -> LppVector:
+    """The vector of a parsed JSON value; a leaf must be a JSON integer, not
+    a boolean."""
     if isinstance(obj, list) and not obj:
         return EMPTY
     if n == 1:
-        if isinstance(obj, int):
+        if type(obj) is int:
             return Leaf(obj)
-        if isinstance(obj, list) and len(obj) == 1 and isinstance(obj[0], int):
+        if isinstance(obj, list) and len(obj) == 1 and type(obj[0]) is int:
             return Leaf(obj[0])
         raise ValueError(f"expected an integer leaf in {original!r}, got {obj!r}")
-    if isinstance(obj, int):
+    if type(obj) is int:
         return Node((_coerce(obj, n - 1, original),))
     if isinstance(obj, list):
         return Node(tuple(_coerce(c, n - 1, original) for c in obj))

@@ -61,7 +61,7 @@ def betti_diagram_by_contains(i: MonomialIdeal, f: FieldSpec = QQ) -> BettiDiagr
     """Betti diagram of R/I by scanning every point b of the generator box and
     testing each face x^(b - tau) with ``MonomialIdeal.contains``; homology is
     computed afresh at every point."""
-    if i.is_unit:
+    if is_unit(i):
         return BettiDiagram(i.n, {})
     prof = i.pure_power_profile()
     if any(p is None for p in prof):
@@ -129,6 +129,11 @@ def gk_coefficients_by_convolution(e, upto: int) -> list[int]:
 def unit_monomial(n: int) -> Monomial:
     """The monomial 1, which generates the unit ideal."""
     return Monomial((0,) * n)
+
+
+def is_unit(i: MonomialIdeal) -> bool:
+    """Is I the unit ideal: does it hold x_1^0 = 1?"""
+    return i.pure_power_profile()[0] == 0
 
 
 def contains(i: MonomialIdeal, m: Monomial) -> bool:
@@ -563,7 +568,7 @@ def betti_euler_by_multidegree(
     the box is keyed here by the starts of the rows one step below it along
     each subset j of its prefix support (bit m of j for its m-th coordinate),
     in the order :func:`_row_contribution` reads them."""
-    if i.is_unit:
+    if is_unit(i):
         return {}
     sides, starts = i._row_starts()
     strides = _row_strides(sides)

@@ -128,6 +128,9 @@ class TestVec:
             ["vec", "validate", "--A", "4,4,6", "--vec", "[[1,2],[1,3,4],[2,3,6,6],[5,6,6,6],[6,6,6,6]]"],
         )
         assert bad.exit_code == 2 and bad.output.startswith("invalid:")
+        boolean = CliRunner().invoke(main, ["vec", "validate", "--A", "3", "--vec", "true"])
+        assert boolean.exit_code == 1
+        assert "expected an integer leaf in 'true', got True" in boolean.output
 
     def test_stats(self):
         r = run("vec", "stats", "--A", "4,4,6", "--vec", "[[1,2],[1,3,4],[2,3,6,6],[5,6,6,6]]")

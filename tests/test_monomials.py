@@ -35,6 +35,7 @@ from conftest import brute_colon, hf_by_inclusion_exclusion
 from oracles import (
     contains,
     divides,
+    is_unit,
     lex_compare,
     minimalize_by_all_pairs,
     monomials_of_degree,
@@ -99,6 +100,20 @@ class TestMinimalize:
         i = ideal("x1^2, x1*x2^3, x2^4")
         again = minimalize(i.n, i.gens)
         assert again == i
+
+    def test_constructor_equals_minimalize_before_any_read(self):
+        assert MonomialIdeal(2, [(0, 1), (1, 0)]) == minimalize(2, [(1, 0), (0, 1)])
+
+    def test_constructor_and_minimalize_hash_alike_after_reads(self):
+        a = MonomialIdeal(2, [(0, 1), (1, 0)])
+        b = minimalize(2, [(1, 0), (0, 1)])
+        assert a.hilbert_function() == b.hilbert_function()
+        assert len({a, b}) == 1
+
+    def test_constructor_drops_non_minimal_generators(self):
+        i = MonomialIdeal(2, [(1, 0), (2, 0), (0, 3)])
+        assert str(i) == "x1, x2^3"
+        assert ideal_to_json_dict(i) == {"n": 2, "gens": [[1, 0], [0, 3]]}
 
     @pytest.mark.parametrize(
         "gens",
@@ -165,7 +180,7 @@ class TestColon:
 
     def test_self_colon_is_unit(self):
         j = ideal("x1, x2")
-        assert colon(j, j).is_unit
+        assert is_unit(colon(j, j))
 
     def test_brute_force_oracle_on_samples(self):
         samples = [
@@ -328,9 +343,12 @@ PARSE_ERRORS = [
      "bad ideal JSON object: 0.5 is not an integer"),
     ('{"n": 2, "gens": [[1, -1]]}', None, ValueError, "negative exponent in (1, -1)"),
     ('{"n": 2, "gens": [[1, -1, 0]]}', None, ValueError, "negative exponent in (1, -1, 0)"),
+    # a negative exponent is refused before any length, in input order
+    ('{"n": 2, "gens": [[1, 0, 0], [1, -1]]}', None, ValueError, "negative exponent in (1, -1)"),
     ('{"n": 2, "gens": [[1, 0, 0]]}', None, DimensionError,
      "generator with wrong variable count for 2 variables"),
     ('{"n": 2, "gens": [[]]}', None, ValueError, "monomial needs at least one variable"),
+    ('{"n": 0, "gens": [[1]]}', None, ValueError, "need at least one variable"),
     ('{"n": 2, "gens": []}', None, ValueError, "zero ideal is not representable here"),
     # a string of generators reads as one-letter generators
     ('{"n": 2, "gens": "nope"}', None, ValueError, 'bad ideal JSON object: "n" is not an integer'),
@@ -381,6 +399,10 @@ def test_minimalize_equals_the_all_pairs_oracle():
         want = minimalize_by_all_pairs(gens)
         assert minimalize(n, gens)._corners() == want, gens
         assert minimalize(n, map(Monomial, gens))._corners() == want, gens
+        built = MonomialIdeal(n, gens)
+        assert built._corners() == want, gens
+        # before any read, so no row starts decide ==
+        assert built == minimalize(n, gens) and hash(built) == hash(minimalize(n, gens)), gens
 
 
 small_exps = st.tuples(

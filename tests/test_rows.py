@@ -60,6 +60,7 @@ from oracles import (
     ideal_of_vector_by_minimalize,
     is_lex_segment_by_contains,
     is_lpp_by_contains,
+    is_unit,
     socle_by_definition,
     unit_monomial,
 )
@@ -361,11 +362,11 @@ class TestCarriedRowStarts:
             fresh = MonomialIdeal(ideal.n, ideal.gens)
             profile = fresh.pure_power_profile()
             assert ideal.pure_power_profile() == twin.pure_power_profile() == profile
-            assert fresh.is_unit is False and fresh._rows is None
+            assert is_unit(fresh) is False and fresh._rows is None
             assert ideal._row_starts()[0] == tuple(d + 1 for d in degrees)
             assert ideal.gens == twin.gens and ideal == twin and hash(ideal) == hash(twin)
             assert repr(ideal) == repr(twin)
-            assert ideal.is_unit is twin.is_unit is False
+            assert is_unit(ideal) is is_unit(twin) is False
             assert ideal.hilbert_function() == twin.hilbert_function()
             assert ideal.socle_monomials() == twin.socle_monomials()
             for p in (0, 2):
@@ -391,8 +392,8 @@ class TestCarriedRowStarts:
     def test_unit_and_non_artinian_read_from_the_starts(self, j_text, i_text, gens):
         j, i = parse_ideal(j_text, 2), parse_ideal(i_text, 2)
         unit_rows, open_rows = colon(j, j), colon(j, i)
-        assert unit_rows.is_unit and betti_diagram(unit_rows).items() == []
-        assert not open_rows.is_unit
+        assert is_unit(unit_rows) and betti_diagram(unit_rows).items() == []
+        assert not is_unit(open_rows)
         with pytest.raises(NotArtinianError):
             betti_diagram(open_rows)
         with pytest.raises(NotArtinianError):
@@ -711,12 +712,12 @@ class TestPurePowerProfile:
     @settings(max_examples=120, deadline=None)
     @given(ideals())
     def test_same_from_generators_and_from_row_starts(self, i):
-        before = (i.pure_power_profile(), i.is_unit)
+        before = (i.pure_power_profile(), is_unit(i))
         assert before[0] == profile_by_contains(i, 4)
         assert before[1] == (i.gens[0].degree == 0)
         carried = _ideal_of_rows(i.n, *i._row_starts())
-        assert (i.pure_power_profile(), i.is_unit) == before
-        assert (carried.pure_power_profile(), carried.is_unit) == before
+        assert (i.pure_power_profile(), is_unit(i)) == before
+        assert (carried.pure_power_profile(), is_unit(carried)) == before
 
     @settings(max_examples=120, deadline=None)
     @given(ideals(), st.integers(0, 2))
@@ -782,7 +783,7 @@ class TestPurePowerProfile:
     )
     def test_unit_ideal(self, build):
         unit_ideal = build(DegreeList((2, 3, 4)))
-        assert unit_ideal.is_unit and unit_ideal.pure_power_profile() == (0, 0, 0)
+        assert is_unit(unit_ideal) and unit_ideal.pure_power_profile() == (0, 0, 0)
         assert unit_ideal.hilbert_function() == HilbertFunction((0,))
         assert betti_diagram(unit_ideal).items() == []
         assert unit_ideal.socle_monomials() == {}

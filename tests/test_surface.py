@@ -26,9 +26,7 @@ ALLOWED = {
 }
 
 # Methods and properties of public classes with no caller in the package.
-ALLOWED_METHODS = {
-    "MonomialIdeal.is_unit",  # the unit test; the package's readers hold the profile already
-}
+ALLOWED_METHODS: set[str] = set()
 
 # Where the package builds a Monomial, once per line: everywhere else an
 # ideal's generators are exponent tuples.

@@ -35,6 +35,7 @@ from conftest import all_degree_lists
 from oracles import (
     containment_chain_check,
     contains,
+    is_unit,
     monomials_of_degree,
     sequence_alpha,
     sequence_sigma,
@@ -147,7 +148,7 @@ class TestIdealOfVector:
         assert format_ideal(w) == "x1^5, x1^4*x2^3, x1^3*x2^5, x2^6"
 
     def test_empty_gives_unit(self):
-        assert ideal_of_vector(EMPTY, A57).is_unit
+        assert is_unit(ideal_of_vector(EMPTY, A57))
 
     def test_invalid_vector_rejected(self):
         with pytest.raises(ValueError):
@@ -369,6 +370,21 @@ class TestTextFormat:
             parse_vector("[1, oops]", 2)
         with pytest.raises(ValueError):
             parse_vector('["x"]', 2)
+
+    @pytest.mark.parametrize(
+        "text, n, message",
+        [
+            ("true", 1, "expected an integer leaf in 'true', got True"),
+            ("true", 2, "bad vector element True in 'true'"),
+            ("[true, 3]", 2, "expected an integer leaf in '[true, 3]', got True"),
+            ("[false]", 1, "expected an integer leaf in '[false]', got [False]"),
+            ("[false]", 2, "expected an integer leaf in '[false]', got False"),
+        ],
+    )
+    def test_booleans_are_not_integers(self, text, n, message):
+        with pytest.raises(ValueError) as exc:
+            parse_vector(text, n)
+        assert str(exc.value) == message
 
 
 class TestLppIdealSequenceInvariants:
