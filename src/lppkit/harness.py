@@ -24,10 +24,14 @@ from .monomials import (
     GuardExceeded,
     HilbertFunction,
     MonomialIdeal,
+    NotArtinianError,
+    _axis_ends,
     _ideal_of_rows,
     _lex_above_powers,
+    _row_plan,
     _row_steps,
     _row_strides,
+    _start_degrees,
     add_maximal_power,
     colon,
     ideal_to_json_dict,
@@ -262,17 +266,22 @@ def growth_check(
 ) -> CheckReport:
     """Every enumerated ideal has Hilbert function h.
 
-    Each ideal is read from the row starts it was built from
-    (:func:`_starts_attain`).  Only an ideal whose starts fail is re-derived
+    Each ideal is read from the row starts it was built from, by one test
+    per box built for h (:func:`_attains`), so no Hilbert function is
+    computed.  Only an ideal whose starts fail is re-derived
     from its generators, and it is a witness when that Hilbert function is
     not h either.  An h that breaks the degree-1 ceiling or the growth bound
     fails first, in :func:`enumerate_ideals` (ValueError)."""
     instance = {"A": list(a.degrees), "H": str(h)}
     witnesses = []
     count = 0
+    sides = attains = None
     for ideal in enumerate_ideals(h, a, max_ideals):
         count += 1
-        if _starts_attain(ideal, h):
+        box, starts = ideal._row_starts()
+        if box != sides:  # the walk builds every ideal in one box
+            sides, attains = box, _attains(h, box)
+        if attains(starts):
             continue
         actual = MonomialIdeal(ideal.n, ideal._corners()).hilbert_function()
         if actual != h:
@@ -295,12 +304,29 @@ def _starts_attain(ideal: MonomialIdeal, h: HilbertFunction) -> bool:
     span has these starts, so True means that ideal has Hilbert function h.
     Raises NotArtinianError as :meth:`MonomialIdeal.hilbert_function` does."""
     sides, starts = ideal._row_starts()
+    return _attains(h, sides)(starts)
+
+
+def _attains(h: HilbertFunction, sides: tuple[int, ...]):
+    """:func:`_starts_attain` for h, as a test of row starts in the box
+    prod [0, sides_k) that reads no Hilbert function: the box's getters and
+    the key of :func:`_start_degrees` are fetched once, and starts that pass
+    the step test and the Artinian test attain h exactly when their rows'
+    degrees |p| + start, sorted, are the key."""
     lower, upper = _row_steps(sides)
-    return (
-        starts[0] < sides[-1]
-        and all(map(operator.ge, lower(starts), upper(starts)))
-        and ideal.hilbert_function() == h
-    )
+    ends = _axis_ends(sides)
+    row_degrees = tuple(itertools.chain.from_iterable(_row_plan(sides)[0]))
+    key = _start_degrees(h, sides)
+    last = sides[-1]
+
+    def attains(starts) -> bool:
+        if not (starts[0] < last and all(map(operator.ge, lower(starts), upper(starts)))):
+            return False
+        if any(ends(starts)):
+            raise NotArtinianError("ideal is not Artinian")
+        return sorted(map(operator.add, row_degrees, starts)) == key
+
+    return attains
 
 
 def lpp_dominance_check(

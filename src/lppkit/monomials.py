@@ -363,7 +363,7 @@ class MonomialIdeal:
         so the counts are the running sum of the rows of each degree |p|
         (cached per box by :func:`_row_plan`, with the |p| of every row) less
         one at |p| + start per row; for the unit ideal every row starts at 0,
-        giving (0,).
+        giving (0,).  :func:`_start_degrees` inverts this for one h.
         """
         if not self._is_artinian():
             raise NotArtinianError("ideal is not Artinian")
@@ -400,6 +400,31 @@ class MonomialIdeal:
 
     def __str__(self) -> str:
         return format_ideal(self)
+
+
+def _start_degrees(h: HilbertFunction, sides: tuple[int, ...]) -> list[int] | None:
+    """The degrees |p| + start of the rows p of the box prod [0, sides_k),
+    sorted, that the row starts of an ideal with Hilbert function h have;
+    None when no ideal in the box has h.
+
+    :meth:`MonomialIdeal.hilbert_function` computes
+    h(d) = sum_{d' <= d} R(d') - #{rows whose |p| + start is at most d},
+    R(d) the number of rows with |p| = d.  So h fixes R(d) - (h(d) - h(d - 1))
+    rows with |p| + start = d, and the list holds that many copies of each d;
+    a count below 0 means no starts give h.  The equation reads h on to the
+    end of the box, past its first 0, and ``hilbert_function`` cuts it
+    there.  Starts with row 0 inside the box and no row starting after a
+    row one step below it are a down-set, which has no 0 before its last
+    nonzero value: for them, ``sorted(|p| + start)`` is this list exactly
+    when the Hilbert function is h."""
+    counts = _row_plan(sides)[2]
+    key: list[int] = []
+    for d in range(max(len(counts), len(h.values))):
+        rows = (counts[d] if d < len(counts) else 0) - h.at(d) + h.at(d - 1)
+        if rows < 0:
+            return None
+        key += [d] * rows
+    return key
 
 
 def minimalize(n: int, gens) -> MonomialIdeal:

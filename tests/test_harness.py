@@ -216,6 +216,22 @@ def test_whole_dominance_sweep_reports_are_pinned(name, degrees, char):
     assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_DIGESTS[name, degrees, char]
 
 
+# sha256 of growth_check's reports over every valid h, one JSON per line
+GROWTH_DIGESTS = {
+    (3, 3, 4): "0c11644090a6b59c1e9cb6d6066dac48d10a7be6c80374561eb9e2e52a5a432a",
+    (2, 2, 3, 3): "ad49877535d18c33e3b7f3ceaa295bb2f92d14097ddd24ff5bc2e2e3d353a62e",
+}
+
+
+@pytest.mark.parametrize("degrees", sorted(GROWTH_DIGESTS), ids=str)
+def test_whole_growth_sweep_reports_are_pinned(degrees):
+    a = DegreeList(degrees)
+    text = "\n".join(
+        growth_check(h, a).to_json() for h in valid_hilbert_functions(a, sum(degrees))
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == GROWTH_DIGESTS[degrees]
+
+
 class TestResidualCheck:
     def test_exhaustive_2_2_3(self):
         r = residual_lpp_check(DegreeList((2, 2, 3)))

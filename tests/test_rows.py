@@ -695,6 +695,83 @@ class TestGrowthCheckFromStarts:
         assert calls["monomials"] == 0
 
 
+def row_steps(sides: tuple[int, ...]) -> list[list[tuple[int, int]]]:
+    """Per row of the box prod [0, sides_k), the pairs (lower, upper) of
+    rows one step apart along a prefix axis that it is in."""
+    rows = list(itertools.product(*(range(s) for s in sides[:-1])))
+    index = {p: r for r, p in enumerate(rows)}
+    steps = [[] for _ in rows]
+    for r, p in enumerate(rows):
+        for k in range(len(p)):
+            if p[k]:
+                pair = (index[p[:k] + (p[k] - 1,) + p[k + 1 :]], r)
+                steps[pair[0]].append(pair)
+                steps[r].append(pair)
+    return steps
+
+
+class TestStartDegrees:
+    """The key of ``monomials._start_degrees`` against ``hilbert_function``:
+    for row starts that are a down-set, their rows' degrees |p| + start,
+    sorted, are the key of h exactly when the Hilbert function is h."""
+
+    # walk ideals; their distinct single-row +-1 neighbours that are
+    # down-sets, and how many of those are not Artinian
+    COUNTS = {(3, 3, 4): (4115, 11368, 7252), (2, 2, 3, 3): (8789, 33923, 25133)}
+
+    @pytest.mark.parametrize("degrees", sorted(COUNTS), ids=str)
+    def test_walk_ideals_and_their_neighbours(self, degrees):
+        a = DegreeList(degrees)
+        sides = tuple(d + 1 for d in degrees)
+        degs = [sum(p) for p in itertools.product(*(range(s) for s in sides[:-1]))]
+        steps = row_steps(sides)
+        keys = {}
+
+        def matches(starts, h):
+            if h not in keys:
+                keys[h] = monomials._start_degrees(h, sides)
+            return sorted(map(int.__add__, degs, starts)) == keys[h]
+
+        walked, seen, not_artinian = 0, set(), 0
+        for h in valid_hilbert_functions(a, a.sigma_ci):
+            for ideal in enumerate_ideals(h, a):
+                starts = ideal._row_starts()[1]
+                walked += 1
+                assert ideal.hilbert_function() == h and matches(starts, h)
+                # the starts are a down-set, so a neighbour is one when the
+                # pairs of rows through the changed row are in order
+                for r, step in itertools.product(range(len(starts)), (-1, 1)):
+                    moved = list(starts)
+                    moved[r] += step
+                    if (
+                        not 0 <= moved[r] <= sides[-1]
+                        or moved[0] >= sides[-1]
+                        or any(moved[lo] < moved[up] for lo, up in steps[r])
+                        or tuple(moved) in seen
+                    ):
+                        continue
+                    seen.add(tuple(moved))
+                    neighbour = _ideal_of_rows(a.n, sides, moved)
+                    accepted = outcome(lambda: harness._starts_attain(neighbour, h))
+                    hf = outcome(neighbour.hilbert_function)
+                    if hf is NotArtinianError:
+                        not_artinian += 1
+                        assert accepted is NotArtinianError
+                        continue
+                    assert matches(moved, hf), moved
+                    assert matches(moved, h) == (hf == h) == accepted, moved
+        assert (walked, len(seen), not_artinian) == self.COUNTS[degrees]
+
+    def test_an_h_no_ideal_in_the_box_attains(self):
+        # the quotient by (x1, x2, x3)^5 has 15 monomials of degree 4, but
+        # the box of A = (3, 3, 4) holds 13 of them
+        h = HilbertFunction.from_string("1 3 6 10 15")
+        assert monomials._start_degrees(h, (4, 4, 5)) is None
+        with pytest.raises(ValueError, match="not a valid sequence"):
+            next(enumerate_ideals(h, DegreeList((3, 3, 4))))
+        assert monomials._start_degrees(h, (6, 6, 6)) is not None
+
+
 def profile_by_contains(i: MonomialIdeal, top: int) -> tuple:
     """Per variable, the least e <= top with x_k^e in I, by ``contains``."""
     return tuple(
