@@ -764,7 +764,7 @@ class TestStartDegrees:
 
     def test_an_h_no_ideal_in_the_box_attains(self):
         # the quotient by (x1, x2, x3)^5 has 15 monomials of degree 4, but
-        # the box of A = (3, 3, 4) holds 13 of them
+        # the walk box prod [0, a_k] of A = (3, 3, 4) holds 13 of them
         h = HilbertFunction.from_string("1 3 6 10 15")
         assert monomials._start_degrees(h, (4, 4, 5)) is None
         with pytest.raises(ValueError, match="not a valid sequence"):
