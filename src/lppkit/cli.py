@@ -20,10 +20,6 @@ from .monomials import (
 from .vectors import format_vector, parse_vector
 
 
-def _fail(message: str):
-    raise click.ClickException(message)
-
-
 def _echo(message: str, err: bool = False):
     """click.echo to the current standard stream.  click.echo's own lookup
     caches a wrapper per stream object, which keeps alive every stream of an
@@ -32,28 +28,30 @@ def _echo(message: str, err: bool = False):
     click.echo(message, file=click.get_text_stream("stderr" if err else "stdout"))
 
 
-def _guarded(fn, *args):
-    """Run fn(*args): a guard exits with code 3, a bad input is a clean
-    error."""
-    try:
-        return fn(*args)
-    except GuardExceeded as exc:
-        _echo(f"guard exceeded: {exc}", err=True)
-        sys.exit(3)
-    except ValueError as exc:
-        _fail(str(exc))
-
-
 def _ideal(text: str, n: int | None = None) -> MonomialIdeal:
     if text == "-":
         text = sys.stdin.read()
     elif os.path.isfile(text):
         with open(text) as fh:
             text = fh.read()
-    return _guarded(monomials.parse_ideal, text, n)
+    return monomials.parse_ideal(text, n)
 
 
-@click.group()
+class _Refusing(click.Group):
+    """Runs every command under one policy: a guard exits 3 with ``guard
+    exceeded: ...`` on stderr, a ValueError is click's ``Error: ...``, exit 1."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except GuardExceeded as exc:
+            _echo(f"guard exceeded: {exc}", err=True)
+            sys.exit(3)
+        except ValueError as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Refusing)
 def main():
     """Exact computations with Artinian monomial ideals and lex-plus-powers
     vectors: Hilbert functions, growth bounds, colon ideals, Betti diagrams,
@@ -66,7 +64,7 @@ def main():
 def hf(ideal_text: str, as_json: bool):
     """Hilbert function of an Artinian monomial quotient."""
     ideal = _ideal(ideal_text)
-    h = _guarded(ideal.hilbert_function)
+    h = ideal.hilbert_function()
     if as_json:
         _echo(json.dumps({"values": list(h.values), "sigma": h.sigma, "rho": h.rho}))
     else:
@@ -80,14 +78,14 @@ def hf(ideal_text: str, as_json: bool):
 @click.option("--json", "as_json", is_flag=True)
 def bound(a_text: str, d: int, h: int, as_json: bool):
     """Growth bound from degree d to d+1, with the expansion rectangle."""
-    a = _guarded(DegreeList.from_string, a_text)
+    a = DegreeList.from_string(a_text)
     if h == 0:
         if as_json:
             _echo(json.dumps({"A": list(a.degrees), "d": d, "h": 0, "terms": [], "bound": 0}))
         else:
             _echo("bound: 0")
         return
-    expansion = _guarded(growth.gk_expansion, h, d, a)
+    expansion = growth.gk_expansion(h, d, a)
     b = expansion.bound()
     if as_json:
         _echo(
@@ -116,6 +114,7 @@ def bound(a_text: str, d: int, h: int, as_json: bool):
 
 def _render_rectangle(a: DegreeList, expansion) -> str:
     upto = a.sigma_ci
+    _check_cells("rectangle", a.n * (upto + 1))
     rows = growth.rectangle_rows(a, upto)
     boxed = set(expansion.terms)
     labels = [growth.row_label(a, r) + ":" for r in range(1, a.n + 1)]
@@ -142,8 +141,8 @@ def _render_rectangle(a: DegreeList, expansion) -> str:
 @click.option("--json", "as_json", is_flag=True)
 def validseq(a_text: str, hf_text: str, as_json: bool):
     """Is the sequence a valid Hilbert function for the degree list?"""
-    a = _guarded(DegreeList.from_string, a_text)
-    h = _guarded(HilbertFunction.from_string, hf_text)
+    a = DegreeList.from_string(a_text)
+    h = HilbertFunction.from_string(hf_text)
     ok = growth.is_lpp_sequence(h, a)
     if as_json:
         _echo(json.dumps({"A": list(a.degrees), "H": str(h), "valid": ok}))
@@ -161,7 +160,7 @@ def colon(j_text: str, i_text: str, as_json: bool):
     """Colon (residual) ideal (J : I)."""
     j = _ideal(j_text)
     i = _ideal(i_text, n=j.n)
-    result = _guarded(monomials.colon, j, i)
+    result = monomials.colon(j, i)
     if as_json:
         _echo(json.dumps(monomials.ideal_to_json_dict(result)))
     else:
@@ -175,8 +174,8 @@ def colon(j_text: str, i_text: str, as_json: bool):
 def betti(ideal_text: str, char: int, as_json: bool):
     """Betti diagram of an Artinian monomial quotient."""
     ideal = _ideal(ideal_text)
-    field = _guarded(FieldSpec, char)
-    diagram = _guarded(betti_diagram, ideal, field)
+    field = FieldSpec(char)
+    diagram = betti_diagram(ideal, field)
     if as_json:
         _echo(json.dumps(diagram.to_json_dict()))
     else:
@@ -189,7 +188,7 @@ def betti(ideal_text: str, char: int, as_json: bool):
 def socle(ideal_text: str, as_json: bool):
     """Socle monomials of an Artinian monomial quotient, by degree."""
     ideal = _ideal(ideal_text)
-    soc = _guarded(ideal.socle_monomials)
+    soc = ideal.socle_monomials()
     if as_json:
         _echo(
             json.dumps(
@@ -207,8 +206,8 @@ def vec():
 
 
 def _vec_common(a_text: str, vec_text: str):
-    a = _guarded(DegreeList.from_string, a_text)
-    return a, _guarded(parse_vector, vec_text, a.n)
+    a = DegreeList.from_string(a_text)
+    return a, parse_vector(vec_text, a.n)
 
 
 @vec.command("validate")
@@ -232,7 +231,7 @@ def vec_stats(a_text: str, vec_text: str, as_json: bool):
     a, t = _vec_common(a_text, vec_text)
     verdict = vectors.validate(t, a)
     if not verdict:
-        _fail(f"invalid vector: {verdict.reason}")
+        raise click.ClickException(f"invalid vector: {verdict.reason}")
     st = vectors.stats(t, a)
     alpha = None if st.alpha == vectors.INF else int(st.alpha)
     if as_json:
@@ -254,7 +253,7 @@ def vec_stats(a_text: str, vec_text: str, as_json: bool):
 @click.option("--json", "as_json", is_flag=True)
 def vec_to_ideal(a_text: str, vec_text: str, as_json: bool):
     a, t = _vec_common(a_text, vec_text)
-    ideal = _guarded(vectors.ideal_of_vector, t, a)
+    ideal = vectors.ideal_of_vector(t, a)
     if as_json:
         _echo(json.dumps(monomials.ideal_to_json_dict(ideal)))
     else:
@@ -268,7 +267,7 @@ def vec_to_hf(a_text: str, vec_text: str):
     a, t = _vec_common(a_text, vec_text)
     verdict = vectors.validate(t, a)
     if not verdict:
-        _fail(f"invalid vector: {verdict.reason}")
+        raise click.ClickException(f"invalid vector: {verdict.reason}")
     _echo(str(vectors.hf_of_vector(t)))
 
 
@@ -276,9 +275,9 @@ def vec_to_hf(a_text: str, vec_text: str):
 @click.option("--A", "a_text", required=True)
 @click.option("--hf", "hf_text", required=True)
 def vec_from_hf(a_text: str, hf_text: str):
-    a = _guarded(DegreeList.from_string, a_text)
-    h = _guarded(HilbertFunction.from_string, hf_text)
-    t = _guarded(vectors.vector_of_hf, h, a)
+    a = DegreeList.from_string(a_text)
+    h = HilbertFunction.from_string(hf_text)
+    t = vectors.vector_of_hf(h, a)
     _echo(format_vector(t))
 
 
@@ -287,7 +286,7 @@ def vec_from_hf(a_text: str, hf_text: str):
 @click.option("--vec", "vec_text", required=True)
 def vec_dual(a_text: str, vec_text: str):
     a, t = _vec_common(a_text, vec_text)
-    _echo(format_vector(_guarded(vectors.dual, t, a)))
+    _echo(format_vector(vectors.dual(t, a)))
 
 
 @main.command()
@@ -296,19 +295,19 @@ def vec_dual(a_text: str, vec_text: str):
 @click.option("--ideal", "ideal_text", default=None)
 def staircase(a_text: str, vec_text: str | None, ideal_text: str | None):
     """Two-variable staircase: filled circles are monomials outside the ideal."""
-    a = _guarded(DegreeList.from_string, a_text)
+    a = DegreeList.from_string(a_text)
     if a.n != 2:
-        _fail("staircase rendering needs exactly two variables")
+        raise click.ClickException("staircase rendering needs exactly two variables")
     if (vec_text is None) == (ideal_text is None):
-        _fail("provide exactly one of --vec or --ideal")
+        raise click.ClickException("provide exactly one of --vec or --ideal")
     aa, bb = a.degrees
-    _guarded(_check_staircase_size, aa * bb)
+    _check_cells("staircase", aa * bb)
     if vec_text is not None:
-        t = _guarded(parse_vector, vec_text, 2)
-        ideal = _guarded(vectors.ideal_of_vector, t, a)
+        t = parse_vector(vec_text, 2)
+        ideal = vectors.ideal_of_vector(t, a)
     else:
         ideal = _ideal(ideal_text, n=2)
-    sides, starts = _guarded(ideal._row_starts)
+    sides, starts = ideal._row_starts()
     lines = []
     for xe in range(aa - 1, -1, -1):
         # the row's members run from its start on; past the box nothing changes
@@ -318,9 +317,10 @@ def staircase(a_text: str, vec_text: str | None, ideal_text: str | None):
     _echo("\n".join(lines))
 
 
-def _check_staircase_size(cells: int):
+def _check_cells(picture: str, cells: int):
+    """Refuse a text picture of more than BOX_GUARD cells before building it."""
     if cells > monomials.BOX_GUARD:
-        raise GuardExceeded(f"staircase of {cells} cells exceeds {monomials.BOX_GUARD}")
+        raise GuardExceeded(f"{picture} of {cells} cells exceeds {monomials.BOX_GUARD}")
 
 
 @main.group()
@@ -349,9 +349,9 @@ def _emit_report(report: harness.CheckReport, as_json: bool):
 @click.option("--max-count", "max_count", type=int, default=None)
 @click.option("--json", "as_json", is_flag=True)
 def check_growth(a_text, hf_text, max_count, as_json):
-    a = _guarded(DegreeList.from_string, a_text)
-    h = _guarded(HilbertFunction.from_string, hf_text)
-    _emit_report(_guarded(harness.growth_check, h, a, max_count), as_json)
+    a = DegreeList.from_string(a_text)
+    h = HilbertFunction.from_string(hf_text)
+    _emit_report(harness.growth_check(h, a, max_count), as_json)
 
 
 @check.command("lpp")
@@ -361,26 +361,26 @@ def check_growth(a_text, hf_text, max_count, as_json):
 @click.option("--max-count", "max_count", type=int, default=None)
 @click.option("--json", "as_json", is_flag=True)
 def check_lpp(a_text, hf_text, char, max_count, as_json):
-    a = _guarded(DegreeList.from_string, a_text)
-    h = _guarded(HilbertFunction.from_string, hf_text)
-    f = _guarded(FieldSpec, char)
-    _emit_report(_guarded(harness.lpp_dominance_check, h, a, f, max_count), as_json)
+    a = DegreeList.from_string(a_text)
+    h = HilbertFunction.from_string(hf_text)
+    f = FieldSpec(char)
+    _emit_report(harness.lpp_dominance_check(h, a, f, max_count), as_json)
 
 
 @check.command("residual")
 @click.option("--A", "a_text", required=True)
 @click.option("--json", "as_json", is_flag=True)
 def check_residual(a_text, as_json):
-    a = _guarded(DegreeList.from_string, a_text)
-    _emit_report(_guarded(harness.residual_lpp_check, a), as_json)
+    a = DegreeList.from_string(a_text)
+    _emit_report(harness.residual_lpp_check(a), as_json)
 
 
 @check.command("lexseg")
 @click.option("--A", "a_text", required=True)
 @click.option("--json", "as_json", is_flag=True)
 def check_lexseg(a_text, as_json):
-    a = _guarded(DegreeList.from_string, a_text)
-    _emit_report(_guarded(harness.lexseg_lemma_check, a), as_json)
+    a = DegreeList.from_string(a_text)
+    _emit_report(harness.lexseg_lemma_check(a), as_json)
 
 
 @check.command("socle-equiv")
@@ -390,12 +390,10 @@ def check_lexseg(a_text, as_json):
 @click.option("--max-count", "max_count", type=int, default=None)
 @click.option("--json", "as_json", is_flag=True)
 def check_socle_equiv(a_text, hf_text, char, max_count, as_json):
-    a = _guarded(DegreeList.from_string, a_text)
-    h = _guarded(HilbertFunction.from_string, hf_text)
-    f = _guarded(FieldSpec, char)
-    _emit_report(
-        _guarded(harness.socle_equivalence_check, h, a, f, max_count), as_json
-    )
+    a = DegreeList.from_string(a_text)
+    h = HilbertFunction.from_string(hf_text)
+    f = FieldSpec(char)
+    _emit_report(harness.socle_equivalence_check(h, a, f, max_count), as_json)
 
 
 if __name__ == "__main__":

@@ -26,6 +26,7 @@ from .monomials import (
     MonomialIdeal,
     NotArtinianError,
     _axis_ends,
+    _checked_box,
     _ideal_of_rows,
     _lex_above_powers,
     _row_plan,
@@ -104,15 +105,16 @@ def enumerate_ideals(h: HilbertFunction, a: DegreeList, max_ideals: int | None =
     p - e_k one step below has kept more than c.  The stream is deterministic
     (candidate rows lex-descending, subsets in combination order).
     """
-    for ideal, _ in _walk(h, a, max_ideals, ()):
+    for ideal, _ in _walk(h, a, max_ideals, False):
         yield ideal
 
 
-def _walk(h: HilbertFunction, a: DegreeList, guard: int | None, moves):
-    """The walk of :func:`enumerate_ideals`, keeping one ideal per orbit of
-    the group G made of ``moves`` (see :func:`_moves`) and the identity, as
-    ``(ideal, orbit size)``.  ``guard`` is read as ``max_ideals`` and counts
-    ideals, orbit sizes summed.
+def _walk(h: HilbertFunction, a: DegreeList, guard: int | None, orbits: bool):
+    """The walk of :func:`enumerate_ideals`, as ``(ideal, orbit size)``;
+    with ``orbits`` it keeps one ideal per orbit of the group G made of the
+    moves of A (see :func:`_moves`) and the identity.  ``guard`` is read as
+    ``max_ideals`` and counts ideals, orbit sizes summed.  h and the guards,
+    the box prod [0, a_k + 1) too, are checked before any frame or move.
 
     Orderly generation (Read, "Every one a winner", 1978): the layer of
     degree d, the descending tuple of its points in prod [0, a_k), is kept
@@ -127,8 +129,9 @@ def _walk(h: HilbertFunction, a: DegreeList, guard: int | None, moves):
     if h.total > CELL_GUARD:
         raise GuardExceeded(f"{h.total} standard monomials exceeds {CELL_GUARD}")
     guard = _ideal_guard(guard)
+    sides = _checked_box(tuple(deg + 1 for deg in a.degrees))
+    moves = _moves(a.degrees) if orbits else ()
     order = len(moves) + 1
-    sides = tuple(deg + 1 for deg in a.degrees)
     offsets, below, fresh = _frame(a.degrees)
     last = a.degrees[-1]
     values = h.values  # valid: 1 at degree 0, so the walk ends at its one 0
@@ -295,24 +298,14 @@ def growth_check(
     return CheckReport.from_witnesses("growth", instance, witnesses, {"ideals": count})
 
 
-def _starts_attain(ideal: MonomialIdeal, h: HilbertFunction) -> bool:
-    """Are the ideal's row starts those of the ideal its generators span, and
-    is the Hilbert function read from them h?
-
-    They are when row 0 starts inside the box and no row starts after a row
-    one step below it along a prefix axis.  Then the ideal its generators
-    span has these starts, so True means that ideal has Hilbert function h.
-    Raises NotArtinianError as :meth:`MonomialIdeal.hilbert_function` does."""
-    sides, starts = ideal._row_starts()
-    return _attains(h, sides)(starts)
-
-
 def _attains(h: HilbertFunction, sides: tuple[int, ...]):
-    """:func:`_starts_attain` for h, as a test of row starts in the box
-    prod [0, sides_k) that reads no Hilbert function: the box's getters and
-    the key of :func:`_start_degrees` are fetched once, and starts that pass
-    the step test and the Artinian test attain h exactly when their rows'
-    degrees |p| + start, sorted, are the key."""
+    """A test of row starts in the box prod [0, sides_k): are they those of
+    the ideal their generators span (row 0 starts inside the box, and no row
+    after a row one step below it along a prefix axis), and does it attain
+    h?  It reads no Hilbert function: the box's getters and the key of
+    :func:`_start_degrees` are fetched once, and the rows' degrees
+    |p| + start, sorted, are compared with the key.  Raises
+    NotArtinianError as :meth:`MonomialIdeal.hilbert_function` does."""
     lower, upper = _row_steps(sides)
     ends = _axis_ends(sides)
     row_degrees = tuple(itertools.chain.from_iterable(_row_plan(sides)[0]))
@@ -374,7 +367,8 @@ def _against_lpp(
     with the lex-plus-powers ideal L_h by ``rule(ideal, b, lpp, b_lpp)``, a
     list of witnesses, where b and b_lpp are the Betti diagrams over f of
     the ideal and of L_h.  It is ``not-valid`` when no L_h has powers
-    exactly A; the ideal guard is refused before that.
+    exactly A; the ideal guard and an invalid h, the zero function too, are
+    refused before that, and the walk's guards after it.
 
     The permutations of variables of equal degree in A map the class onto
     itself and leave Betti diagrams unchanged, so the rule, whose verdict
@@ -385,6 +379,8 @@ def _against_lpp(
     the witnesses are those that calling it on every ideal gives."""
     instance = {"A": list(a.degrees), "H": str(h), "char": f.characteristic}
     guard = _ideal_guard(max_ideals)
+    if h.sigma == 0:  # vector_of_hf maps it to the unit ideal, not to a class
+        raise ValueError(f"{h} is not a valid sequence for A={a}")
     lpp = lpp_ideal_for(h, a)
     if lpp is None:
         return CheckReport(check, instance, "not-valid")
@@ -395,7 +391,7 @@ def _against_lpp(
 
     ideals = orbits = 0
     violated = False
-    for ideal, size in _walk(h, a, guard, _moves(a.degrees)):
+    for ideal, size in _walk(h, a, guard, True):
         ideals += size
         orbits += 1
         violated = violated or bool(witnesses_of(ideal))

@@ -28,6 +28,7 @@ from lppkit import (
     vector_of_hf,
 )
 from lppkit.growth import gk_coefficients, lpp_bound
+from lppkit.harness import valid_hilbert_functions
 from lppkit import GuardExceeded
 from lppkit.vectors import INF, _dual, _enumerate, _measure, _starts
 
@@ -238,6 +239,29 @@ class TestVectorOfHf:
         for a in (DegreeList((3, 3)), DegreeList((2, 2, 2))):
             for t in enumerate_vectors(a):
                 assert vector_of_hf(hf_of_vector(t), a) == t
+
+    # the number of valid h of each degree list (ROADMAP item 1's corpus)
+    VALID_COUNTS = {
+        (3, 3, 4): 189,
+        (2, 2, 3, 3): 194,
+        (3, 4, 4): 449,
+        (2, 3, 3, 3): 570,
+        (2, 2, 2, 3, 3): 1528,
+        (2, 2, 2, 2, 2, 2): 552,
+        (3, 4, 5): 1193,
+    }
+
+    @pytest.mark.parametrize("degrees", list(VALID_COUNTS), ids=str)
+    def test_bijection_is_a_set_equality(self, degrees):
+        a = DegreeList(degrees)
+        of_vectors = [hf_of_vector(t) for t in enumerate_vectors(a)]
+        hs = valid_hilbert_functions(a, a.sigma_ci + 1)
+        count = self.VALID_COUNTS[degrees]
+        assert len(set(of_vectors)) == len(of_vectors) == count
+        assert len(set(hs)) == len(hs) == count
+        assert set(of_vectors) == set(hs)
+        # every valid h is 0 at sigma_ci, so the benchmark's list is the same
+        assert valid_hilbert_functions(a, a.sigma_ci) == hs
 
 
 class TestSequenceStats:
