@@ -14,10 +14,10 @@ is computed once per such configuration: a sweep's thousands of ideals share
 a few hundred.  Above it, a block of up to RUN_BLOCK consecutive rows of one
 run is looked up as a unit, keyed by the starts that its rows read, so most
 runs of a sweep cost one lookup.  Below it, homology is computed once per
-distinct complex, keyed by an integer face mask, bit v set when the face
-with vertex bitmask v is in K.  Ranks are computed by exact Gaussian
-elimination: fraction-free, in the integers, in characteristic 0, and modulo
-p otherwise.
+distinct complex, keyed by and read from an integer face mask, bit v set
+when the face with vertex bitmask v is in K.  Ranks are computed by exact
+Gaussian elimination: fraction-free, in the integers, in characteristic 0,
+and modulo p otherwise.
 
 The rows are read through one plan per box (``monomials._row_plan``), built
 on first use: the box's runs of rows that differ only in the last prefix
@@ -197,51 +197,40 @@ def _rank(rows: list[list[int]], p: int) -> int:
     return rank
 
 
-def _reduced_homology_dims(faces: list[tuple[int, ...]], p: int) -> tuple[int, ...]:
-    """Reduced homology dimensions (H_{-1}, H_0, H_1, ...) of a complex.
-
-    ``faces`` holds the nonempty faces as sorted vertex tuples, each once; the
-    empty face is implicit.  Boundary ranks are computed over the requested
-    field.
+@lru_cache(maxsize=4096)
+def _homology_of_mask(mask: int, p: int) -> tuple[int, ...]:
+    """Reduced homology dimensions (H_{-1}, H_0, H_1, ...) of the complex
+    whose nonempty faces are the vertex bitmasks v with bit v of ``mask``
+    set; the empty face is implicit.  Faces are grouped by their number of
+    vertices, and the boundary of face v clears one vertex bit at a time,
+    with signs alternating from the lowest vertex.  Boundary ranks are
+    computed over the requested field.
     """
-    by_dim: dict[int, list[tuple[int, ...]]] = defaultdict(list)
-    for f in faces:
-        by_dim[len(f) - 1].append(f)
-    for fs in by_dim.values():
-        fs.sort()
-    max_dim = max(by_dim, default=-1)
-    counts = [len(by_dim.get(k, [])) for k in range(max_dim + 1)]
+    by_size: dict[int, list[int]] = defaultdict(list)
+    for v in range(1, mask.bit_length()):
+        if mask >> v & 1:
+            by_size[v.bit_count()].append(v)
+    top = max(by_size, default=0)
+    counts = [len(by_size[k + 1]) for k in range(top)]  # faces per dimension
     # ranks[k] = rank of boundary C_k -> C_{k-1}; C_{-1} is the empty face.
-    ranks = [0] * (max_dim + 2)
-    if counts and counts[0]:
-        ranks[0] = 1
-    for k in range(1, max_dim + 1):
-        lower = {f: idx for idx, f in enumerate(by_dim[k - 1])}
-        cols = by_dim[k]
+    ranks = [1 if counts else 0] + [0] * top
+    for k in range(1, top):
+        lower = {f: idx for idx, f in enumerate(by_size[k])}
+        cols = by_size[k + 1]
         mat = [[0] * len(cols) for _ in range(len(lower))]
         for cidx, f in enumerate(cols):
             sign = 1
-            for drop in range(len(f)):
-                sub = f[:drop] + f[drop + 1 :]
-                mat[lower[sub]][cidx] = sign
+            rest = f
+            while rest:
+                bit = rest & -rest
+                mat[lower[f ^ bit]][cidx] = sign
                 sign = -sign
+                rest ^= bit
         ranks[k] = _rank(mat, p)
     dims = [1 - ranks[0]]  # H_{-1}
-    for k in range(max_dim + 1):
+    for k in range(top):
         dims.append(counts[k] - ranks[k] - ranks[k + 1])
     return tuple(dims)
-
-
-@lru_cache(maxsize=4096)
-def _homology_of_mask(mask: int, p: int) -> tuple[int, ...]:
-    """:func:`_reduced_homology_dims` of the complex whose faces are the
-    vertex bitmasks v with bit v of ``mask`` set."""
-    faces = [
-        tuple(k for k in range(v.bit_length()) if v >> k & 1)
-        for v in range(mask.bit_length())
-        if mask >> v & 1
-    ]
-    return _reduced_homology_dims(faces, p)
 
 
 @lru_cache(maxsize=8)

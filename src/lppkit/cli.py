@@ -15,6 +15,7 @@ from .monomials import (
     GuardExceeded,
     HilbertFunction,
     MonomialIdeal,
+    _check_cells,
     format_ideal,
 )
 from .vectors import format_vector, parse_vector
@@ -315,12 +316,6 @@ def staircase(a_text: str, vec_text: str | None, ideal_text: str | None):
         t = bb if t == sides[1] else min(t, bb)
         lines.append("•" * t + "○" * (bb - t))
     _echo("\n".join(lines))
-
-
-def _check_cells(picture: str, cells: int):
-    """Refuse a text picture of more than BOX_GUARD cells before building it."""
-    if cells > monomials.BOX_GUARD:
-        raise GuardExceeded(f"{picture} of {cells} cells exceeds {monomials.BOX_GUARD}")
 
 
 @main.group()

@@ -27,6 +27,7 @@ from .monomials import (
     DegreeList,
     HilbertFunction,
     Monomial,
+    _check_cells,
     _exps_of_degree,
 )
 
@@ -102,11 +103,17 @@ def _times_run(poly: list[int], e: int, width: int) -> list[int]:
 
 def _rows(degrees: tuple[int, ...], upto: int) -> tuple[tuple[int, ...], ...]:
     """Rectangle rows 1..n for A, row r from the top r degrees, through
-    column `upto` or further.  The rows are memoized per degree list at the
-    least power-of-two width past `upto`, but at most sigma_ci + 2 columns:
-    from sigma_ci on every column is 0, so a reader past the width reads 0."""
+    column `upto` or further, in :func:`_width` columns."""
+    return _rectangle(degrees, _width(degrees, upto))
+
+
+def _width(degrees: tuple[int, ...], upto: int) -> int:
+    """The columns :func:`_rows` builds through column `upto`: the rows are
+    memoized per degree list at the least power-of-two width past `upto`,
+    but at most sigma_ci + 2 columns: from sigma_ci on every column is 0, so
+    a reader past the width reads 0."""
     cap = sum(degrees) - len(degrees) + 3
-    return _rectangle(degrees, min(1 << max(upto, 0).bit_length(), cap))
+    return min(1 << max(upto, 0).bit_length(), cap)
 
 
 # one key per (degree list, width): ~150 in a cli-large benchmark pass
@@ -177,19 +184,24 @@ def gk_expansion(h: int, d: int, a: DegreeList) -> GKExpansion:
     """Greedy generalized expansion of h in column d for the degree list A.
 
     Requires 0 < h <= (number of monomials of degree d with exponents below
-    A).  The greedy choices are checked afterwards against the uniqueness
-    constraints (strictly descending k, per-depth counts below the matching
-    degree, nonzero last term); violations raise instead of returning junk.
+    A).  The rectangle is refused before it is built when it would have
+    more than BOX_GUARD cells (GuardExceeded).  The greedy choices are
+    checked afterwards against the uniqueness constraints (strictly
+    descending k, per-depth counts below the matching degree, nonzero last
+    term); violations raise instead of returning junk.
     """
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
     n = a.n
     # from sigma_ci on every monomial is a multiple of a pure power, so the
     # rectangle, d + 2 columns wide, is not built for an empty column
-    full = _rows(a.degrees, d + 1)[n - 1][d] if d < a.sigma_ci else 0
+    full = 0
+    if d < a.sigma_ci:
+        _check_cells("rectangle", n * _width(a.degrees, d + 1))
+        rows = _rows(a.degrees, d + 1)
+        full = rows[n - 1][d]
     if not 0 < h <= full:
         raise ValueError(f"h={h} out of range 1..{full} at degree {d} for A={a}")
-    rows = _rows(a.degrees, d + 1)
     terms: list[tuple[int, int]] = []
     rem = h
     t = d
@@ -262,8 +274,11 @@ def is_lpp_sequence(s: HilbertFunction, a: DegreeList) -> bool:
     """
     if s.at(0) != 1:
         return False
-    # both end at their first zero, so a longer s is positive where ci is 0
-    if not all(map(operator.le, s.values, ci_hilbert_function(a).values)):
+    # the last rectangle row is the complete intersection's Hilbert function,
+    # built only as far as s reads it; an s longer than the row is positive
+    # at sigma_ci, where the row is 0
+    ceiling = _rows(a.degrees, len(s.values))[-1]
+    if not all(map(operator.le, s.values, ceiling)):
         return False
     for i in range(1, s.sigma):
         if s.at(i + 1) > lpp_bound(s.at(i), i, a):

@@ -15,7 +15,6 @@ import itertools
 import json
 import math
 import operator
-import os
 from dataclasses import asdict, dataclass, field as dc_field
 from functools import lru_cache
 
@@ -27,6 +26,7 @@ from .monomials import (
     NotArtinianError,
     _axis_ends,
     _checked_box,
+    _ideal_guard,
     _ideal_of_rows,
     _lex_above_powers,
     _row_plan,
@@ -51,24 +51,7 @@ from .vectors import (
 from .betti import FieldSpec, QQ, betti_diagram
 
 
-DEFAULT_GUARD = 100_000
 CELL_GUARD = 4096
-
-
-def _ideal_guard(max_ideals: int | None) -> int:
-    """The ideal guard: ``max_ideals``, or when it is None the
-    ``LPPKIT_GUARD`` environment variable, or DEFAULT_GUARD.  Raises
-    ValueError when it is below 1 or LPPKIT_GUARD is not an integer."""
-    guard = max_ideals
-    if guard is None:
-        raw = os.environ.get("LPPKIT_GUARD")
-        try:
-            guard = int(raw) if raw else DEFAULT_GUARD
-        except ValueError:
-            raise ValueError(f"bad LPPKIT_GUARD value {raw!r}") from None
-    if guard < 1:
-        raise ValueError(f"the ideal guard must be at least 1, not {guard}")
-    return guard
 
 
 @dataclass

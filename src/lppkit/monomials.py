@@ -12,6 +12,7 @@ import itertools
 import json
 import math
 import operator
+import os
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -33,6 +34,25 @@ class GuardExceeded(RuntimeError):
 # function, socle, colon, Betti numbers, the lex predicates) scans its row
 # starts or its points, so this bounds the time of each scan.
 BOX_GUARD = 2_000_000
+
+DEFAULT_GUARD = 100_000
+
+
+def _ideal_guard(max_ideals: int | None) -> int:
+    """The ideal guard, which bounds the ideals a walk yields and the vectors
+    a vector table holds: ``max_ideals``, or when it is None the
+    ``LPPKIT_GUARD`` environment variable, or DEFAULT_GUARD.  Raises
+    ValueError when it is below 1 or LPPKIT_GUARD is not an integer."""
+    guard = max_ideals
+    if guard is None:
+        raw = os.environ.get("LPPKIT_GUARD")
+        try:
+            guard = int(raw) if raw else DEFAULT_GUARD
+        except ValueError:
+            raise ValueError(f"bad LPPKIT_GUARD value {raw!r}") from None
+    if guard < 1:
+        raise ValueError(f"the ideal guard must be at least 1, not {guard}")
+    return guard
 
 
 @dataclass(frozen=True)
@@ -521,6 +541,13 @@ def _checked_box(sides: tuple[int, ...]) -> tuple[int, ...]:
     if volume > BOX_GUARD:
         raise GuardExceeded(f"box of {volume} points exceeds {BOX_GUARD}")
     return sides
+
+
+def _check_cells(table: str, cells: int) -> None:
+    """Refuse a table (a rectangle, a text picture) of more than BOX_GUARD
+    cells before building it: raises GuardExceeded."""
+    if cells > BOX_GUARD:
+        raise GuardExceeded(f"{table} of {cells} cells exceeds {BOX_GUARD}")
 
 
 def _starts_of_corners(sides: tuple[int, ...], corners) -> list[int]:

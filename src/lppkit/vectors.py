@@ -25,7 +25,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .monomials import DegreeList, GuardExceeded, HilbertFunction, MonomialIdeal, _ideal_of_rows
+from .monomials import (
+    DegreeList,
+    GuardExceeded,
+    HilbertFunction,
+    MonomialIdeal,
+    _checked_box,
+    _ideal_guard,
+    _ideal_of_rows,
+)
 from .growth import _rows, is_lpp_sequence
 
 INF = math.inf
@@ -190,8 +198,10 @@ def ideal_of_vector(t: LppVector, a: DegreeList) -> MonomialIdeal:
 
 
 def _ideal(t: LppVector, a: DegreeList) -> MonomialIdeal:
-    """:func:`ideal_of_vector` of a vector known to be valid, unchecked."""
-    sides = tuple(deg + 1 for deg in a.degrees)
+    """:func:`ideal_of_vector` of a vector known to be valid, unchecked.
+    Raises GuardExceeded when the box prod [0, a_k] has more than BOX_GUARD
+    points."""
+    sides = _checked_box(tuple(deg + 1 for deg in a.degrees))
     return _ideal_of_rows(a.n, sides, _starts(t, a.degrees))
 
 
@@ -266,8 +276,11 @@ def _split_frame(
     b: list[int], degrees: tuple[int, ...], r: int
 ) -> tuple[list[int], list[int]]:
     """S and the rectangle row of A's top r degrees, both padded with zeros
-    to the columns a split of S reads, or of any S1 split off it later."""
-    top = max(b.index(0), sum(degrees[-r:]) - r) + 2
+    to the columns a split of S reads, or of any S1 split off it later.
+    That is S's own width: the row is nonzero on an interval from column 0,
+    so a split goes negative by the first column where S is 0 and the row
+    is not, and one that never goes negative leaves the row inside S."""
+    top = b.index(0) + 2
     pad = [0] * (top + 1)
     return (b + pad)[: top + 1], (list(_rows(degrees, top)[r - 1]) + pad)[: top + 1]
 
@@ -360,8 +373,10 @@ def _node_dual(subs: list, a1: int, ci, empty) -> list:
 
 
 def enumerate_vectors(a: DegreeList) -> list[LppVector]:
-    """All valid vectors for A, deterministically ordered."""
-    return list(_enumerate(a.degrees, INF).vectors)
+    """All valid vectors for A, deterministically ordered.  The table is the
+    one the residual checks read, bounded by the ideal guard: raises
+    GuardExceeded past it."""
+    return list(_enumerate(a.degrees, _ideal_guard(None)).vectors)
 
 
 # The dual index of a vector whose dual is not a valid vector, so not in the

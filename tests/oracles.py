@@ -18,7 +18,7 @@ from lppkit.betti import (
     BettiDiagram,
     FieldSpec,
     QQ,
-    _reduced_homology_dims,
+    _rank,
     _row_contribution,
     betti_diagram,
 )
@@ -53,8 +53,40 @@ from lppkit.vectors import (
     ideal_of_vector,
 )
 
-# the homology computation itself, without the face-mask memo
-_homology_uncached = _reduced_homology_dims
+
+def reduced_homology_dims(faces: list[tuple[int, ...]], p: int) -> tuple[int, ...]:
+    """Reduced homology dimensions (H_{-1}, H_0, H_1, ...) of a complex.
+
+    ``faces`` holds the nonempty faces as sorted vertex tuples, each once; the
+    empty face is implicit.  Boundary ranks are computed over the requested
+    field.
+    """
+    by_dim: dict[int, list[tuple[int, ...]]] = defaultdict(list)
+    for f in faces:
+        by_dim[len(f) - 1].append(f)
+    for fs in by_dim.values():
+        fs.sort()
+    max_dim = max(by_dim, default=-1)
+    counts = [len(by_dim.get(k, [])) for k in range(max_dim + 1)]
+    # ranks[k] = rank of boundary C_k -> C_{k-1}; C_{-1} is the empty face.
+    ranks = [0] * (max_dim + 2)
+    if counts and counts[0]:
+        ranks[0] = 1
+    for k in range(1, max_dim + 1):
+        lower = {f: idx for idx, f in enumerate(by_dim[k - 1])}
+        cols = by_dim[k]
+        mat = [[0] * len(cols) for _ in range(len(lower))]
+        for cidx, f in enumerate(cols):
+            sign = 1
+            for drop in range(len(f)):
+                sub = f[:drop] + f[drop + 1 :]
+                mat[lower[sub]][cidx] = sign
+                sign = -sign
+        ranks[k] = _rank(mat, p)
+    dims = [1 - ranks[0]]  # H_{-1}
+    for k in range(max_dim + 1):
+        dims.append(counts[k] - ranks[k] - ranks[k + 1])
+    return tuple(dims)
 
 
 def betti_diagram_by_contains(i: MonomialIdeal, f: FieldSpec = QQ) -> BettiDiagram:
@@ -86,7 +118,7 @@ def betti_diagram_by_contains(i: MonomialIdeal, f: FieldSpec = QQ) -> BettiDiagr
                     e[k] -= 1
                 if contains(i, Monomial(tuple(e))):
                     faces.add(tau)
-        dims = _homology_uncached(sorted(faces), p)
+        dims = reduced_homology_dims(sorted(faces), p)
         total = sum(b)
         for k, hd in enumerate(dims, start=-1):
             if hd:

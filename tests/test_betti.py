@@ -18,14 +18,15 @@ from lppkit import (
     mapping_cone_check,
     parse_ideal,
 )
-from lppkit import betti
-from lppkit.betti import EMPTY_RUN, PRIME_LIMIT, _is_prime, _rank, _reduced_homology_dims
+from lppkit.betti import EMPTY_RUN, PRIME_LIMIT, _homology_of_mask, _is_prime, _rank
 from lppkit.harness import enumerate_ideals, valid_hilbert_functions
 
+import oracles
 from oracles import (
     betti_euler_by_multidegree,
     last_betti_consequences,
     rank_by_fractions,
+    reduced_homology_dims,
     socle_dims,
     stanley_check,
     stanley_first_mismatch,
@@ -174,19 +175,22 @@ def random_matrix(rng: random.Random, shape: str) -> list[list[int]]:
     return mat
 
 
-def complexes_on_five_vertices() -> list[list[tuple[int, ...]]]:
+def complexes_on_five_vertices() -> list[int]:
     """Every simplicial complex on at most 5 vertices (the void complex left
-    out), as its nonempty faces.  A complex is built as a face mask, bit v
-    set when the face with vertex bitmask v is in it: faces are added in
-    increasing v, each to the complexes that hold its boundary."""
+    out), as its face mask, bit v set when the face with vertex bitmask v is
+    in it: faces are added in increasing v, each to the complexes that hold
+    its boundary."""
     masks = [0]
     for v in range(1, 32):
         boundary = [v ^ 1 << b for b in range(5) if v >> b & 1 and v != 1 << b]
         masks += [m | 1 << v for m in masks if all(m >> u & 1 for u in boundary)]
-    return [
-        [tuple(b for b in range(5) if v >> b & 1) for v in range(32) if m >> v & 1]
-        for m in masks
-    ]
+    return masks
+
+
+def faces_of_mask(mask: int) -> list[tuple[int, ...]]:
+    """The nonempty faces of a complex on at most 5 vertices, from its face
+    mask, as sorted vertex tuples."""
+    return [tuple(b for b in range(5) if v >> b & 1) for v in range(1, 32) if mask >> v & 1]
 
 
 class TestRank:
@@ -210,11 +214,15 @@ class TestRank:
         assert _rank(mat, 0) == 8
 
     def test_homology_of_every_complex_on_five_vertices(self, monkeypatch):
-        complexes = complexes_on_five_vertices()
-        assert len(complexes) == 7580  # the Dedekind number M(5) = 7581, less the void complex
-        got = {p: [_reduced_homology_dims(c, p) for c in complexes] for p in (0, 2, 3, 5)}
-        monkeypatch.setattr(betti, "_rank", lambda rows, p: rank_by_fractions(rows))
-        assert got[0] == [_reduced_homology_dims(c, 0) for c in complexes]
+        masks = complexes_on_five_vertices()
+        assert len(masks) == 7580  # the Dedekind number M(5) = 7581, less the void complex
+        faces = [faces_of_mask(m) for m in masks]
+        # the uncached body, so that the memo is left as it was
+        got = {p: [_homology_of_mask.__wrapped__(m, p) for m in masks] for p in (0, 2, 3, 5)}
+        for p in (0, 2, 3, 5):
+            assert got[p] == [reduced_homology_dims(c, p) for c in faces], p
+        monkeypatch.setattr(oracles, "_rank", lambda rows, p: rank_by_fractions(rows))
+        assert got[0] == [reduced_homology_dims(c, 0) for c in faces]
         # no complex on five vertices has torsion: every field agrees
         assert got[2] == got[3] == got[5] == got[0]
 

@@ -24,6 +24,7 @@ from lppkit import (
     vectors,
 )
 from lppkit.cli import main
+from lppkit.vectors import enumerate_vectors
 
 ZERO = HilbertFunction.from_string("0")
 
@@ -127,17 +128,68 @@ class TestWalkGuards:
             lpp_dominance_check(ci_hilbert_function(a), a)
 
     def test_order_of_outcomes(self):
-        # a bad ideal guard, an invalid h, not-valid, then the walk's guards
+        # a bad ideal guard, an invalid h, the box of L_h, not-valid, then the
+        # walk's guards
         a, invalid = DegreeList((3, 4)), HilbertFunction.from_string("1 4")
         with pytest.raises(ValueError, match="ideal guard must be at least 1, not 0"):
             lpp_dominance_check(invalid, a, max_ideals=0)
         with pytest.raises(ValueError, match="^1 4 0 is not a valid sequence for A=3,4$"):
             lpp_dominance_check(invalid, a)
-        # no L_h has powers exactly A: the cell and the box guard would refuse
+        # L_h is built in the box the walk reads, so its box guard comes first
+        h, big = HilbertFunction.from_string("1 3 1"), DegreeList((1500, 1500, 1500))
+        with pytest.raises(GuardExceeded, match="^box of 3381754501 points exceeds 2000000$"):
+            lpp_dominance_check(h, big)
+        # no L_h has powers exactly A: the cell guard would refuse
         ci = ci_hilbert_function(DegreeList((120, 120, 120)))
         assert lpp_dominance_check(ci, DegreeList((121, 121, 121))).verdict == "not-valid"
-        h, big = HilbertFunction.from_string("1 3 1"), DegreeList((1500, 1500, 1500))
-        assert lpp_dominance_check(h, big).verdict == "not-valid"
+
+
+class TestVectorGuards:
+    def test_vector_ideal_box_is_refused_before_its_rows(self, monkeypatch):
+        monkeypatch.setattr(vectors, "_starts", forbid)
+        for args in (
+            ["vec", "to-ideal", "--A", "5000,5000,5000", "--vec", "[[1]]"],
+            ["check", "lpp", "--A", "5000,5000,5000", "--hf", "1 3 1"],
+        ):
+            r = invoke(*args)
+            assert (r.exit_code, r.stdout) == (3, ""), args
+            assert r.stderr == "guard exceeded: box of 125075015001 points exceeds 2000000\n"
+
+    def test_vector_ideal_box_at_the_guard_is_built(self):
+        # 125 * 125 * 128 = 2,000,000 points
+        r = invoke("vec", "to-ideal", "--A", "124,124,127", "--vec", "[[1]]")
+        assert (r.exit_code, r.stdout) == (0, "x1, x2, x3\n")
+
+    def test_enumerate_vectors_reads_the_ideal_guard(self, monkeypatch):
+        a = DegreeList((3, 4, 5))  # 1193 vectors
+        monkeypatch.setenv("LPPKIT_GUARD", "1192")
+        with pytest.raises(GuardExceeded, match="^more than 1192 vectors; raise the guard$"):
+            enumerate_vectors(a)
+        monkeypatch.setenv("LPPKIT_GUARD", "1193")
+        assert len(enumerate_vectors(a)) == 1193
+        # 364,920 vectors: refused before the table is built
+        monkeypatch.delenv("LPPKIT_GUARD")
+        with pytest.raises(GuardExceeded, match="^more than 100000 vectors; raise the guard$"):
+            enumerate_vectors(DegreeList((4, 4, 4, 4)))
+
+
+class TestNarrowColumns:
+    def test_sequence_checks_read_only_the_columns_of_h(self, monkeypatch):
+        # sigma_ci = 8,999,998 for this A
+        widths = []
+        build = growth._rectangle.__wrapped__
+
+        def rectangle(degrees, width):
+            widths.append(width)
+            assert width <= 8, "too wide to build here"
+            return build(degrees, width)
+
+        monkeypatch.setattr(growth, "_rectangle", rectangle)
+        a = ["--A", "3000000,3000000,3000000", "--hf", "1 3 1"]
+        checked, inverse = invoke("validseq", *a), invoke("vec", "from-hf", *a)
+        assert widths and max(widths) <= 8, widths
+        assert (checked.exit_code, checked.stdout) == (0, "valid\n")
+        assert (inverse.exit_code, inverse.stdout) == (0, "[[1],[1,3]]\n")
 
 
 class TestZeroH:
@@ -168,6 +220,22 @@ class TestBoundRectangle:
     def test_json_still_answers(self):
         r = invoke(*self.ARGS, "--json")
         assert r.exit_code == 0 and '"bound": ' in r.stdout
+
+    def test_expansion_rectangle_is_refused_before_it_is_built(self, monkeypatch):
+        monkeypatch.setattr(growth, "_rectangle", forbid)
+        args = ["--A", "10000000,10000000,10000000", "--h", "5", "--json"]
+        r = invoke("bound", *args, "--d", "3000000")
+        assert (r.exit_code, r.stdout) == (3, "")
+        assert r.stderr == "guard exceeded: rectangle of 12582912 cells exceeds 2000000\n"
+
+    def test_expansion_guard_counts_the_cells_it_would_build(self, monkeypatch):
+        # d + 1 = 5 columns are read, 8 built, in 3 rows
+        args = ["bound", "--A", "3,4,11", "--d", "4", "--h", "10", "--json"]
+        monkeypatch.setattr(monomials, "BOX_GUARD", 24)
+        assert invoke(*args).exit_code == 0
+        monkeypatch.setattr(monomials, "BOX_GUARD", 23)
+        r = invoke(*args)
+        assert (r.exit_code, r.stderr) == (3, "guard exceeded: rectangle of 24 cells exceeds 23\n")
 
     def test_guard_counts_the_cells(self, monkeypatch):
         # the README's rectangle: 3 rows of sigma_ci + 1 = 17 columns
