@@ -144,14 +144,7 @@ def row_label(a: DegreeList, r: int) -> str:
 
 def ci_hilbert_function(a: DegreeList) -> HilbertFunction:
     """Hilbert function of R/(x_1^{a_1}, ..., x_n^{a_n})."""
-    return _ci_hilbert_function(a.degrees)
-
-
-# one key per degree list: 1 in a sweep benchmark pass
-@lru_cache(maxsize=32)
-def _ci_hilbert_function(degrees: tuple[int, ...]) -> HilbertFunction:
-    vals = gk_coefficients([ai - 1 for ai in degrees], sum(degrees) - len(degrees) + 1)
-    return HilbertFunction(tuple(vals))
+    return HilbertFunction(gk_coefficients([ai - 1 for ai in a.degrees], a.sigma_ci))
 
 
 @dataclass(frozen=True)

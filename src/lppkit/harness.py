@@ -25,6 +25,7 @@ from .monomials import (
     MonomialIdeal,
     NotArtinianError,
     _axis_ends,
+    _check_cells,
     _checked_box,
     _ideal_guard,
     _ideal_of_rows,
@@ -97,7 +98,8 @@ def _walk(h: HilbertFunction, a: DegreeList, guard: int | None, orbits: bool):
     with ``orbits`` it keeps one ideal per orbit of the group G made of the
     moves of A (see :func:`_moves`) and the identity.  ``guard`` is read as
     ``max_ideals`` and counts ideals, orbit sizes summed.  h and the guards,
-    the box prod [0, a_k + 1) too, are checked before any frame or move.
+    the box prod [0, a_k + 1) and the move table of (|G| - 1) * prod a_k
+    point indices too, are checked before any frame or move.
 
     Orderly generation (Read, "Every one a winner", 1978): the layer of
     degree d, the descending tuple of its points in prod [0, a_k), is kept
@@ -113,8 +115,10 @@ def _walk(h: HilbertFunction, a: DegreeList, guard: int | None, orbits: bool):
         raise GuardExceeded(f"{h.total} standard monomials exceeds {CELL_GUARD}")
     guard = _ideal_guard(guard)
     sides = _checked_box(tuple(deg + 1 for deg in a.degrees))
+    # |G|, the product of the factorials of A's multiplicities
+    order = math.prod(math.factorial(a.multiplicity(j)) for j in set(a.degrees)) if orbits else 1
+    _check_cells("move table", (order - 1) * math.prod(a.degrees))
     moves = _moves(a.degrees) if orbits else ()
-    order = len(moves) + 1
     offsets, below, fresh = _frame(a.degrees)
     last = a.degrees[-1]
     values = h.values  # valid: 1 at degree 0, so the walk ends at its one 0

@@ -15,7 +15,7 @@ import operator
 import os
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 
 
 class DimensionError(ValueError):
@@ -55,6 +55,7 @@ def _ideal_guard(max_ideals: int | None) -> int:
     return guard
 
 
+@total_ordering
 @dataclass(frozen=True)
 class Monomial:
     """A monomial given by its exponent vector ``(e_1, ..., e_n)``."""
@@ -76,20 +77,12 @@ class Monomial:
     def degree(self) -> int:
         return sum(self.exps)
 
-    # lex order on exponent vectors; total on fixed n
+    # lex order on exponent vectors; total on fixed n.  total_ordering
+    # derives <=, > and >= from it and ==, so they raise as it does
     def __lt__(self, other: Monomial) -> bool:
         if self.n != other.n:
             raise DimensionError(f"{self.n} vs {other.n} variables")
         return self.exps < other.exps
-
-    def __le__(self, other: Monomial) -> bool:
-        return self == other or self < other
-
-    def __gt__(self, other: Monomial) -> bool:
-        return other < self
-
-    def __ge__(self, other: Monomial) -> bool:
-        return other <= self
 
 
 def pure_power(n: int, i: int, e: int) -> Monomial:
@@ -196,15 +189,6 @@ class HilbertFunction:
         except ValueError:
             raise ValueError(f"bad Hilbert function {text!r}") from None
         return cls(vals)
-
-    @classmethod
-    def _of_counts(cls, counts) -> HilbertFunction:
-        """The Hilbert function of counts the library computed itself, so
-        unchecked: ``counts`` cut after its first 0, or with a 0 appended."""
-        h = object.__new__(cls)
-        values = tuple(counts[: counts.index(0) + 1]) if 0 in counts else tuple(counts) + (0,)
-        object.__setattr__(h, "values", values)
-        return h
 
     def at(self, d: int) -> int:
         if d < 0 or d >= len(self.values):
@@ -392,7 +376,7 @@ class MonomialIdeal:
         diff = list(degree_counts)
         for d in map(operator.add, itertools.chain.from_iterable(row_degrees), starts):
             diff[d] -= 1
-        return HilbertFunction._of_counts(list(itertools.accumulate(diff)))
+        return HilbertFunction(tuple(itertools.accumulate(diff)))
 
     def socle_monomials(self) -> dict[int, tuple[Monomial, ...]]:
         """Monomials m outside I with x_i * m in I for every i, by degree.

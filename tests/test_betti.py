@@ -15,6 +15,7 @@ from lppkit import (
     HilbertFunction,
     MonomialIdeal,
     betti_diagram,
+    betti,
     mapping_cone_check,
     parse_ideal,
 )
@@ -310,6 +311,18 @@ class TestMappingCone:
         i = ideal("x1^5, x1^4*x2, x1^3*x2^3, x1^2*x2^4, x2^7")
         rep = mapping_cone_check(i, DegreeList((5, 7)))
         assert rep.ok and rep.minimal
+
+    def test_a_wrong_residual_breaks_both_rules(self, monkeypatch):
+        # the powers in place of (powers : I): beta_(2,4) = 1 and no beta_(2,2)
+        monkeypatch.setattr(betti, "colon", lambda j, i: j)
+        rep = mapping_cone_check(ideal("x1^2, x1*x2, x2^2"), DegreeList((2, 2)))
+        assert not rep.ok and rep.minimal and rep.t_by_degree == {0: -1, 2: 3}
+        assert rep.failures == (
+            "t_0 = -1 outside 0..0",
+            "minimal containment but t_0 = -1 != 0",
+            "t_2 = 3 outside 0..2",
+            "minimal containment but t_2 = 3 != 2",
+        )
 
     def test_non_minimal_containment(self):
         rep = mapping_cone_check(ideal("x1, x2^2"), DegreeList((2, 2)))

@@ -7,10 +7,12 @@ from collections import Counter
 import pytest
 
 from lppkit import (
+    BettiDiagram,
     DegreeList,
     GuardExceeded,
     HilbertFunction,
     Monomial,
+    MonomialIdeal,
     ci_hilbert_function,
     colon,
     enumerate_ideals,
@@ -341,6 +343,35 @@ class TestResidualTable:
         with pytest.raises(ValueError, match=re.escape(str(expected.value))):
             residual_lpp_check(a)
 
+    def test_a_decreasing_residual_profile_is_a_witness(self, monkeypatch):
+        # every profile is read reversed: the residual of [[1]] reads (3, 3, 2)
+        a = DegreeList((2, 3, 3))
+        read = MonomialIdeal.pure_power_profile
+        monkeypatch.setattr(MonomialIdeal, "pure_power_profile", lambda i: read(i)[::-1])
+        r = residual_lpp_check(a)
+        reason = "residual profile is not non-decreasing"
+        assert r.witnesses[0] == {"reason": reason, "vector": "[[1]]", "profile": [3, 3, 2]}
+        assert Counter(w["reason"] for w in r.witnesses) == {reason: 36}
+
+    def test_a_residual_not_lex_plus_powers_is_a_witness(self, monkeypatch):
+        a = DegreeList((2, 3, 3))
+        monkeypatch.setattr(harness, "_lex_above_powers", lambda i, caps: False)
+        r = residual_lpp_check(a)
+        # every residual but the unit ideal, the complete intersection's
+        assert Counter(w["reason"] for w in r.witnesses) == {
+            "residual is not lex-plus-powers for its profile": r.details["vectors"] - 1
+        }
+
+    def test_a_residual_piece_not_a_lex_segment_is_a_witness(self, monkeypatch):
+        monkeypatch.setattr(harness, "is_lex_segment", lambda i, d: False)
+        r = lexseg_lemma_check(DegreeList((2, 3)))
+        assert [(w["reason"], w["vector"], w["position"]) for w in r.witnesses] == [
+            ("degree-1 piece of the residual is not a lex segment", "[1,3]", 1),
+            ("degree-2 piece of the residual is not a lex segment", "[1,3]", 2),
+            ("degree-1 piece of the residual is not a lex segment", "[2,3]", 1),
+            ("degree-1 piece of the residual is not a lex segment", "[2,3]", 2),
+        ]
+
     @pytest.mark.parametrize("check", [residual_lpp_check, lexseg_lemma_check])
     def test_the_ideal_guard_counts_vectors(self, check, monkeypatch):
         a = DegreeList((3, 4, 5))  # 1193 vectors
@@ -366,6 +397,39 @@ class TestSocleEquivalenceCheck:
     def test_singleton_class(self):
         a = DegreeList((2, 2, 2))
         assert socle_equivalence_check(ci_hilbert_function(a), a).ok
+
+    def test_a_differing_last_corner_is_a_witness(self, monkeypatch):
+        # L_h's diagram, the first one computed, gets one more last-corner entry
+        h, a = HilbertFunction.from_string("1 3 5 3 1"), DegreeList((2, 3, 4))
+        corner = (a.n, h.rho + a.n)
+        compute = harness.betti_diagram
+        calls = Counter()
+
+        def bumped(ideal, f):
+            b = compute(ideal, f)
+            calls["betti"] += 1
+            if calls["betti"] > 1:
+                return b
+            return BettiDiagram(b.n, {**b.entries, corner: b.beta(*corner) + 1})
+
+        monkeypatch.setattr(harness, "betti_diagram", bumped)
+        r = socle_equivalence_check(h, a)
+        assert Counter(w["reason"] for w in r.witnesses) == {
+            "last-corner Betti numbers differ despite equal Hilbert functions": 14
+        }
+        assert {w["beta_lpp"] - w["beta_ideal"] for w in r.witnesses} == {1}
+
+    def test_a_truncation_that_changes_beta_is_a_witness(self, monkeypatch):
+        # truncating at degree 1, not at rho = 4, gives the maximal ideal,
+        # whose beta_(3,3) = 1 is in no diagram of the class
+        h, a = HilbertFunction.from_string("1 3 5 3 1"), DegreeList((2, 3, 4))
+        truncate = harness.add_maximal_power
+        monkeypatch.setattr(harness, "add_maximal_power", lambda i, t: truncate(i, 1))
+        r = socle_equivalence_check(h, a)
+        assert Counter(w["reason"] for w in r.witnesses) == {
+            "truncation changed beta_(3,3) below the last two rows": 14,
+            "truncation changed beta_(3,5) below the last two rows": 13,
+        }
 
 
 ORBIT_CASES = [((3, 3, 4), 0), ((2, 2, 3, 3), 0), ((2, 3, 3), 2)]

@@ -23,6 +23,7 @@ from lppkit import (
 )
 from lppkit.growth import gk_coefficients
 from lppkit.monomials import (
+    _ideal_of_rows,
     _lex_table,
     format_monomial,
     ideal_from_json_dict,
@@ -64,6 +65,34 @@ class TestLexCompare:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             lex_compare(Monomial((1,)), Monomial((1, 0)))
+
+
+class TestMonomialOrder:
+    OPERATORS = [
+        ("<", lambda m, p: m < p),
+        ("<=", lambda m, p: m <= p),
+        (">", lambda m, p: m > p),
+        (">=", lambda m, p: m >= p),
+    ]
+
+    @pytest.mark.parametrize(
+        "m, p, expected",
+        [
+            ((2, 3, 1), (2, 3, 1), (False, True, False, True)),
+            # lex: the first differing exponent decides, whatever the degree
+            ((1, 0, 5), (1, 1, 0), (True, True, False, False)),
+            ((2, 0, 0), (1, 4, 4), (False, False, True, True)),
+        ],
+        ids=["equal", "lex-smaller", "lex-larger"],
+    )
+    def test_all_four_operators(self, m, p, expected):
+        m, p = Monomial(m), Monomial(p)
+        assert tuple(op(m, p) for _, op in self.OPERATORS) == expected
+
+    @pytest.mark.parametrize("op", [op for _, op in OPERATORS], ids=[s for s, _ in OPERATORS])
+    def test_each_operator_refuses_another_variable_count(self, op):
+        with pytest.raises(DimensionError, match="^2 vs 3 variables$"):
+            op(Monomial((1, 0)), Monomial((1, 0, 0)))
 
 
 class TestContains:
@@ -160,6 +189,11 @@ class TestHilbertFunction:
     def test_unit_ideal(self):
         u = MonomialIdeal(2, (unit_monomial(2),))
         assert u.hilbert_function().values == (0,)
+
+    def test_counts_are_checked_as_any_hilbert_function(self):
+        # row starts that are no ideal's: 1 is a member, x1 is not
+        with pytest.raises(ValueError, match=r"^H\(0\)=0 but later values nonzero: \(0, 1, 1,"):
+            _ideal_of_rows(2, (3, 3), (0, 2, 0)).hilbert_function()
 
     def test_normalization_rules(self):
         assert HilbertFunction((1, 2)).values == (1, 2, 0)

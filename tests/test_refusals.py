@@ -3,6 +3,7 @@ exits 3, a bad input exits 1, click's own exits and the commands' exit 2 pass
 through), and guards that run before the work they bound."""
 
 import inspect
+from functools import partial
 
 import click
 import pytest
@@ -13,17 +14,27 @@ from lppkit import (
     DimensionError,
     GuardExceeded,
     HilbertFunction,
+    Leaf,
+    Monomial,
+    Node,
     NotArtinianError,
     ci_hilbert_function,
+    colon,
     growth,
     growth_check,
     harness,
+    hf_of_vector,
+    is_lpp,
     lpp_dominance_check,
     monomials,
+    parse_ideal,
+    parse_vector,
     socle_equivalence_check,
     vectors,
 )
 from lppkit.cli import main
+from lppkit.growth import classical_expansion, gk_expansion
+from lppkit.harness import CheckReport
 from lppkit.vectors import enumerate_vectors
 
 ZERO = HilbertFunction.from_string("0")
@@ -245,3 +256,130 @@ class TestBoundRectangle:
         monkeypatch.setattr(monomials, "BOX_GUARD", 50)
         r = invoke(*args)
         assert (r.exit_code, r.stderr) == (3, "guard exceeded: rectangle of 51 cells exceeds 50\n")
+
+
+class TestMoveTable:
+    # |G| = 5! permutations of five variables of degree 8, each over 8^5 points
+    ARGS = ["check", "lpp", "--A", "8,8,8,8,8", "--hf", "1 5 15 35 70 126 210 330"]
+
+    def test_refused_before_it_is_built(self, monkeypatch):
+        monkeypatch.setattr(harness, "_moves", forbid)
+        r = invoke(*self.ARGS)
+        assert (r.exit_code, r.stdout) == (3, "")
+        assert r.stderr == "guard exceeded: move table of 3899392 cells exceeds 2000000\n"
+
+    def test_orbit_walk_under_the_bound_runs(self, monkeypatch):
+        # (3! - 1) * 2^3 = 40 cells; the box of 3^3 points is under both bounds
+        a, h = DegreeList((2, 2, 2)), HilbertFunction.from_string("1 3 2")
+        monkeypatch.setattr(monomials, "BOX_GUARD", 40)
+        r = lpp_dominance_check(h, a)
+        assert r.ok and r.details["orbits"] < r.details["ideals"]
+        monkeypatch.setattr(monomials, "BOX_GUARD", 39)
+        with pytest.raises(GuardExceeded, match="^move table of 40 cells exceeds 39$"):
+            lpp_dominance_check(h, a)
+        # the full walk builds no move table
+        assert growth_check(h, a).details == {"ideals": r.details["ideals"]}
+
+
+class TestInputRefusals:
+    @pytest.mark.parametrize(
+        "call, exc, message",
+        [
+            (partial(DegreeList, ()), ValueError, "empty degree list"),
+            (partial(DegreeList, (0, 2)), ValueError, "degrees must be positive: (0, 2)"),
+            (partial(DegreeList, (3, 2)), ValueError, "degrees must be non-decreasing: (3, 2)"),
+            (partial(DegreeList.from_string, "3,x"), ValueError,
+             "bad degree list '3,x': invalid literal for int() with base 10: 'x'"),
+            (partial(HilbertFunction, ()), ValueError, "empty Hilbert function"),
+            (partial(HilbertFunction, (1, -1)), ValueError, "negative entries: (1, -1)"),
+            (partial(HilbertFunction.from_string, ""), ValueError, "empty Hilbert function string"),
+            (partial(HilbertFunction.from_string, "1 a"), ValueError, "bad Hilbert function '1 a'"),
+            (partial(Monomial, ()), ValueError, "monomial needs at least one variable"),
+            (partial(Monomial, (1, -1)), ValueError, "negative exponent in (1, -1)"),
+            (partial(colon, parse_ideal("x1^2, x2^2"), parse_ideal("x1")), DimensionError,
+             "2 vs 1 variables"),
+            (partial(is_lpp, parse_ideal("x1^2, x2^2"), DegreeList((2, 2, 2))), DimensionError,
+             "2 vs 3 variables"),
+            (partial(Node, ()), ValueError, "node needs at least one child"),
+            (partial(hf_of_vector, Leaf(0)), ValueError, "leaf degree 0 is not positive"),
+            (partial(classical_expansion, 0, 3), ValueError,
+             "need h >= 1 and d >= 1, got h=0, d=3"),
+            (partial(gk_expansion, 1, 0, DegreeList((3, 4))), ValueError, "need d >= 1, got 0"),
+        ],
+        ids=[
+            "degrees-empty", "degrees-zero", "degrees-decreasing", "degrees-text",
+            "hf-empty", "hf-negative", "hf-text-empty", "hf-text",
+            "monomial-empty", "monomial-negative", "colon-n", "is-lpp-n",
+            "node-empty", "leaf-zero", "classical-h", "gk-d",
+        ],
+    )
+    def test_message(self, call, exc, message):
+        with pytest.raises(exc) as info:
+            call()
+        assert type(info.value) is exc and str(info.value) == message
+
+    def test_bad_ideal_json(self):
+        with pytest.raises(ValueError, match="^bad ideal JSON: "):
+            parse_ideal("{bad")
+
+    def test_ideals_compare_only_with_ideals_in_as_many_variables(self):
+        assert (parse_ideal("x1^2, x2") == 3) is False
+        assert parse_ideal("x1") != parse_ideal("x1", 2)
+
+    def test_an_integer_is_a_nested_leaf(self):
+        assert parse_vector("3", 2) == Node((Leaf(3),))
+
+    def test_bad_guard_variable(self, monkeypatch):
+        monkeypatch.setenv("LPPKIT_GUARD", "abc")
+        with pytest.raises(ValueError, match="^bad LPPKIT_GUARD value 'abc'$"):
+            enumerate_vectors(DegreeList((2, 2)))
+        r = invoke("check", "growth", "--A", "3,4", "--hf", "1 2 1")
+        assert (r.exit_code, r.stdout) == (1, "")
+        assert r.stderr == "Error: bad LPPKIT_GUARD value 'abc'\n"
+
+
+class TestCommandOutputs:
+    @pytest.mark.parametrize(
+        "args, code, stdout, stderr",
+        [
+            (["bound", "--A", "3,4", "--d", "2", "--h", "0"], 0, "bound: 0\n", ""),
+            (["bound", "--A", "3,4", "--d", "2", "--h", "0", "--json"], 0,
+             '{"A": [3, 4], "d": 2, "h": 0, "terms": [], "bound": 0}\n', ""),
+            (["validseq", "--A", "3,4", "--hf", "1 2 1", "--json"], 0,
+             '{"A": [3, 4], "H": "1 2 1 0", "valid": true}\n', ""),
+            (["validseq", "--A", "3,4", "--hf", "1 3 1", "--json"], 2,
+             '{"A": [3, 4], "H": "1 3 1 0", "valid": false}\n', ""),
+            (["vec", "stats", "--A", "3,4", "--vec", "[5]"], 1, "",
+             "Error: invalid vector: child 1: leaf degree 5 exceeds the bound 4\n"),
+            (["vec", "to-hf", "--A", "3,4", "--vec", "[5]"], 1, "",
+             "Error: invalid vector: child 1: leaf degree 5 exceeds the bound 4\n"),
+            (["vec", "to-ideal", "--A", "3,4", "--vec", "[1,2]", "--json"], 0,
+             '{"n": 2, "gens": [[2, 0], [1, 1], [0, 2]]}\n', ""),
+            (["staircase", "--A", "3,4"], 1, "",
+             "Error: provide exactly one of --vec or --ideal\n"),
+            (["staircase", "--A", "3,4", "--vec", "[1]", "--ideal", "x1, x2"], 1, "",
+             "Error: provide exactly one of --vec or --ideal\n"),
+        ],
+        ids=[
+            "bound-zero", "bound-zero-json", "validseq-json", "validseq-json-invalid",
+            "vec-stats-invalid", "vec-to-hf-invalid", "vec-to-ideal-json",
+            "staircase-neither", "staircase-both",
+        ],
+    )
+    def test_output(self, args, code, stdout, stderr):
+        r = invoke(*args)
+        assert (r.exit_code, r.stdout, r.stderr) == (code, stdout, stderr)
+
+    def test_text_report_lists_its_witnesses(self, monkeypatch):
+        witness = {"reason": "planted", "ideal": {"n": 2, "gens": [[1, 0], [0, 1]]}}
+        report = CheckReport.from_witnesses("growth", {"A": [3, 4]}, [witness], {"ideals": 1})
+        monkeypatch.setattr(harness, "growth_check", lambda h, a, max_count: report)
+        r = invoke("check", "growth", "--A", "3,4", "--hf", "1 2 1")
+        assert r.exit_code == 2
+        assert r.stdout.splitlines() == [
+            "check: growth",
+            'instance: {"A": [3, 4]}',
+            "ideals: 1",
+            "verdict: counterexample",
+            'witness: {"reason": "planted", "ideal": {"n": 2, "gens": [[1, 0], [0, 1]]}}',
+        ]
