@@ -19,8 +19,8 @@ when the face with vertex bitmask v is in K.  Ranks are computed by exact
 Gaussian elimination: fraction-free, in the integers, in characteristic 0,
 and modulo p otherwise.
 
-The rows are read through one plan per box (``monomials._row_plan``), built
-on first use: the box's runs of rows that differ only in the last prefix
+The rows are read through one plan per box (:func:`_run_plan`), built on
+first use: the box's runs of rows that differ only in the last prefix
 coordinate, each with its prefix degree and the first rows of the runs one
 step below it.  The plan has one entry per run, not per row, so a box of a
 million rows in one run costs one entry.
@@ -28,6 +28,9 @@ million rows in one run costs one entry.
 
 from __future__ import annotations
 
+import itertools
+import math
+import operator
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -37,7 +40,8 @@ from .monomials import (
     DimensionError,
     MonomialIdeal,
     NotArtinianError,
-    _row_plan,
+    _check_cells,
+    _row_strides,
     colon,
     pure_power,
 )
@@ -247,7 +251,7 @@ def _row_contribution(p: int, starts: tuple[int, ...]) -> tuple[tuple[int, int, 
     """The Betti numbers (homological index, c, dim) that the points (prefix, c)
     of one row give, from the starts of the 2^k rows one step below the row
     along each subset of the k coordinates of its prefix support, ordered as
-    in :func:`_row_plan` (``starts[0]`` the row's own start).
+    in :func:`_run_plan` (``starts[0]`` the row's own start).
 
     The complex K^b of b = (prefix, c) is relabelled onto the vertices
     0..k-1 (the support, in order) and k (x_n): the face with vertex bitmask
@@ -277,6 +281,30 @@ def _row_contribution(p: int, starts: tuple[int, ...]) -> tuple[tuple[int, int, 
     return tuple(out)
 
 
+# one plan per box: 1 in a sweep benchmark pass
+@lru_cache(maxsize=32)
+def _run_plan(sides: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The plan of the box prod [0, sides_k) (see the module docstring): per
+    run in row order, ``(degree, first)``, the |p| of its first row and the
+    rows one step below that row along the subsets j of its prefix support,
+    bit m of j for its m-th coordinate: the first rows of the runs one step
+    below, the run itself first.  Row e > 0 of the run reads row e of each
+    of those runs, then row e - 1 of each (the last prefix coordinate is
+    the top bit).  A run with k nonzero outer coordinates has 2^k first
+    rows, so the plan has prod (2 side_k - 1) over all sides but the last
+    two; past BOX_GUARD it is refused before it is built (GuardExceeded)."""
+    _check_cells("Betti run plan", math.prod(2 * side - 1 for side in sides[:-2]))
+    strides = _row_strides(sides)[:-1]
+    runs = []
+    for outer in itertools.product(*map(range, sides[:-2])):
+        first = [sum(map(operator.mul, outer, strides))]
+        for e, stride in zip(outer, strides):
+            if e:
+                first += [r - stride for r in first]
+        runs.append((sum(outer), tuple(first)))
+    return tuple(runs)
+
+
 # betti_diagram reads each run of rows in blocks of at most this many rows,
 # one _run_contribution lookup per block: every run of the sweep boxes is
 # one block, and a key holds at most 2^k * (RUN_BLOCK + 1) row starts
@@ -293,7 +321,7 @@ def _run_contribution(
 
     ``starts`` concatenates one slice per run one step below the block's
     run along the subsets of the k coordinates of its outer prefix support,
-    ordered as the first rows of :func:`_row_plan` (the run itself first):
+    ordered as the first rows of :func:`_run_plan` (the run itself first):
     the starts of that run's rows from ``cont`` rows before the block's
     first row (1 when the block continues a run, else 0) through its last.
     Slice m is ``starts[m * span : (m + 1) * span]`` with span = width +
@@ -322,21 +350,21 @@ def betti_diagram(i: MonomialIdeal, f: FieldSpec = QQ) -> BettiDiagram:
     A non-Artinian ideal is refused first, before its box is built when it
     has generators only (:meth:`MonomialIdeal._is_artinian`), and the unit
     ideal is the one whose row 0 starts at 0.  The rows are read run by run, as
-    :func:`_row_plan` lays them out, in blocks of at most RUN_BLOCK rows:
+    :func:`_run_plan` lays them out, in blocks of at most RUN_BLOCK rows:
     each block's key is the slices of the row starts that its rows read
     from its run and the runs one step below it (see
-    :func:`_run_contribution`)."""
+    :func:`_run_contribution`).  A plan of more than BOX_GUARD first rows
+    is refused (GuardExceeded)."""
     if not i._is_artinian():
         raise NotArtinianError("Betti diagram needs an Artinian ideal")
     sides, starts = i._row_starts()
     if starts[0] == 0:  # the unit ideal
         return BettiDiagram(i.n, {})
     p = f.characteristic
-    row_degrees, runs, _ = _row_plan(sides)
-    run = len(row_degrees[0])
+    run = sides[-2] if len(sides) > 1 else 1
     beta = {(0, 0): 1}
     get = beta.get
-    for degree, first in runs:
+    for degree, first in _run_plan(sides):
         a = cont = 0  # the block reads its runs' starts from row a on
         for lo in range(0, run, RUN_BLOCK):
             b = lo + RUN_BLOCK if lo + RUN_BLOCK < run else run

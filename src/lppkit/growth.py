@@ -52,9 +52,7 @@ def classical_expansion(h: int, d: int) -> MacaulayExpansion:
     terms = []
     rem = h
     t = d
-    while rem > 0:
-        if t < 1:
-            raise ValueError(f"no {d}-binomial expansion for h={h}")
+    while rem > 0:  # at t = 1 the step takes k = rem, leaving 0
         k = t
         while math.comb(k + 1, t) <= rem:
             k += 1
@@ -202,14 +200,8 @@ def gk_expansion(h: int, d: int, a: DegreeList) -> GKExpansion:
     while rem > 0:
         if t < 1:
             raise ValueError(f"expansion of h={h} at d={d} ran past column 1")
-        vals = [rows[r - 1][t] for r in range(1, depth_cap + 1)]
-        pick = None
-        for r in range(depth_cap, 0, -1):
-            if vals[r - 1] <= rem:
-                pick = r
-                break
-        if pick is None:
-            raise ValueError(f"greedy expansion stuck: h={h}, d={d}, A={a}")
+        # row 1 holds only 0s and 1s, so some row always fits rem >= 1
+        pick = next(r for r in range(depth_cap, 0, -1) if rows[r - 1][t] <= rem)
         terms.append((pick, t))
         rem -= rows[pick - 1][t]
         t -= 1
@@ -262,16 +254,12 @@ def standard_monomials_of_degree(a: DegreeList, d: int) -> list[Monomial]:
 def is_lpp_sequence(s: HilbertFunction, a: DegreeList) -> bool:
     """Is s the Hilbert function of some ideal between the A-powers and R?
 
-    Checks s(0) = 1, the complete-intersection ceiling, and the generalized
-    Macaulay growth bound at every degree.
+    Checks s(0) = 1, s(1) <= #{a_i >= 2}, and the generalized Macaulay
+    growth bound at every degree (Clements-Lindstrom).  From a value at
+    most CI(d) the bound is at most CI(d + 1), so no ceiling is read and
+    every value passed to :func:`lpp_bound` is in its range.
     """
-    if s.at(0) != 1:
-        return False
-    # the last rectangle row is the complete intersection's Hilbert function,
-    # built only as far as s reads it; an s longer than the row is positive
-    # at sigma_ci, where the row is 0
-    ceiling = _rows(a.degrees, len(s.values))[-1]
-    if not all(map(operator.le, s.values, ceiling)):
+    if s.at(0) != 1 or s.at(1) > a.n - a.multiplicity(1):
         return False
     for i in range(1, s.sigma):
         if s.at(i + 1) > lpp_bound(s.at(i), i, a):

@@ -39,7 +39,7 @@ from .monomials import (
     ideal_to_json_dict,
     is_lex_segment,
 )
-from .growth import ci_hilbert_function, is_lpp_sequence, lpp_bound
+from .growth import is_lpp_sequence, lpp_bound
 from .vectors import (
     MISSING,
     _dual,
@@ -217,8 +217,8 @@ def _moves(degrees: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 
 
 def valid_hilbert_functions(a: DegreeList, sigma_max: int) -> list[HilbertFunction]:
-    """All valid sequences for A that reach zero by index sigma_max."""
-    ci = ci_hilbert_function(a)
+    """All valid sequences for A that reach zero by index sigma_max, each
+    value capped by the rules of :func:`is_lpp_sequence`."""
     results: list[HilbertFunction] = []
 
     def extend(prefix: list[int]):
@@ -228,9 +228,7 @@ def valid_hilbert_functions(a: DegreeList, sigma_max: int) -> list[HilbertFuncti
             return
         if d >= sigma_max:
             return
-        cap = ci.at(d + 1)
-        if d >= 1:
-            cap = min(cap, lpp_bound(prefix[d], d, a))
+        cap = lpp_bound(prefix[d], d, a) if d else a.n - a.multiplicity(1)
         for v in range(cap, -1, -1):
             extend(prefix + [v])
 

@@ -372,7 +372,7 @@ class MonomialIdeal:
         if not self._is_artinian():
             raise NotArtinianError("ideal is not Artinian")
         sides, starts = self._row_starts()
-        row_degrees, _, degree_counts = _row_plan(sides)
+        row_degrees, degree_counts = _row_plan(sides)
         diff = list(degree_counts)
         for d in map(operator.add, itertools.chain.from_iterable(row_degrees), starts):
             diff[d] -= 1
@@ -421,7 +421,7 @@ def _start_degrees(h: HilbertFunction, sides: tuple[int, ...]) -> list[int] | No
     row one step below it are a down-set, which has no 0 before its last
     nonzero value: for them, ``sorted(|p| + start)`` is this list exactly
     when the Hilbert function is h."""
-    counts = _row_plan(sides)[2]
+    counts = _row_plan(sides)[1]
     key: list[int] = []
     for d in range(max(len(counts), len(h.values))):
         rows = (counts[d] if d < len(counts) else 0) - h.at(d) + h.at(d - 1)
@@ -467,31 +467,16 @@ def _getter(indices):
 def _row_plan(sides: tuple[int, ...]):
     """The rows of the box prod [0, sides_k) in runs: a run holds the rows
     whose prefixes agree but in the last prefix coordinate, which has row
-    stride 1.  Returns per run in row order the range of its rows' |p|, per
-    run ``(degree, first)``, and the number of rows of each prefix degree
-    |p|, 0 to sum(sides).
-
-    ``degree`` is the |p| of the run's first row.  The key of a row (see
-    :func:`betti._row_contribution`) is the starts of the rows one step
-    below it along the subsets j of its prefix support, bit m of j for its
-    m-th coordinate: ``first`` holds those rows for the run's first row,
-    which are the first rows of the runs one step below along the outer
-    prefix support, the run itself first.  Row e > 0 of the run reads row
-    e of each of those runs, then row e - 1 of each (the last prefix
-    coordinate is the top bit)."""
-    strides = _row_strides(sides)[:-1]
+    stride 1.  Returns per run in row order the range of its rows' |p|, and
+    the number of rows of each prefix degree |p|, 0 to sum(sides)."""
     run = sides[-2] if len(sides) > 1 else 1
-    degrees, runs, counts = [], [], [0] * (sum(sides) + 1)
+    degrees, counts = [], [0] * (sum(sides) + 1)
     for outer in itertools.product(*map(range, sides[:-2])):
-        degree, first = sum(outer), [sum(map(operator.mul, outer, strides))]
-        for e, stride in zip(outer, strides):
-            if e:
-                first += [r - stride for r in first]
+        degree = sum(outer)
         degrees.append(range(degree, degree + run))
-        runs.append((degree, tuple(first)))
         counts[degree] += 1
         counts[degree + run] -= 1
-    return tuple(degrees), tuple(runs), tuple(itertools.accumulate(counts))
+    return tuple(degrees), tuple(itertools.accumulate(counts))
 
 
 # one table per box that asks for it: 1 in a sweep-residual pass

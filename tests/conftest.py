@@ -8,7 +8,15 @@ import random
 
 import pytest
 
-from lppkit import DegreeList, HilbertFunction, Monomial, MonomialIdeal, minimalize
+from lppkit import (
+    DegreeList,
+    HilbertFunction,
+    Monomial,
+    MonomialIdeal,
+    ci_hilbert_function,
+    growth,
+    minimalize,
+)
 
 from oracles import contains, divides, monomials_of_degree, times
 
@@ -20,6 +28,34 @@ def all_degree_lists(n_max: int, a_max: int, a_min: int = 1):
             range(a_min, a_max + 1), n
         ):
             yield DegreeList(degs)
+
+
+@pytest.fixture
+def rectangle_widths(monkeypatch):
+    """The widths of the rectangle rows built from here on, the rectangle
+    and growth-bound memos cleared first."""
+    widths = []
+    times_run = growth._times_run
+
+    def recording(poly, e, width):
+        widths.append(width)
+        return times_run(poly, e, width)
+
+    monkeypatch.setattr(growth, "_times_run", recording)
+    growth._rectangle.cache_clear()
+    growth._lpp_bound.cache_clear()
+    return widths
+
+
+def short_sequences(a: DegreeList):
+    """The zero ring, and every sequence of A's length up to sigma_ci + 2
+    with 1 in degree 0 and values 1 to CI(d) + 1 after it."""
+    ci = ci_hilbert_function(a)
+    yield HilbertFunction((0,))
+    for length in range(1, a.sigma_ci + 3):
+        caps = (range(1, ci.at(d) + 2) for d in range(1, length))
+        for values in itertools.product(*caps):
+            yield HilbertFunction((1,) + values)
 
 
 def hf_by_inclusion_exclusion(ideal: MonomialIdeal) -> HilbertFunction:

@@ -25,6 +25,7 @@ from lppkit.betti import (
 from lppkit.growth import (
     ci_hilbert_function,
     is_lpp_sequence,
+    lpp_bound,
     standard_monomials_of_degree,
 )
 from lppkit.monomials import (
@@ -480,6 +481,18 @@ def lex_compare(m1: Monomial, m2: Monomial) -> int:
     if m1.exps == m2.exps:
         return 0
     return 1 if m1.exps > m2.exps else -1
+
+
+def is_lpp_sequence_with_ceiling(s: HilbertFunction, a: DegreeList) -> bool:
+    """The validity rule that also reads the complete-intersection ceiling:
+    s(0) = 1, s(d) <= CI(d) at every degree, and the growth bound at every
+    degree."""
+    if s.at(0) != 1:
+        return False
+    ci = ci_hilbert_function(a)
+    if any(s.at(d) > ci.at(d) for d in range(len(s.values))):
+        return False
+    return all(s.at(d + 1) <= lpp_bound(s.at(d), d, a) for d in range(1, s.sigma))
 
 
 def lpp_bound_oracle(h: int, d: int, a: DegreeList) -> int:

@@ -20,11 +20,12 @@ from lppkit import growth
 from lppkit.growth import _rows, rectangle_rows, standard_monomials_of_degree
 from lppkit.monomials import minimalize
 
-from conftest import all_degree_lists
+from conftest import all_degree_lists, short_sequences
 from oracles import (
     codim_from_monomial,
     contains,
     gk_coefficients_by_convolution,
+    is_lpp_sequence_with_ceiling,
     lpp_bound_oracle,
     monomial_from_codim,
     monomials_of_degree,
@@ -232,6 +233,10 @@ class TestIsLppSequence:
 
     def test_embedding_dimension_exceeded(self):
         assert not is_lpp_sequence(HilbertFunction.from_string("1 4 1"), DegreeList((2, 2, 2)))
+        # a variable with a_i = 1 is not in degree 1; the growth bound is
+        # never asked about a value past its range
+        assert not is_lpp_sequence(HilbertFunction.from_string("1 3 1"), DegreeList((1, 2, 2)))
+        assert is_lpp_sequence(HilbertFunction((1,)), DegreeList((1,) * 17))
 
     def test_ceiling_violation(self):
         # 1 3 6 7 is the ceiling for (3,3,3); an 8 in degree 3 is too big
@@ -249,6 +254,33 @@ class TestIsLppSequence:
     def test_ci_itself(self):
         a = DegreeList((2, 3, 4))
         assert is_lpp_sequence(ci_hilbert_function(a), a)
+
+    def test_the_growth_bound_stays_under_the_ceiling(self):
+        # why the ceiling need not be read: from h <= CI(d) the bound is at
+        # most CI(d + 1), so by induction every value is under the ceiling
+        count = 0
+        for a in all_degree_lists(4, 5):
+            ci = ci_hilbert_function(a)
+            for d in range(1, a.sigma_ci + 1):
+                for h in range(1, ci.at(d) + 1):
+                    assert lpp_bound(h, d, a) <= ci.at(d + 1), (a, d, h)
+                    count += 1
+        assert count == 8031
+
+    def test_agrees_with_the_ceiling_rule_on_every_short_sequence(self):
+        count = valid = 0
+        for a in all_degree_lists(3, 3):
+            for s in short_sequences(a):
+                got = is_lpp_sequence(s, a)
+                assert got == is_lpp_sequence_with_ceiling(s, a), (a, s)
+                count += 1
+                valid += got
+        assert (count, valid) == (51444, 204)
+
+    def test_reads_only_the_columns_the_bound_needs(self, rectangle_widths):
+        a = DegreeList((3000000,) * 3)
+        assert is_lpp_sequence(HilbertFunction.from_string("1 3 1"), a)
+        assert rectangle_widths == [4] * 3
 
 
 DEGREE_12_TABLE = [

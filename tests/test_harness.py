@@ -31,10 +31,12 @@ from lppkit.growth import standard_monomials_of_degree
 from lppkit.harness import lpp_ideal_for
 from lppkit.vectors import INF, MISSING, Leaf, Node, _enumerate, format_vector, ideal_of_vector, parse_vector
 
+from conftest import all_degree_lists, short_sequences
 from oracles import (
     contains,
     direct_lpp_ideal,
     generator_orbit_key,
+    is_lpp_sequence_with_ceiling,
     lpp_dominance_check_every_ideal,
     socle_equivalence_check_every_ideal,
     standard_monomials,
@@ -127,6 +129,21 @@ class TestEnumerateIdeals:
         monkeypatch.setenv("LPPKIT_GUARD", str(guard))
         with pytest.raises(ValueError, match="guard must be at least 1"):
             growth_check(h, a)
+
+
+class TestValidHilbertFunctions:
+    def test_the_sequences_the_ceiling_rule_accepts_in_descending_order(self):
+        for a in all_degree_lists(3, 3):
+            valid = [s for s in short_sequences(a) if is_lpp_sequence_with_ceiling(s, a)]
+            valid.sort(key=lambda s: s.values, reverse=True)
+            for sigma_max in (2, a.sigma_ci):
+                want = [s for s in valid if s.sigma <= sigma_max]
+                assert valid_hilbert_functions(a, sigma_max) == want, (a, sigma_max)
+
+    def test_huge_powers_read_only_the_columns_the_bound_needs(self, rectangle_widths):
+        hs = valid_hilbert_functions(DegreeList((300000,) * 3), 2)
+        assert [str(h) for h in hs] == ["1 3 0", "1 2 0", "1 1 0", "1 0"]
+        assert max(rectangle_widths) <= 4
 
 
 class TestLppIdealConstruction:

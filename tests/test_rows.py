@@ -251,32 +251,58 @@ def held_in_wider_boxes():
 
 class TestRowPlan:
     """The runs of rows that the Hilbert function and the Betti diagram read a
-    box through: one entry per run, whatever the run's length."""
+    box through: one entry per run, whatever the run's length.  The row plan
+    (``monomials._row_plan``) holds what every reader shares, the rows'
+    degrees; the Betti run plan (``betti._run_plan``) the first rows of the
+    runs one step below, which only the Betti diagram reads."""
 
     @pytest.mark.parametrize(
         "sides, runs", [((1000000, 2), 1), ((4, 4, 5), 4), ((7,), 1), ((2, 3, 2, 3), 6)]
     )
     def test_one_entry_per_run(self, sides, runs):
-        degrees, plan, counts = monomials._row_plan(sides)
-        assert len(plan) == len(degrees) == runs
+        degrees, counts = monomials._row_plan(sides)
+        assert len(betti._run_plan(sides)) == len(degrees) == runs
         assert sum(map(len, degrees)) == math.prod(sides[:-1]) == sum(counts)
 
     @pytest.mark.parametrize("sides", [(5,), (4, 3), (4, 4, 5), (2, 3, 2, 3), (3, 1, 2)], ids=str)
+    def test_row_plan_counts_the_rows_of_each_degree(self, sides):
+        degrees, counts = monomials._row_plan(sides)
+        want = [degree for _, degree, _ in rows_below(sides)]
+        assert list(itertools.chain.from_iterable(degrees)) == want
+        assert counts == tuple(Counter(want)[d] for d in range(sum(sides) + 1))
+
+    @pytest.mark.parametrize("sides", [(5,), (4, 3), (4, 4, 5), (2, 3, 2, 3), (3, 1, 2)], ids=str)
     def test_runs_key_every_row_as_defined(self, sides):
-        degrees, plan, counts = monomials._row_plan(sides)
-        run = len(degrees[0])
+        plan = betti._run_plan(sides)
+        run = sides[-2] if len(sides) > 1 else 1
         rows = []
-        for (degree, first), span in zip(plan, degrees):
-            assert span == range(degree, degree + run)
+        for degree, first in plan:
             rows.append((first[0], degree, first))
             # row e > 0 reads row e of each run below, then row e - 1
             for e in range(1, run):
                 below = tuple(r + e for r in first) + tuple(r + e - 1 for r in first)
                 rows.append((first[0] + e, degree + e, below))
-        want = list(rows_below(sides))
-        assert rows == want
-        degrees = Counter(degree for _, degree, _ in want)
-        assert counts == tuple(degrees[d] for d in range(sum(sides) + 1))
+        assert rows == list(rows_below(sides))
+        # the count that _run_plan guards before building anything
+        cells = math.prod(2 * side - 1 for side in sides[:-2])
+        assert sum(len(first) for _, first in plan) == cells
+
+    def test_only_betti_builds_the_run_plan(self, monkeypatch):
+        # a box of 2^20 points, under BOX_GUARD, whose run plan would hold
+        # 3^18 first rows
+        i = parse_ideal(", ".join(f"x{k}" for k in range(1, 21)))
+
+        def fail(sides):
+            raise AssertionError(f"called for {sides}")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(betti, "_run_plan", fail)
+            assert i.hilbert_function().values == (1, 0)
+            assert growth_check(HilbertFunction((1,)), DegreeList((1,) * 17)).ok
+        # refused before the plan's first step
+        monkeypatch.setattr(betti, "_row_strides", fail)
+        with pytest.raises(GuardExceeded, match="^Betti run plan of 387420489 cells exceeds"):
+            betti_diagram(i)
 
     @pytest.mark.parametrize("sides", [(5,), (2, 4), (4, 3), (3, 1, 2), (2, 3, 2, 3)], ids=str)
     def test_row_steps_pair_each_row_with_the_rows_one_step_below(self, sides):

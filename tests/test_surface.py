@@ -16,6 +16,7 @@ SRC = Path(lppkit.__file__).resolve().parent
 ALLOWED = {
     "growth.classical_bound",  # Macaulay's bound, the classical case of lpp_bound
     "growth.standard_monomials_of_degree",  # traced by name in perfbench/spans.py
+    "growth.ci_hilbert_function",  # traced by name in perfbench/spans.py
     "vectors.ci_vector",  # the vector of the pure powers
     "vectors.decompose",  # one split of the inverse map, checked on its own
     "vectors.enumerate_vectors",  # every valid vector; the checks read the table behind it
