@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .monomials import (
@@ -101,8 +101,11 @@ def _times_run(poly: list[int], e: int, width: int) -> list[int]:
 
 def _rows(degrees: tuple[int, ...], upto: int) -> tuple[tuple[int, ...], ...]:
     """Rectangle rows 1..n for A, row r from the top r degrees, through
-    column `upto` or further, in :func:`_width` columns."""
-    return _rectangle(degrees, _width(degrees, upto))
+    column `upto` or further, in :func:`_width` columns; kept in the cache
+    when it has at most _RECTANGLE_CACHED cells."""
+    width = _width(degrees, upto)
+    cached = len(degrees) * width <= _RECTANGLE_CACHED
+    return (_rectangle if cached else _rectangle.__wrapped__)(degrees, width)
 
 
 def _width(degrees: tuple[int, ...], upto: int) -> int:
@@ -114,7 +117,12 @@ def _width(degrees: tuple[int, ...], upto: int) -> int:
     return min(1 << max(upto, 0).bit_length(), cap)
 
 
-# one key per (degree list, width): ~150 in a cli-large benchmark pass
+# Most cells of a rectangle that _rectangle keeps: 1024 take about 30 KB
+_RECTANGLE_CACHED = 1024
+
+
+# one key per (degree list, width): ~150 in a cli-large benchmark pass, of
+# at most 256 cells; so at most about 30 MB
 @lru_cache(maxsize=1024)
 def _rectangle(degrees: tuple[int, ...], width: int) -> tuple[tuple[int, ...], ...]:
     """Rectangle rows 1..n for A in `width` columns, each row the one above
@@ -158,14 +166,13 @@ class GKExpansion:
     d: int
     h: int
     terms: tuple[tuple[int, int], ...]
+    _rows: tuple[tuple[int, ...], ...] = field(default=(), repr=False, compare=False)
 
     def term_values(self) -> list[int]:
-        rows = _rows(self.a.degrees, self.d + 1)
-        return [rows[r - 1][t] for r, t in self.terms]
+        return [self._rows[r - 1][t] for r, t in self.terms]
 
     def bound_values(self) -> list[int]:
-        rows = _rows(self.a.degrees, self.d + 1)
-        return [rows[r - 1][t + 1] for r, t in self.terms]
+        return [self._rows[r - 1][t + 1] for r, t in self.terms]
 
     def bound(self) -> int:
         return sum(self.bound_values())
@@ -207,7 +214,7 @@ def gk_expansion(h: int, d: int, a: DegreeList) -> GKExpansion:
         t -= 1
         depth_cap = pick
     _assert_expansion_shape(a, d, h, terms, rows)
-    return GKExpansion(a, d, h, tuple(terms))
+    return GKExpansion(a, d, h, tuple(terms), rows)
 
 
 def _assert_expansion_shape(a, d, h, terms, rows):

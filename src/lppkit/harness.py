@@ -15,6 +15,8 @@ import itertools
 import json
 import math
 import operator
+import sys
+from array import array
 from dataclasses import asdict, dataclass, field as dc_field
 from functools import lru_cache
 
@@ -27,15 +29,14 @@ from .monomials import (
     _axis_ends,
     _check_cells,
     _checked_box,
+    _colon_of_powers,
     _ideal_guard,
     _ideal_of_rows,
     _lex_above_powers,
     _row_plan,
-    _row_steps,
     _row_strides,
     _start_degrees,
     add_maximal_power,
-    colon,
     ideal_to_json_dict,
     is_lex_segment,
 )
@@ -259,16 +260,15 @@ def growth_check(
     computed.  Only an ideal whose starts fail is re-derived
     from its generators, and it is a witness when that Hilbert function is
     not h either.  An h that breaks the degree-1 ceiling or the growth bound
-    fails first, in :func:`enumerate_ideals` (ValueError)."""
+    fails first, in the walk (ValueError)."""
     instance = {"A": list(a.degrees), "H": str(h)}
     witnesses = []
     count = 0
-    sides = attains = None
-    for ideal in enumerate_ideals(h, a, max_ideals):
+    for ideal, _ in _walk(h, a, max_ideals, False):
+        sides, starts = ideal._rows
+        if not count:  # the walk builds every ideal in one box, after its guards
+            attains = _attains(h, sides)
         count += 1
-        box, starts = ideal._row_starts()
-        if box != sides:  # the walk builds every ideal in one box
-            sides, attains = box, _attains(h, box)
         if attains(starts):
             continue
         actual = MonomialIdeal(ideal.n, ideal._corners()).hilbert_function()
@@ -284,27 +284,55 @@ def growth_check(
 
 
 def _attains(h: HilbertFunction, sides: tuple[int, ...]):
-    """A test of row starts in the box prod [0, sides_k): are they those of
-    the ideal their generators span (row 0 starts inside the box, and no row
-    after a row one step below it along a prefix axis), and does it attain
-    h?  It reads no Hilbert function: the box's getters and the key of
-    :func:`_start_degrees` are fetched once, and the rows' degrees
-    |p| + start, sorted, are compared with the key.  Raises
+    """A test of row starts from 0 to sides[-1] in the box prod [0, sides_k):
+    are they those of the ideal their generators span (row 0 starts inside
+    the box, and no row after a row one step below it along a prefix axis),
+    and does it attain h?  On the starts packed by :func:`_lanes`, each step
+    is one subtraction, and the rows' degrees |p| + start, one addition,
+    sorted, are compared with the key of :func:`_start_degrees`.  Raises
     NotArtinianError as :meth:`MonomialIdeal.hilbert_function` does."""
-    lower, upper = _row_steps(sides)
+    pack, unpack, high, row_degrees, steps = _lanes(sides)
     ends = _axis_ends(sides)
-    row_degrees = tuple(itertools.chain.from_iterable(_row_plan(sides)[0]))
     key = _start_degrees(h, sides)
     last = sides[-1]
 
     def attains(starts) -> bool:
-        if not (starts[0] < last and all(map(operator.ge, lower(starts), upper(starts)))):
+        # lane r of (x << shift | high) - x is high + start(r - stride) -
+        # start(r): its top bit stays set when row r starts no later
+        x = pack(starts)
+        if starts[0] >= last:
             return False
+        for shift, mask in steps:
+            if ((x << shift | high) - x) & mask != mask:
+                return False
         if any(ends(starts)):
             raise NotArtinianError("ideal is not Artinian")
-        return sorted(map(operator.add, row_degrees, starts)) == key
+        return sorted(unpack(row_degrees + x)) == key
 
     return attains
+
+
+# one table per box: 1 in a sweep-residual pass
+@lru_cache(maxsize=32)
+def _lanes(sides: tuple[int, ...]):
+    """The row starts of the box prod [0, sides_k) packed one lane per row,
+    row 0 lowest, in lanes wide enough that none carries or borrows (8 bits
+    when every start is below 128 and every |p| + start below 256): the
+    packer, its inverse, the top bit of each lane, the packed |p|, and per
+    prefix axis its row stride in bits and the top bits of its rows p_k > 0."""
+    row_degrees = tuple(itertools.chain.from_iterable(_row_plan(sides)[0]))
+    peak = sides[-1] + max(sides[-1], *row_degrees)  # above every lane's value
+    code = next(c for c in "BHIQ" if peak < 1 << 8 * array(c).itemsize)
+    rows, width = range(len(row_degrees)), 8 * array(code).itemsize
+    if code == "B":  # bytes are faster than an array of bytes
+        pack = lambda starts: int.from_bytes(bytes(starts), "little")
+        unpack = operator.methodcaller("to_bytes", len(rows), "little")
+    else:
+        pack = lambda starts: int.from_bytes(array(code, starts), sys.byteorder)
+        unpack = lambda x: memoryview(x.to_bytes(len(rows) * width // 8, sys.byteorder)).cast(code)
+    top, axes = 1 << width - 1, zip(sides, _row_strides(sides))
+    steps = tuple((s * width, pack([top if r // s % k else 0 for r in rows])) for k, s in axes)
+    return pack, unpack, pack([top] * len(rows)), pack(row_degrees), steps
 
 
 def lpp_dominance_check(
@@ -399,9 +427,8 @@ def residual_lpp_check(a: DegreeList) -> CheckReport:
     in the table is not a valid vector, and is refused as
     :func:`ideal_of_vector` refuses it (ValueError)."""
     instance = {"A": list(a.degrees)}
-    powers = a.powers_ideal()
     vectors, starts, _, duals = _enumerate(a.degrees, _ideal_guard(None))
-    sides = tuple(deg + 1 for deg in a.degrees)
+    sides = _checked_box(tuple(deg + 1 for deg in a.degrees))
     unit = (0,) * len(starts[0])  # the rows of the empty vector's ideal
     ci = duals.index(None)  # the dual of the empty vector
     witnesses = []
@@ -411,7 +438,7 @@ def residual_lpp_check(a: DegreeList) -> CheckReport:
             ideal_of_vector(_dual(vec, a.degrees), a)
             raise ValueError(f"the dual of {format_vector(vec)} is not enumerated for A={a}")
         expected = _ideal_of_rows(a.n, sides, unit if j is None else starts[j])
-        actual = colon(powers, _ideal_of_rows(a.n, sides, starts[i]))
+        actual = _colon_of_powers(sides, a.degrees, _ideal_of_rows(a.n, sides, starts[i]))
         if actual != expected:
             witnesses.append(
                 {
@@ -455,11 +482,10 @@ def lexseg_lemma_check(a: DegreeList) -> CheckReport:
     """Where the residual's pure-power degree drops below A's, the residual's
     graded piece at that degree is a lex segment.  The vectors' ideals are
     read from their row starts in the table of :func:`vectors._enumerate`,
-    which the ideal guard bounds."""
+    which the ideal guard bounds, and their residuals by reflection."""
     instance = {"A": list(a.degrees)}
-    powers = a.powers_ideal()
     vectors, starts = _enumerate(a.degrees, _ideal_guard(None))[:2]
-    sides = tuple(deg + 1 for deg in a.degrees)
+    sides = _checked_box(tuple(deg + 1 for deg in a.degrees))
     witnesses = []
     count = 0
     for vec, rows in zip(vectors, starts):
@@ -467,7 +493,7 @@ def lexseg_lemma_check(a: DegreeList) -> CheckReport:
         if ideal.pure_power_profile() != a.degrees:
             continue  # lemma is about ideals with powers exactly A
         count += 1
-        residual = colon(powers, ideal)
+        residual = _colon_of_powers(sides, a.degrees, ideal)
         prof = residual.pure_power_profile()
         if prof[0] == 0:  # the unit ideal
             continue

@@ -479,23 +479,6 @@ def _row_plan(sides: tuple[int, ...]):
     return tuple(degrees), tuple(itertools.accumulate(counts))
 
 
-# one table per box that asks for it: 1 in a sweep-residual pass
-@lru_cache(maxsize=32)
-def _row_steps(sides: tuple[int, ...]):
-    """Every pair of rows one step apart along a prefix axis of the box
-    prod [0, sides_k), as two getters (see :func:`_getter`) of the row
-    starts: the lower rows, the upper rows.  One entry per pair, so unlike
-    :func:`_row_plan` this grows with the rows of the box."""
-    strides = _row_strides(sides)
-    lower, upper = [], []
-    for r, prefix in enumerate(itertools.product(*(range(s) for s in sides[:-1]))):
-        for p, stride in zip(prefix, strides):
-            if p:
-                lower.append(r - stride)
-                upper.append(r)
-    return _getter(lower), _getter(upper)
-
-
 def _generator_box(corners) -> tuple[int, ...]:
     """Sides of the least box prod [0, sides_k) that holds every exponent
     tuple of ``corners``.  Raises GuardExceeded when it has more than
@@ -738,11 +721,35 @@ def is_lpp(i: MonomialIdeal, a: DegreeList) -> bool:
 
 
 def _lex_above_powers(i: MonomialIdeal, caps: tuple[int, ...]) -> bool:
-    """:func:`is_lpp` once I's pure-power profile is known to be ``caps``:
-    in each degree of a minimal generator in two or more variables, the
-    members among the monomials below ``caps`` come first in lex order."""
-    degrees = {sum(g) for g in i._corners() if g.count(0) < i.n - 1}
-    return all(_members_first(i, d, caps) for d in degrees)
+    """:func:`is_lpp` once I's pure-power profile is known to be ``caps``,
+    non-decreasing: in each degree, the members among the monomials below
+    ``caps`` come first in lex order.  In a degree with no minimal generator
+    in two or more variables they are the shadow of those one degree down,
+    a lex segment again by Clements-Lindstrom, so :func:`_lex_order` reads
+    every degree in one pass; past LEX_CACHED monomials below ``caps``, only
+    the degrees of such generators are read (:func:`_members_first`)."""
+    if math.prod(caps) > LEX_CACHED:
+        degrees = {sum(g) for g in i._corners() if g.count(0) < i.n - 1}
+        return all(_members_first(i, d, caps) for d in degrees)
+    sides, starts = i._row_starts()
+    rows, columns, same_degree = _lex_order(sides, caps)
+    members = int.from_bytes(bytes(map(operator.le, rows(starts), columns)), "little")
+    return not ~members & members >> 8 & same_degree
+
+
+# one table per box and caps: 40 in a sweep-residual pass; at most 64 of
+# LEX_CACHED monomials, under 200 KB each for n <= 12, so under 13 MB
+@lru_cache(maxsize=64)
+def _lex_order(sides: tuple[int, ...], caps: tuple[int, ...]):
+    """The monomials below ``caps`` by degree, lex-descending in each: as in
+    :func:`_lex_table`, a getter of their rows' starts and their last
+    exponents; and a mask with a 1 in byte j when j and j + 1 share a degree."""
+    order = sorted(itertools.product(*(range(cap - 1, -1, -1) for cap in caps)), key=sum)
+    strides, tops = _row_strides(sides) + (0,), [side - 1 for side in sides]
+    rows = [sum(map(operator.mul, map(min, e, tops), strides)) for e in order]
+    degrees = list(map(sum, order))
+    same = int.from_bytes(bytes(map(operator.eq, degrees, degrees[1:])), "little")
+    return _getter(rows), tuple(min(e[-1], tops[-1]) for e in order), same
 
 
 def is_lex_segment(i: MonomialIdeal, d: int) -> bool:
@@ -779,12 +786,12 @@ def _members_first(i: MonomialIdeal, d: int, caps) -> bool:
 
 # Most degree-d exponent tuples, counted without caps, for which the
 # _lex_table is kept in its cache; a larger table (at most BOX_GUARD tuples,
-# about 40 bytes each) is built per call.  Sweeps read tables of at most 15
-# tuples.
+# about 40 bytes each) is built per call, and the most monomials below caps
+# that _lex_above_powers reads in one pass.  Sweeps read at most 60.
 LEX_CACHED = 4096
 
 
-# one table per box, caps and degree: 94 in a sweep-residual pass; at most
+# one table per box, caps and degree: 6 in a sweep-residual pass; at most
 # 128 tables of LEX_CACHED tuples, about 25 MB
 @lru_cache(maxsize=128)
 def _lex_table(sides: tuple[int, ...], caps, d: int):

@@ -36,6 +36,8 @@ from lppkit.monomials import (
     MonomialIdeal,
     NotArtinianError,
     _exps_of_degree,
+    _getter,
+    _members_first,
     _row_strides,
     ideal_to_json_dict,
     minimalize,
@@ -299,6 +301,35 @@ def is_lex_segment_by_contains(i: MonomialIdeal, d: int) -> bool:
         else:
             seen_gap = True
     return True
+
+
+def lex_above_powers_by_degree(i: MonomialIdeal, caps: tuple[int, ...]) -> bool:
+    """``monomials._lex_above_powers`` read one degree at a time: in each
+    degree of a minimal generator in two or more variables, the members
+    among the monomials below ``caps`` come first in lex order."""
+    degrees = {sum(g) for g in i._corners() if g.count(0) < i.n - 1}
+    return all(_members_first(i, d, caps) for d in degrees)
+
+
+def row_step_getters(sides: tuple[int, ...]):
+    """Every pair of rows one step apart along a prefix axis of the box
+    prod [0, sides_k), as two getters of the row starts: the lower rows,
+    the upper rows."""
+    strides = _row_strides(sides)
+    lower, upper = [], []
+    for r, prefix in enumerate(itertools.product(*(range(s) for s in sides[:-1]))):
+        for p, stride in zip(prefix, strides):
+            if p:
+                lower.append(r - stride)
+                upper.append(r)
+    return _getter(lower), _getter(upper)
+
+
+def starts_in_order(sides: tuple[int, ...], starts) -> bool:
+    """The step test of ``harness._attains`` pair by pair: row 0 starts
+    inside the box, and no row starts after a row one step below it."""
+    lower, upper = row_step_getters(sides)
+    return starts[0] < sides[-1] and all(map(operator.ge, lower(starts), upper(starts)))
 
 
 def lcm(m1: Monomial, m2: Monomial) -> Monomial:

@@ -318,15 +318,16 @@ class TestResidualTable:
         a = DegreeList((2, 3, 3))
         calls = Counter()
 
-        def moved(j, i):
-            residual = colon(j, i)
+        def moved(sides, degrees, i):
+            residual = reflect(sides, degrees, i)
             calls["colon"] += 1
             if calls["colon"] > 1:
                 return residual
             sides, starts = residual._row_starts()
             return harness._ideal_of_rows(a.n, sides, (starts[0] + 1,) + starts[1:])
 
-        monkeypatch.setattr(harness, "colon", moved)
+        reflect = harness._colon_of_powers
+        monkeypatch.setattr(harness, "_colon_of_powers", moved)
         r = residual_lpp_check(a)
         first = format_vector(_enumerate(a.degrees, INF).vectors[0])
         assert [(w["reason"], w["vector"]) for w in r.witnesses] == [

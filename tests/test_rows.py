@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import pkgutil
+import random
 import time
 from collections import Counter
 from pathlib import Path
@@ -34,6 +35,7 @@ from lppkit import (
     residual_lpp_check,
 )
 from lppkit.betti import FieldSpec
+from lppkit.growth import ci_hilbert_function
 from lppkit.harness import enumerate_ideals, valid_hilbert_functions
 from lppkit.monomials import (
     BOX_GUARD,
@@ -48,7 +50,7 @@ from lppkit.monomials import (
     parse_ideal,
     pure_power,
 )
-from lppkit.vectors import EMPTY, dual, enumerate_vectors, ideal_of_vector
+from lppkit.vectors import EMPTY, _enumerate, dual, enumerate_vectors, ideal_of_vector
 
 from conftest import brute_colon, hf_by_inclusion_exclusion
 from oracles import (
@@ -61,7 +63,10 @@ from oracles import (
     is_lex_segment_by_contains,
     is_lpp_by_contains,
     is_unit,
+    lex_above_powers_by_degree,
+    row_step_getters,
     socle_by_definition,
+    starts_in_order,
     unit_monomial,
 )
 from test_bench_smoke import workloads as bench_workloads
@@ -307,7 +312,7 @@ class TestRowPlan:
     @pytest.mark.parametrize("sides", [(5,), (2, 4), (4, 3), (3, 1, 2), (2, 3, 2, 3)], ids=str)
     def test_row_steps_pair_each_row_with_the_rows_one_step_below(self, sides):
         # the single steps of rows_below are its subsets j = 1 << m
-        lower, upper = monomials._row_steps(sides)
+        lower, upper = row_step_getters(sides)
         rows = list(range(math.prod(sides[:-1])))
         want = [
             (below[1 << m], r)
@@ -316,6 +321,31 @@ class TestRowPlan:
         ]
         assert list(zip(lower(rows), upper(rows))) == want
         assert len(lower(rows)) == len(upper(rows)) == len(want)
+
+    @pytest.mark.parametrize("sides", [(5,), (2, 4), (4, 3), (3, 1, 2), (2, 3, 2, 3)], ids=str)
+    def test_packed_step_test_matches_the_pairs(self, sides):
+        """harness._attains fails on the step test exactly where the pairs
+        of rows one step apart are out of order: every starts from 0 to the
+        last side, or 5,000 drawn and the starts of 1,000 ideals of drawn
+        generators, on each box above.  Starts in order are a down-set, so
+        with the h they count, _attains accepts them or finds them not
+        Artinian."""
+        rows, top = math.prod(sides[:-1]), sides[-1]
+        if (top + 1) ** rows <= 5000:
+            pool = itertools.product(range(top + 1), repeat=rows)
+        else:
+            rng = random.Random(1)
+            drawn = ([rng.randint(0, top) for _ in range(rows)] for _ in range(5000))
+            gens = ([exps(rng, sides) for _ in range(rng.randint(1, 4))] for _ in range(1000))
+            spanned = (monomials._starts_of_corners(sides, g) for g in gens)
+            pool = itertools.chain(drawn, spanned)
+        in_order = 0
+        for starts in map(list, pool):
+            h = counted_hf(sides, starts) or HilbertFunction((1,))
+            passed = outcome(lambda: harness._attains(h, sides)(starts)) is not False
+            assert passed == starts_in_order(sides, starts), starts
+            in_order += passed
+        assert in_order > 0
 
     @pytest.mark.parametrize(
         "text",
@@ -337,6 +367,11 @@ class TestRowPlan:
             assert i.hilbert_function() == hf_by_inclusion_exclusion(i), i
             for f in (FieldSpec(0), FieldSpec(2)):
                 assert betti_diagram(i, f) == betti_diagram_by_contains(i, f), i
+
+
+def exps(rng: random.Random, sides: tuple[int, ...]) -> tuple[int, ...]:
+    """An exponent tuple drawn from the box prod [0, sides_k]."""
+    return tuple(rng.randint(0, side) for side in sides)
 
 
 def starts_in_box(i: MonomialIdeal, sides: tuple[int, ...]) -> list[int]:
@@ -604,6 +639,30 @@ def walk_starts(draw):
     return sides, starts
 
 
+# the lane width harness._attains packs each walk box in: A's last side of
+# 131 takes 16 bits for the step test, (3, 126, 126) and (66, 66, 126) for
+# the degrees |p| + start (up to 256), and (1, 40000) takes 32
+WIDE_DEGREES = [(2, 130), (3, 126, 126), (1, 40000)]
+LANE_WIDTHS = {**dict.fromkeys(WALK_DEGREES, 8), **dict.fromkeys(WIDE_DEGREES, 16)}
+LANE_WIDTHS.update({(66, 66, 126): 16, (1, 40000): 32})
+
+
+@st.composite
+def wide_starts(draw):
+    """Row starts in the walk box prod [0, a_k] of an A with lanes wider
+    than 8 bits: those of the ideal of A's powers and up to three drawn
+    monomials, with up to three rows set to any value from 0 to the box
+    side."""
+    degrees = draw(st.sampled_from(WIDE_DEGREES))
+    sides = tuple(d + 1 for d in degrees)
+    gens = list(DegreeList(degrees).powers_ideal()._corners())
+    gens += draw(st.lists(st.tuples(*(st.integers(0, d) for d in degrees)), max_size=3))
+    starts = monomials._starts_of_corners(sides, gens)
+    for _ in range(draw(st.integers(0, 3))):
+        starts[draw(st.integers(0, len(starts) - 1))] = draw(st.integers(0, sides[-1]))
+    return sides, starts
+
+
 def counted_hf(sides: tuple[int, ...], starts: list[int]) -> HilbertFunction | None:
     """The kept points (p, c) with c below the row's start, counted by degree
     as the walk counts them; None when the counts are no Hilbert function."""
@@ -657,12 +716,10 @@ class TestGrowthCheckFromStarts:
     from its generators only to build a witness; its reports must be those
     of re-deriving every ideal."""
 
-    @settings(max_examples=300, deadline=None)
-    @given(walk_starts())
-    def test_accepts_exactly_when_the_round_trip_gives_h(self, box):
+    @staticmethod
+    def assert_accepts_as_the_round_trip(sides, starts):
         # h is what the walk counts for these starts; starts that are not a
         # down-set count more points than the ideal their generators span
-        sides, starts = box
         h = counted_hf(sides, starts)
         assume(h is not None)
         ideal = _ideal_of_rows(len(sides), sides, starts)
@@ -672,6 +729,28 @@ class TestGrowthCheckFromStarts:
             assert spanned is NotArtinianError
         else:
             assert accepted == (spanned == h)
+
+    @settings(max_examples=300, deadline=None)
+    @given(walk_starts())
+    def test_accepts_exactly_when_the_round_trip_gives_h(self, box):
+        self.assert_accepts_as_the_round_trip(*box)
+
+    @settings(max_examples=100, deadline=None)
+    @given(wide_starts())
+    def test_wide_lanes_accept_exactly_when_the_round_trip_gives_h(self, box):
+        self.assert_accepts_as_the_round_trip(*box)
+
+    @pytest.mark.parametrize("degrees", sorted(LANE_WIDTHS), ids=str)
+    def test_lane_width_of_each_walk_box(self, degrees):
+        # the top bit of every lane: the last is bit rows * width - 1
+        sides = tuple(d + 1 for d in degrees)
+        high = harness._lanes(sides)[2]
+        assert high.bit_length() == math.prod(sides[:-1]) * LANE_WIDTHS[degrees]
+        # the powers alone attain CI; in (66, 66, 126), row (65, 65) starts
+        # at 126, so its degree |p| + start is 256
+        a = DegreeList(degrees)
+        starts = monomials._starts_of_corners(sides, a.powers_ideal()._corners())
+        assert harness._attains(ci_hilbert_function(a), sides)(starts)
 
     # rows (p1, p2) of the box [0, 2]^3 are indexed 3 * p1 + p2; each
     # witness's ideal and Hilbert function are those its generators span
@@ -980,7 +1059,9 @@ class TestColon:
         colon_of_corners = monomials._colon_of_corners
         colon_of_powers = monomials._colon_of_powers
         monkeypatch.setattr(monomials, "_colon_of_corners", per_corner)
-        monkeypatch.setattr(monomials, "_colon_of_powers", of_powers)
+        # the residual checks reflect in the powers' box with no colon call
+        for module in (monomials, harness):
+            monkeypatch.setattr(module, "_colon_of_powers", of_powers)
         workload = bench_workloads.build(
             "sweep-residual", 1, bench_workloads.load_lppkit("sweep-residual")
         )
@@ -1080,6 +1161,63 @@ class TestLexPredicates:
     def test_any_ideal(self, i, data):
         degrees = data.draw(st.lists(st.integers(1, 5), min_size=i.n, max_size=i.n))
         assert_lex_predicates_match(i, DegreeList(tuple(sorted(degrees))))
+
+
+def lex_cases(i: MonomialIdeal):
+    """I and its profile, when that is a non-decreasing list of positive
+    degrees: the caps that _lex_above_powers is called with."""
+    caps = i.pure_power_profile()
+    if None not in caps and 0 not in caps and list(caps) == sorted(caps):
+        yield i, caps
+
+
+class TestLexAbovePowers:
+    """``monomials._lex_above_powers`` reads every degree below the caps in
+    one pass; the per-degree route of ``oracles.lex_above_powers_by_degree``
+    reads only the degrees of the generators in two or more variables.
+    They agree when the caps are the ideal's non-decreasing profile."""
+
+    # walk ideals with a non-decreasing profile, and how many of them are
+    # lex-plus-powers for it
+    WALK_COUNTS = {(3, 3, 4): (3592, 280), (2, 2, 3, 3): (7889, 267)}
+
+    @pytest.mark.parametrize("degrees", sorted(WALK_COUNTS), ids=str)
+    def test_walk_ideals(self, degrees):
+        a = DegreeList(degrees)
+        verdicts = []
+        for h in valid_hilbert_functions(a, a.sigma_ci):
+            for ideal in enumerate_ideals(h, a):
+                for i, caps in lex_cases(ideal):
+                    verdicts.append(monomials._lex_above_powers(i, caps))
+                    assert verdicts[-1] == lex_above_powers_by_degree(i, caps), i
+        assert (len(verdicts), sum(verdicts)) == self.WALK_COUNTS[degrees]
+
+    @pytest.mark.parametrize("degrees", [(3, 4, 5), (2, 3, 3, 3), (3, 4, 4)], ids=str)
+    def test_table_ideals_and_residuals(self, degrees):
+        a = DegreeList(degrees)
+        sides = tuple(d + 1 for d in degrees)
+        powers = a.powers_ideal()
+        cases = 0
+        for starts in _enumerate(degrees, math.inf).starts:
+            ideal = _ideal_of_rows(a.n, sides, starts)
+            for i, caps in itertools.chain(lex_cases(ideal), lex_cases(colon(powers, ideal))):
+                assert monomials._lex_above_powers(i, caps) == lex_above_powers_by_degree(i, caps)
+                cases += 1
+        assert cases > len(_enumerate(degrees, math.inf).starts)
+
+    @pytest.mark.parametrize(
+        "text, lpp", [("x1^15*x2", True), ("x1^15*x3", False), ("x1^14*x2^3, x1^15*x2*x3", False)]
+    )
+    def test_caps_past_the_one_pass_table(self, text, lpp):
+        # 16 * 16 * 17 monomials below the caps, past LEX_CACHED: the
+        # degrees of the mixed generators are read one at a time
+        i = parse_ideal(f"x1^16, x2^16, x3^17, {text}")
+        caps = (16, 16, 17)
+        assert math.prod(caps) > monomials.LEX_CACHED
+        built = monomials._lex_order.cache_info().misses
+        assert monomials._lex_above_powers(i, caps) == lpp == lex_above_powers_by_degree(i, caps)
+        assert is_lpp(i, DegreeList(caps)) == lpp == is_lpp_by_contains(i, DegreeList(caps))
+        assert monomials._lex_order.cache_info().misses == built
 
 
 def macmahon(a: int, b: int, c: int) -> int:
