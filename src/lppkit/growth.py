@@ -166,7 +166,7 @@ class GKExpansion:
     d: int
     h: int
     terms: tuple[tuple[int, int], ...]
-    _rows: tuple[tuple[int, ...], ...] = field(default=(), repr=False, compare=False)
+    _rows: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
 
     def term_values(self) -> list[int]:
         return [self._rows[r - 1][t] for r, t in self.terms]

@@ -298,7 +298,7 @@ def _attains(h: HilbertFunction, sides: tuple[int, ...]):
 
     def attains(starts) -> bool:
         # lane r of (x << shift | high) - x is high + start(r - stride) -
-        # start(r): its top bit stays set when row r starts no later
+        # start(r): its top bit is set when row r starts no later than that
         x = pack(starts)
         if starts[0] >= last:
             return False

@@ -151,6 +151,18 @@ A_3_4_11 = DegreeList((3, 4, 11))
 
 
 class TestGKExpansion:
+    def test_one_rectangle_per_expansion_and_none_kept_past_the_gate(self, rectangle_widths):
+        # term_values and bound_values read the rows gk_expansion built: 3
+        # rows of 1024 columns, past the 1,024 cells the cache keeps
+        a = DegreeList((1000, 1000, 1000))
+        e = gk_expansion(5, 600, a)
+        assert sum(e.term_values()) == 5 and e.bound() == sum(e.bound_values()) == 5
+        assert rectangle_widths == [1024] * 3
+        assert growth._rectangle.cache_info().currsize == 0
+        # 3 rows of 128 columns are kept
+        assert gk_expansion(5, 100, a).bound() == 5
+        assert growth._rectangle.cache_info().currsize == 1
+
     def test_10_at_4(self):
         e = gk_expansion(10, 4, A_3_4_11)
         assert e.terms == ((2, 4), (2, 3), (1, 2), (1, 1))
