@@ -90,17 +90,19 @@ def enumerate_ideals(h: HilbertFunction, a: DegreeList, max_ideals: int | None =
     p - e_k one step below has kept more than c.  The stream is deterministic
     (candidate rows lex-descending, subsets in combination order).
     """
-    for ideal, _ in _walk(h, a, max_ideals, False):
-        yield ideal
+    sides, stream = _walk(h, a, max_ideals, False)
+    for starts, _ in stream:
+        yield _ideal_of_rows(a.n, sides, starts)
 
 
 def _walk(h: HilbertFunction, a: DegreeList, guard: int | None, orbits: bool):
-    """The walk of :func:`enumerate_ideals`, as ``(ideal, orbit size)``;
-    with ``orbits`` it keeps one ideal per orbit of the group G made of the
-    moves of A (see :func:`_moves`) and the identity.  ``guard`` is read as
-    ``max_ideals`` and counts ideals, orbit sizes summed.  h and the guards,
-    the box prod [0, a_k + 1) and the move table of (|G| - 1) * prod a_k
-    point indices too, are checked before any frame or move.
+    """The walk of :func:`enumerate_ideals`, as the box prod [0, a_k + 1)
+    and a stream of ``(row starts, orbit size)``; with ``orbits`` it keeps
+    one ideal per orbit of the group G made of the moves of A (see
+    :func:`_moves`) and the identity.  ``guard`` is read as ``max_ideals``
+    and counts ideals, orbit sizes summed.  h and the guards, the box and
+    the move table of (|G| - 1) * prod a_k point indices too, are checked
+    when it is called, before any frame or move.
 
     Orderly generation (Read, "Every one a winner", 1978): the layer of
     degree d, the descending tuple of its points in prod [0, a_k), is kept
@@ -155,13 +157,13 @@ def _walk(h: HilbertFunction, a: DegreeList, guard: int | None, orbits: bool):
                 count += size
                 if count > guard:
                     raise GuardExceeded(f"more than {guard} ideals; raise the guard")
-                yield _ideal_of_rows(a.n, sides, starts), size
+                yield tuple(starts), size
             else:
                 yield from walk(d + 1, fixed, combo)
             for r in combo:
                 starts[r] -= 1
 
-    yield from walk(0, list(moves), ())
+    return sides, walk(0, list(moves), ())
 
 
 # one frame per degree list: 1 in a sweep benchmark pass
@@ -255,23 +257,23 @@ def growth_check(
 ) -> CheckReport:
     """Every enumerated ideal has Hilbert function h.
 
-    Each ideal is read from the row starts it was built from, by one test
-    per box built for h (:func:`_attains`), so no Hilbert function is
-    computed.  Only an ideal whose starts fail is re-derived
-    from its generators, and it is a witness when that Hilbert function is
-    not h either.  An h that breaks the degree-1 ceiling or the growth bound
-    fails first, in the walk (ValueError)."""
+    Each ideal is read from the row starts the walk yields, by one test
+    built for h and the walk's box (:func:`_attains`), so no ideal or
+    Hilbert function is built.  Only starts that fail are built into an
+    ideal and re-derived from its generators, and they are a witness when
+    that Hilbert function is not h either.  An h that breaks the degree-1
+    ceiling or the growth bound fails first, in the walk (ValueError)."""
     instance = {"A": list(a.degrees), "H": str(h)}
+    sides, stream = _walk(h, a, max_ideals, False)
+    attains = _attains(h, sides)
     witnesses = []
     count = 0
-    for ideal, _ in _walk(h, a, max_ideals, False):
-        sides, starts = ideal._rows
-        if not count:  # the walk builds every ideal in one box, after its guards
-            attains = _attains(h, sides)
+    for starts, _ in stream:
         count += 1
         if attains(starts):
             continue
-        actual = MonomialIdeal(ideal.n, ideal._corners()).hilbert_function()
+        ideal = _ideal_of_rows(a.n, sides, starts)
+        actual = MonomialIdeal(a.n, ideal._corners()).hilbert_function()
         if actual != h:
             witnesses.append(
                 {
@@ -402,12 +404,13 @@ def _against_lpp(
     def witnesses_of(ideal):
         return rule(ideal, betti_diagram(ideal, f), lpp, b_lpp)
 
+    sides, stream = _walk(h, a, guard, True)
     ideals = orbits = 0
     violated = False
-    for ideal, size in _walk(h, a, guard, True):
+    for starts, size in stream:
         ideals += size
         orbits += 1
-        violated = violated or bool(witnesses_of(ideal))
+        violated = violated or bool(witnesses_of(_ideal_of_rows(a.n, sides, starts)))
     witnesses = []
     if violated:
         for ideal in enumerate_ideals(h, a, guard):

@@ -725,31 +725,13 @@ def _lex_above_powers(i: MonomialIdeal, caps: tuple[int, ...]) -> bool:
     non-decreasing: in each degree, the members among the monomials below
     ``caps`` come first in lex order.  In a degree with no minimal generator
     in two or more variables they are the shadow of those one degree down,
-    a lex segment again by Clements-Lindstrom, so :func:`_lex_order` reads
-    every degree in one pass; past LEX_CACHED monomials below ``caps``, only
-    the degrees of such generators are read (:func:`_members_first`)."""
+    a lex segment again by Clements-Lindstrom, so up to LEX_CACHED monomials
+    below ``caps`` every degree is read in one pass, and past that only the
+    degrees of such generators."""
+    degrees = None
     if math.prod(caps) > LEX_CACHED:
-        degrees = {sum(g) for g in i._corners() if g.count(0) < i.n - 1}
-        return all(_members_first(i, d, caps) for d in degrees)
-    sides, starts = i._row_starts()
-    rows, columns, same_degree = _lex_order(sides, caps)
-    members = int.from_bytes(bytes(map(operator.le, rows(starts), columns)), "little")
-    return not ~members & members >> 8 & same_degree
-
-
-# one table per box and caps: 40 in a sweep-residual pass; at most 64 of
-# LEX_CACHED monomials, under 200 KB each for n <= 12, so under 13 MB
-@lru_cache(maxsize=64)
-def _lex_order(sides: tuple[int, ...], caps: tuple[int, ...]):
-    """The monomials below ``caps`` by degree, lex-descending in each: as in
-    :func:`_lex_table`, a getter of their rows' starts and their last
-    exponents; and a mask with a 1 in byte j when j and j + 1 share a degree."""
-    order = sorted(itertools.product(*(range(cap - 1, -1, -1) for cap in caps)), key=sum)
-    strides, tops = _row_strides(sides) + (0,), [side - 1 for side in sides]
-    rows = [sum(map(operator.mul, map(min, e, tops), strides)) for e in order]
-    degrees = list(map(sum, order))
-    same = int.from_bytes(bytes(map(operator.eq, degrees, degrees[1:])), "little")
-    return _getter(rows), tuple(min(e[-1], tops[-1]) for e in order), same
+        degrees = tuple(sorted({sum(g) for g in i._corners() if g.count(0) < i.n - 1}))
+    return _members_first(i, caps, degrees)
 
 
 def is_lex_segment(i: MonomialIdeal, d: int) -> bool:
@@ -766,54 +748,63 @@ def is_lex_segment(i: MonomialIdeal, d: int) -> bool:
     count = math.comb(d + i.n - 1, i.n - 1) if d >= 0 else 0
     if count > BOX_GUARD:
         raise GuardExceeded(f"{count} monomials of degree {d} exceeds {BOX_GUARD}")
-    return _members_first(i, d, None)
+    return _members_first(i, None, (d,))
 
 
-def _members_first(i: MonomialIdeal, d: int, caps) -> bool:
-    """Do I's members come before its non-members among the degree-d exponent
-    tuples in lex-descending order (only the tuples below ``caps``, when
-    given)?  Each tuple is read as the row and column of
-    :func:`_lex_table`: it is a member when the row starts at or before the
-    column.  A degree with more than LEX_CACHED tuples builds its table
-    without keeping it."""
+def _members_first(i: MonomialIdeal, caps, degrees) -> bool:
+    """Do I's members come before its non-members in each degree of the
+    table of :func:`_lex_table`?  Each exponent tuple is read as a row and a
+    column: it is a member when the row starts at or before the column.  A
+    table of more than LEX_CACHED tuples, bounded by prod caps or counted
+    without caps, is built without being kept."""
     sides, starts = i._row_starts()
     n = len(sides)
-    cached = d < 0 or math.comb(d + n - 1, n - 1) <= LEX_CACHED
-    rows, columns = (_lex_table if cached else _lex_table.__wrapped__)(sides, caps, d)
-    members = list(map(operator.le, rows(starts), columns))
-    return True not in members[members.count(True) :]
+    size = math.prod(caps) if caps else sum(math.comb(d + n - 1, n - 1) for d in degrees if d >= 0)
+    table = _lex_table if size <= LEX_CACHED else _lex_table.__wrapped__
+    rows, columns, same_degree = table(sides, caps, degrees)
+    members = int.from_bytes(bytes(map(operator.le, rows(starts), columns)), "little")
+    # byte j: tuple j is not a member, tuple j + 1 is, and they share a degree
+    return not ~members & members >> 8 & same_degree
 
 
-# Most degree-d exponent tuples, counted without caps, for which the
-# _lex_table is kept in its cache; a larger table (at most BOX_GUARD tuples,
-# about 40 bytes each) is built per call, and the most monomials below caps
-# that _lex_above_powers reads in one pass.  Sweeps read at most 60.
+# Most exponent tuples a kept _lex_table holds; a larger table (at most
+# BOX_GUARD tuples) is built per call.  Sweeps read at most 60.
 LEX_CACHED = 4096
 
 
-# one table per box, caps and degree: 6 in a sweep-residual pass; at most
-# 128 tables of LEX_CACHED tuples, about 25 MB
+# one table per box, caps and degrees: 46 in a sweep-residual pass; at most
+# 128 tables of LEX_CACHED tuples, under 300 KB each (tracemalloc), so under
+# 40 MB
 @lru_cache(maxsize=128)
-def _lex_table(sides: tuple[int, ...], caps, d: int):
-    """The degree-d exponent tuples below ``caps`` (all of them when it is
-    None), lex-descending, as a getter (see :func:`_getter`) of their rows'
-    starts in the box prod [0, sides_k) and a tuple of their last
-    exponents.  Membership does not change beyond the box, so each
-    coordinate is clamped to it.
+def _lex_table(sides: tuple[int, ...], caps, degrees):
+    """The exponent tuples of ``degrees`` (every degree when None) below
+    ``caps`` (all of them when None), ordered by degree and lex-descending
+    in each degree, as a getter (see :func:`_getter`) of their rows' starts
+    in the box prod [0, sides_k), a tuple of their last exponents, and a
+    mask with a 1 in byte j when tuples j and j + 1 share a degree.
+    Membership does not change beyond the box, so each coordinate is
+    clamped to it.
 
-    The tuples are built one coordinate at a time, each prefix as its degree
-    and row."""
-    caps = caps or (d + 1,) * len(sides)
+    The prefixes, all coordinates but the last, are built one coordinate at
+    a time, lex-descending, as their degree and row; a degree d reads each
+    prefix of degree s whose last exponent d - s is below its cap."""
+    if degrees is None:
+        degrees = range(sum(caps) - len(caps) + 1)
+    top = max(degrees, default=-1)
+    caps = caps or (top + 1,) * len(sides)
     prefixes = [(0, 0)]
     for cap, side, stride in zip(caps, sides, _row_strides(sides)):
         prefixes = [
             (s + e, r + min(e, side - 1) * stride)
             for s, r in prefixes
-            for e in range(min(cap - 1, d - s), -1, -1)
+            for e in range(min(cap - 1, top - s), -1, -1)
         ]
-    top = sides[-1] - 1
-    kept = [(r, min(d - s, top)) for s, r in prefixes if d - s < caps[-1]]
-    return _getter([r for r, _ in kept]), tuple(c for _, c in kept)
+    kept = [(d, r, d - s) for d in degrees for s, r in prefixes if 0 <= d - s < caps[-1]]
+    kept_degrees = [d for d, _, _ in kept]
+    same = bytes(map(operator.eq, kept_degrees, kept_degrees[1:]))
+    last = sides[-1] - 1
+    columns = tuple(min(c, last) for _, _, c in kept)
+    return _getter([r for _, r, _ in kept]), columns, int.from_bytes(same, "little")
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,6 @@ from lppkit.monomials import (
     NotArtinianError,
     _exps_of_degree,
     _getter,
-    _members_first,
     _row_strides,
     ideal_to_json_dict,
     minimalize,
@@ -293,22 +292,34 @@ def is_lpp_by_contains(i: MonomialIdeal, a: DegreeList) -> bool:
 def is_lex_segment_by_contains(i: MonomialIdeal, d: int) -> bool:
     """Is the degree-d piece of I closed upward under lex order, by
     ``contains`` on every degree-d monomial?"""
+    return members_first_by_contains(i, monomials_of_degree(i.n, d))
+
+
+def lex_above_powers_by_degree(i: MonomialIdeal, caps: tuple[int, ...]) -> bool:
+    """``monomials._lex_above_powers`` read one degree at a time by
+    ``contains``: in each degree of a minimal generator in two or more
+    variables, the members among the monomials below ``caps`` come first in
+    lex order."""
+    degrees = {sum(g) for g in i._corners() if g.count(0) < i.n - 1}
+    return all(
+        members_first_by_contains(
+            i, (m for m in monomials_of_degree(i.n, d) if all(map(operator.lt, m.exps, caps)))
+        )
+        for d in degrees
+    )
+
+
+def members_first_by_contains(i: MonomialIdeal, ms) -> bool:
+    """Does no monomial of ``ms`` that passes ``contains`` come after one
+    that does not?"""
     seen_gap = False
-    for m in monomials_of_degree(i.n, d):
+    for m in ms:
         if contains(i, m):
             if seen_gap:
                 return False
         else:
             seen_gap = True
     return True
-
-
-def lex_above_powers_by_degree(i: MonomialIdeal, caps: tuple[int, ...]) -> bool:
-    """``monomials._lex_above_powers`` read one degree at a time: in each
-    degree of a minimal generator in two or more variables, the members
-    among the monomials below ``caps`` come first in lex order."""
-    degrees = {sum(g) for g in i._corners() if g.count(0) < i.n - 1}
-    return all(_members_first(i, d, caps) for d in degrees)
 
 
 def row_step_getters(sides: tuple[int, ...]):

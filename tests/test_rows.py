@@ -467,9 +467,7 @@ class TestCarriedRowStarts:
         a, h = DegreeList((2, 2, 2)), HilbertFunction.from_string("1 2 1")
         starts = [1, 1, 0, 2, 0, 0, 0, 0, 0]
         assert _ideal_of_rows(3, (3, 3, 3), starts).hilbert_function() == h
-        monkeypatch.setattr(
-            harness, "_ideal_of_rows", lambda n, sides, _: _ideal_of_rows(n, sides, starts)
-        )
+        patched_walk(monkeypatch, starts)
         r = growth_check(h, a)
         assert not r.ok
         assert {w["reason"] for w in r.witnesses} == {
@@ -697,10 +695,14 @@ def round_trip_hf(ideal: MonomialIdeal):
 
 
 def patched_walk(monkeypatch, starts):
-    """Make the enumeration emit the ideal of ``starts`` for every ideal."""
-    monkeypatch.setattr(
-        harness, "_ideal_of_rows", lambda n, sides, _: _ideal_of_rows(n, sides, starts)
-    )
+    """Make the walk yield ``starts`` for every ideal."""
+    walk = harness._walk
+
+    def patched(*args):
+        sides, stream = walk(*args)
+        return sides, ((tuple(starts), size) for _, size in stream)
+
+    monkeypatch.setattr(harness, "_walk", patched)
 
 
 def wrong_hf(gens, hf: str) -> dict:
@@ -1214,10 +1216,48 @@ class TestLexAbovePowers:
         i = parse_ideal(f"x1^16, x2^16, x3^17, {text}")
         caps = (16, 16, 17)
         assert math.prod(caps) > monomials.LEX_CACHED
-        built = monomials._lex_order.cache_info().misses
+        built = monomials._lex_table.cache_info().misses
         assert monomials._lex_above_powers(i, caps) == lpp == lex_above_powers_by_degree(i, caps)
         assert is_lpp(i, DegreeList(caps)) == lpp == is_lpp_by_contains(i, DegreeList(caps))
-        assert monomials._lex_order.cache_info().misses == built
+        assert monomials._lex_table.cache_info().misses == built
+
+    @pytest.mark.parametrize(
+        "text, lpp", [("x1^15*x2", True), ("x1^15*x3", False), ("x1^14*x2^3, x1^15*x2*x3", False)]
+    )
+    def test_caps_at_the_cache_bound_take_the_one_pass_table(self, text, lpp):
+        # 16 ** 3 = LEX_CACHED monomials below the caps: every degree is
+        # read from one table, and the table is kept
+        i = parse_ideal(f"x1^16, x2^16, x3^16, {text}")
+        caps = a = (16, 16, 16)
+        assert math.prod(caps) == monomials.LEX_CACHED
+        monomials._lex_table.cache_clear()
+        assert monomials._lex_above_powers(i, caps) == lpp == is_lpp_by_contains(i, DegreeList(a))
+        assert monomials._lex_table.cache_info().currsize == 1
+        monomials._lex_table(i._row_starts()[0], caps, None)
+        assert monomials._lex_table.cache_info().hits == 1
+
+    @pytest.mark.parametrize(
+        "text, lpp, degrees",
+        [
+            ("x1^16*x2", True, [(17,)]),
+            ("x1^15*x2^3", False, [(18,)]),
+            ("x1^16*x2, x1^3*x2^20", False, [(17, 23)]),
+        ],
+    )
+    def test_caps_past_the_cache_bound_read_the_mixed_degrees(self, monkeypatch, text, lpp, degrees):
+        # 17 * 241 = LEX_CACHED + 1 monomials below the caps: only the
+        # degrees of the mixed generators are read, and no table is kept
+        i = parse_ideal(f"x1^17, x2^241, {text}")
+        caps = a = (17, 241)
+        assert math.prod(caps) == monomials.LEX_CACHED + 1
+        read, build = [], monomials._lex_table.__wrapped__
+        monkeypatch.setattr(
+            monomials._lex_table, "__wrapped__", lambda *key: read.append(key[2]) or build(*key)
+        )
+        monomials._lex_table.cache_clear()
+        assert monomials._lex_above_powers(i, caps) == lpp == is_lpp_by_contains(i, DegreeList(a))
+        assert read == degrees
+        assert monomials._lex_table.cache_info().currsize == 0
 
 
 def macmahon(a: int, b: int, c: int) -> int:
