@@ -755,11 +755,14 @@ def _members_first(i: MonomialIdeal, caps, degrees) -> bool:
     """Do I's members come before its non-members in each degree of the
     table of :func:`_lex_table`?  Each exponent tuple is read as a row and a
     column: it is a member when the row starts at or before the column.  A
-    table of more than LEX_CACHED tuples, bounded by prod caps or counted
-    without caps, is built without being kept."""
+    table of more than LEX_CACHED tuples, bounded by prod caps when every
+    degree is read and by the degrees' monomials, caps aside, otherwise, is
+    built without being kept."""
     sides, starts = i._row_starts()
     n = len(sides)
-    size = math.prod(caps) if caps else sum(math.comb(d + n - 1, n - 1) for d in degrees if d >= 0)
+    size = math.prod(caps) if degrees is None else sum(
+        math.comb(d + n - 1, n - 1) for d in degrees if d >= 0
+    )
     table = _lex_table if size <= LEX_CACHED else _lex_table.__wrapped__
     rows, columns, same_degree = table(sides, caps, degrees)
     members = int.from_bytes(bytes(map(operator.le, rows(starts), columns)), "little")

@@ -1173,6 +1173,21 @@ def lex_cases(i: MonomialIdeal):
         yield i, caps
 
 
+@pytest.fixture
+def lex_reads(monkeypatch):
+    """The degrees of each table that monomials._members_first reads, and
+    whether it went through _lex_table's cache."""
+    reads, cached = [], monomials._lex_table
+
+    def kept(*key):
+        reads.append((key[2], True))
+        return cached(*key)
+
+    kept.__wrapped__ = lambda *key: reads.append((key[2], False)) or cached.__wrapped__(*key)
+    monkeypatch.setattr(monomials, "_lex_table", kept)
+    return reads
+
+
 class TestLexAbovePowers:
     """``monomials._lex_above_powers`` reads every degree below the caps in
     one pass; the per-degree route of ``oracles.lex_above_powers_by_degree``
@@ -1210,16 +1225,15 @@ class TestLexAbovePowers:
     @pytest.mark.parametrize(
         "text, lpp", [("x1^15*x2", True), ("x1^15*x3", False), ("x1^14*x2^3, x1^15*x2*x3", False)]
     )
-    def test_caps_past_the_one_pass_table(self, text, lpp):
-        # 16 * 16 * 17 monomials below the caps, past LEX_CACHED: the
-        # degrees of the mixed generators are read one at a time
+    def test_caps_past_the_one_pass_table(self, lex_reads, text, lpp):
+        # 16 * 16 * 17 monomials below the caps, past LEX_CACHED: only the
+        # degrees of the mixed generators are read, from a kept table
         i = parse_ideal(f"x1^16, x2^16, x3^17, {text}")
         caps = (16, 16, 17)
         assert math.prod(caps) > monomials.LEX_CACHED
-        built = monomials._lex_table.cache_info().misses
         assert monomials._lex_above_powers(i, caps) == lpp == lex_above_powers_by_degree(i, caps)
         assert is_lpp(i, DegreeList(caps)) == lpp == is_lpp_by_contains(i, DegreeList(caps))
-        assert monomials._lex_table.cache_info().misses == built
+        assert lex_reads and all(degrees is not None and kept for degrees, kept in lex_reads)
 
     @pytest.mark.parametrize(
         "text, lpp", [("x1^15*x2", True), ("x1^15*x3", False), ("x1^14*x2^3, x1^15*x2*x3", False)]
@@ -1244,20 +1258,25 @@ class TestLexAbovePowers:
             ("x1^16*x2, x1^3*x2^20", False, [(17, 23)]),
         ],
     )
-    def test_caps_past_the_cache_bound_read_the_mixed_degrees(self, monkeypatch, text, lpp, degrees):
+    def test_caps_past_the_cache_bound_read_the_mixed_degrees(self, lex_reads, text, lpp, degrees):
         # 17 * 241 = LEX_CACHED + 1 monomials below the caps: only the
-        # degrees of the mixed generators are read, and no table is kept
+        # degrees of the mixed generators are read, and their table, of at
+        # most 18 + 24 tuples, is kept
         i = parse_ideal(f"x1^17, x2^241, {text}")
         caps = a = (17, 241)
         assert math.prod(caps) == monomials.LEX_CACHED + 1
-        read, build = [], monomials._lex_table.__wrapped__
-        monkeypatch.setattr(
-            monomials._lex_table, "__wrapped__", lambda *key: read.append(key[2]) or build(*key)
-        )
-        monomials._lex_table.cache_clear()
         assert monomials._lex_above_powers(i, caps) == lpp == is_lpp_by_contains(i, DegreeList(a))
-        assert read == degrees
-        assert monomials._lex_table.cache_info().currsize == 0
+        assert lex_reads == [(d, True) for d in degrees]
+
+    @pytest.mark.parametrize("text, lpp", [("x1*x2^49*x3^41", True), ("x1*x2^45*x3^45", False)])
+    def test_mixed_degrees_past_the_cache_bound_are_not_kept(self, lex_reads, text, lpp):
+        # 2 * 50 * 50 monomials below the caps, and C(93, 2) = 4,278 of
+        # degree 91 in three variables, both past LEX_CACHED
+        i = parse_ideal(f"x1^2, x2^50, x3^50, {text}")
+        caps = a = (2, 50, 50)
+        assert math.comb(93, 2) > monomials.LEX_CACHED
+        assert monomials._lex_above_powers(i, caps) == lpp == is_lpp_by_contains(i, DegreeList(a))
+        assert lex_reads == [((91,), False)]
 
 
 def macmahon(a: int, b: int, c: int) -> int:
