@@ -24,6 +24,11 @@ first use: the box's runs of rows that differ only in the last prefix
 coordinate, each with its prefix degree and the first rows of the runs one
 step below it.  The plan has one entry per run, not per row, so a box of a
 million rows in one run costs one entry.
+
+A diagram (:class:`BettiDiagram`) is pages of integer lanes: page q holds
+degrees [PAGE q, PAGE q + PAGE), lane (j - PAGE q) (n + 1) + i beta_{i,j} under
+a guard bit (beta_{i,j} <= 2^n box points, 2^n <= box points <= BOX_GUARD), and
+(self | H) - other clears the guard bits H of the lanes where ``other`` is above.
 """
 
 from __future__ import annotations
@@ -32,10 +37,11 @@ import itertools
 import math
 import operator
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .monomials import (
+    BOX_GUARD,
     DegreeList,
     DimensionError,
     MonomialIdeal,
@@ -98,32 +104,91 @@ QQ = FieldSpec(0)
 
 # BettiDiagram.render prints a longer run of empty rows as one line
 EMPTY_RUN = 32
+# PAGE degrees a page; LANE bits a lane, the value bits holding BOX_GUARD * 2^n, 2^n <= BOX_GUARD
+PAGE = 16
+LANE = (BOX_GUARD << BOX_GUARD.bit_length() - 1).bit_length() + 1
+VALUE = (1 << LANE - 1) - 1  # a lane's value bits
 
 
-@dataclass(frozen=True, eq=True)
+@lru_cache(maxsize=32)
+def _guards(n: int) -> tuple[int, int]:
+    """The guard bits of a page of n + 1 columns: of every lane, of column 0's."""
+    column = sum(1 << t * (n + 1) * LANE for t in range(PAGE)) << LANE - 1
+    return sum(column << i * LANE for i in range(n + 1)), column
+
+
 class BettiDiagram:
-    n: int
-    entries: dict[tuple[int, int], int] = field(default_factory=dict)
+    """beta_{i,j} of R/I in n variables as ``pages``, none zero, that ``==`` and ``hash`` compare;
+    from a dict (i, j) -> beta_{i,j}, zeros drop; a value or key no lane holds is a ValueError."""
+
+    __slots__ = ("n", "pages")
+
+    def __init__(self, n: int, entries: dict | None = None, _pages: dict | None = None):
+        pages = {} if _pages is None else _pages  # betti_diagram's, already packed
+        for (i, j), v in (entries or {}).items():
+            if not (0 <= i <= n and 0 <= j and 0 <= v <= VALUE):
+                raise ValueError(f"beta_({i},{j}) = {v} is not a Betti number in {n} variables")
+            q, t = divmod(j, PAGE)
+            if v:
+                pages[q] = pages.get(q, 0) | v << (t * (n + 1) + i) * LANE
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "pages", pages)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"BettiDiagram is immutable: cannot set {name}")
+
+    def __eq__(self, other):
+        return isinstance(other, BettiDiagram) and (self.n, self.pages) == (other.n, other.pages)
+
+    def __hash__(self):
+        return hash((self.n, frozenset(self.pages.items())))
+
+    def __repr__(self):
+        return f"BettiDiagram({self.n}, {self.entries})"
+
+    def __reduce__(self):  # pickle and copy build it again, as nothing sets an attribute
+        return BettiDiagram, (self.n, None, self.pages)
+
+    @property
+    def entries(self) -> dict[tuple[int, int], int]:
+        return {key: self.beta(*key) for key in BettiDiagram(self.n).below(self)}
 
     def beta(self, i: int, j: int) -> int:
-        return self.entries.get((i, j), 0)
+        q, t = divmod(j, PAGE)
+        inside = 0 <= i <= self.n and 0 <= j
+        return self.pages.get(q, 0) >> (t * (self.n + 1) + i) * LANE & VALUE if inside else 0
 
     def items(self):
-        return sorted(self.entries.items())
+        return list(self.entries.items())  # in the sorted order of below
+
+    def below(self, other: BettiDiagram, i: int | None = None) -> list[tuple[int, int]]:
+        """The sorted (i, j), in column i when given, where ``other`` is above this
+        diagram: the guard bits (self | H) - other clears.  A different n is a DimensionError."""
+        if other.n != self.n:
+            raise DimensionError(f"{self.n} vs {other.n} variables")
+        every, column = _guards(self.n)
+        guard, n1, out = every if i is None else column << i * LANE, self.n + 1, []
+        for q, x in other.pages.items():
+            bits = ((self.pages.get(q, 0) | every) - x & guard) ^ guard
+            while bits:
+                t, c = divmod((bits & -bits).bit_length() // LANE - 1, n1)
+                out.append((c, PAGE * q + t))
+                bits &= bits - 1
+        return sorted(out)
 
     def first_violation(self, other: BettiDiagram) -> tuple[int, int] | None:
         """The least (i, j) where this diagram is below ``other``, if any."""
-        get = self.entries.get
-        return min((key for key, v in other.entries.items() if get(key, 0) < v), default=None)
+        return next(iter(self.below(other)), None)
 
     def render(self) -> str:
         """Macaulay2-style table: columns = homological index, rows = j - i.
 
         A run of more than EMPTY_RUN empty rows prints as one line that
         names the rows it skips."""
+        entries = self.entries
         cols = list(range(self.n + 1))
-        totals = [sum(v for (i, _), v in self.entries.items() if i == c) for c in cols]
-        occupied = sorted({0} | {j - i for (i, j) in self.entries})
+        totals = [sum(v for (i, _), v in entries.items() if i == c) for c in cols]
+        occupied = sorted({0} | {j - i for (i, j) in entries})
         labels, grids = ["total:"], [totals]
         for above, r in zip([-1] + occupied, occupied):
             if r - above - 1 > EMPTY_RUN:
@@ -132,7 +197,7 @@ class BettiDiagram:
                 above = r - 1
             for q in range(above + 1, r + 1):
                 labels.append(f"{q}:")
-                grids.append([self.beta(c, c + q) for c in cols])
+                grids.append([entries.get((c, c + q), 0) for c in cols])
         width_label = max(len(s) for s in labels)
         widths = [
             max(len(str(grid[c])) if grid and grid[c] else 1 for grid in grids)
@@ -311,37 +376,44 @@ def _run_plan(sides: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...]], ...]
 RUN_BLOCK = 16
 
 
+@lru_cache(maxsize=32)
+def _one_block_plan(sides: tuple[int, ...]) -> tuple:
+    """Per run of a box in at most three variables with runs of at most RUN_BLOCK rows, its
+    degree's page and lane shift and its one block's key, ``starts[lo:hi]``; else ()."""
+    run, lanes = sides[-2] if len(sides) > 1 else 1, (len(sides) + 1) * LANE
+    if len(sides) > 3 or run > RUN_BLOCK:
+        return ()
+    return tuple((d // PAGE, d % PAGE * lanes, r[-1], r[0] + run) for d, r in _run_plan(sides))
+
+
 @lru_cache(maxsize=4096)
-def _run_contribution(
-    p: int, cont: int, width: int, starts: tuple[int, ...]
-) -> tuple[tuple[int, int, int], ...]:
-    """The Betti numbers (homological index, e + c, dim) that the points
-    (prefix, c) of ``width`` consecutive rows of one run give, row e of the
-    block at prefix degree e past the first's.
+def _run_contribution(p: int, n: int, cont: int, width: int, starts: tuple) -> tuple:
+    """The Betti numbers that the points (prefix, c) of ``width`` consecutive
+    rows of one run in n variables give, as (page, lanes) chunks of the
+    degrees past the block's first row's: row e's points at e + c.
 
     ``starts`` concatenates one slice per run one step below the block's
     run along the subsets of the k coordinates of its outer prefix support,
-    ordered as the first rows of :func:`_run_plan` (the run itself first):
-    the starts of that run's rows from ``cont`` rows before the block's
-    first row (1 when the block continues a run, else 0) through its last.
-    Slice m is ``starts[m * span : (m + 1) * span]`` with span = width +
-    cont, so row e's key for :func:`_row_contribution` is column j = e +
-    cont of every slice, then, when j > 0, column j - 1 (the step down in
-    the last prefix coordinate, the key's top bit).
+    in the reverse of the order of the first rows of :func:`_run_plan`
+    (the run itself last): the starts of that run's rows from ``cont`` rows
+    before the block's first row (1 when the block continues a run, else 0)
+    through its last.  Slice m is ``starts[m * span : (m + 1) * span]``, span
+    = width + cont, so row e's key for :func:`_row_contribution` is column c =
+    e + cont of every slice, the last first, then column c - 1 when c > 0.
 
-    Bounded at 4096 entries.  A key holds at most 2^k * (RUN_BLOCK + 1)
-    starts, k <= n - 2, and a value at most (k + 2) * (RUN_BLOCK + sides[-1])
-    triples.  Measured with tracemalloc, lru entry included, an entry takes
-    about 600 bytes on the boxes of the (3,3,4) sweep and 950 on those of
-    (2,2,2,3,3): the full memo holds about 2.5 MB and 4 MB there.
+    Bounded at 4096 entries; a key holds at most 2^k * (RUN_BLOCK + 1)
+    starts, k <= n - 2.  By tracemalloc, lru entry included, an entry takes
+    about 490, 630 and 780 bytes on the boxes of the (3,3,4) and (2,2,3,3)
+    sweeps and of the cli-large benchmark: at most 3.2 MB in all.
     """
-    span = width + cont
-    out: dict[tuple[int, int], int] = {}
-    for e, j in enumerate(range(cont, span)):
-        key = starts[j::span] + starts[j - 1 :: span] if j else starts[::span]
-        for index, c, dim in _row_contribution(p, key):
-            out[index, e + c] = out.get((index, e + c), 0) + dim
-    return tuple((index, d, dim) for (index, d), dim in out.items())
+    span, top = width + cont, len(starts) - width - cont
+    out: dict[int, int] = {}
+    for e, c in enumerate(range(cont, span)):
+        key = starts[top + c :: -span] + starts[top + c - 1 :: -span] if c else starts[top::-span]
+        for index, d, dim in _row_contribution(p, key):
+            q, t = divmod(e + d, PAGE)
+            out[q] = out.get(q, 0) + (dim << (t * (n + 1) + index) * LANE)
+    return tuple(out.items())
 
 
 def betti_diagram(i: MonomialIdeal, f: FieldSpec = QQ) -> BettiDiagram:
@@ -353,27 +425,38 @@ def betti_diagram(i: MonomialIdeal, f: FieldSpec = QQ) -> BettiDiagram:
     :func:`_run_plan` lays them out, in blocks of at most RUN_BLOCK rows:
     each block's key is the slices of the row starts that its rows read
     from its run and the runs one step below it (see
-    :func:`_run_contribution`).  A plan of more than BOX_GUARD first rows
-    is refused (GuardExceeded)."""
+    :func:`_run_contribution`), one slice in a box of :func:`_one_block_plan`.
+    A plan of more than BOX_GUARD first rows is refused (GuardExceeded)."""
     if not i._is_artinian():
         raise NotArtinianError("Betti diagram needs an Artinian ideal")
     sides, starts = i._row_starts()
     if starts[0] == 0:  # the unit ideal
-        return BettiDiagram(i.n, {})
-    p = f.characteristic
+        return BettiDiagram(i.n)
+    p, n = f.characteristic, i.n
     run = sides[-2] if len(sides) > 1 else 1
-    beta = {(0, 0): 1}
-    get = beta.get
-    for degree, first in _run_plan(sides):
+    shift, bits = (n + 1) * LANE, PAGE * (n + 1) * LANE  # a degree's bits, a page's
+    one = _one_block_plan(sides)
+    blocks = [(q0, s, _run_contribution(p, n, 0, run, starts[lo:hi])) for q0, s, lo, hi in one]
+    for degree, first in () if one else _run_plan(sides):
         a = cont = 0  # the block reads its runs' starts from row a on
         for lo in range(0, run, RUN_BLOCK):
             b = lo + RUN_BLOCK if lo + RUN_BLOCK < run else run
-            key = sum([starts[r + a : r + b] for r in first], ())
-            for index, d, dim in _run_contribution(p, cont, b - lo, key):
-                entry = index, degree + lo + d
-                beta[entry] = get(entry, 0) + dim
+            key = starts[first[0] + a : first[0] + b] if len(first) == 1 else sum(
+                [starts[r + a : r + b] for r in reversed(first)], ())
+            if chunks := _run_contribution(p, n, cont, b - lo, key):
+                q0, t = divmod(degree + lo, PAGE)
+                blocks.append((q0, t * shift, chunks))
             a, cont = b - 1, 1
-    return BettiDiagram(i.n, beta)
+    pages = {0: 1}  # beta_{0,0}
+    for q0, s, chunks in blocks:
+        for q, x in chunks:
+            q, x = q + q0, x << s
+            if x >> bits:
+                pages[q + 1] = pages.get(q + 1, 0) + (x >> bits)
+                x &= (1 << bits) - 1
+            if x:
+                pages[q] = pages.get(q, 0) + x
+    return BettiDiagram(n, None, pages)
 
 
 @dataclass(frozen=True)

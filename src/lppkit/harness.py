@@ -530,17 +530,15 @@ def socle_equivalence_check(
     rho = h.rho
 
     def rule(ideal, b, lpp, b_lpp):
-        witnesses = []
-        for j in sorted({jj for (i, jj) in set(b.entries) | set(b_lpp.entries) if i == n}):
-            if b_lpp.beta(n, j) < b.beta(n, j):
-                witnesses.append(
-                    {
-                        "reason": f"socle dominance fails at beta_({n},{j})",
-                        "ideal": ideal_to_json_dict(ideal),
-                        "beta_lpp": b_lpp.beta(n, j),
-                        "beta_ideal": b.beta(n, j),
-                    }
-                )
+        witnesses = [
+            {
+                "reason": f"socle dominance fails at beta_({n},{j})",
+                "ideal": ideal_to_json_dict(ideal),
+                "beta_lpp": b_lpp.beta(n, j),
+                "beta_ideal": b.beta(n, j),
+            }
+            for _, j in b_lpp.below(b, n)
+        ]
         j_last = rho + n - 1
         if b_lpp.beta(n, j_last) < b.beta(n, j_last):
             witnesses.append(
@@ -560,14 +558,13 @@ def socle_equivalence_check(
             )
         if rho >= 1:
             b_tr = betti_diagram(add_maximal_power(ideal, rho), f)
-            for j in range(rho + n - 1):
-                if b.beta(n, j) != b_tr.beta(n, j):
-                    witnesses.append(
-                        {
-                            "reason": f"truncation changed beta_({n},{j}) below the last two rows",
-                            "ideal": ideal_to_json_dict(ideal),
-                        }
-                    )
+            for j in sorted({j for _, j in b.below(b_tr, n) + b_tr.below(b, n) if j < rho + n - 1}):
+                witnesses.append(
+                    {
+                        "reason": f"truncation changed beta_({n},{j}) below the last two rows",
+                        "ideal": ideal_to_json_dict(ideal),
+                    }
+                )
         return witnesses
 
     return _against_lpp("socle-equivalence", h, a, f, max_ideals, rule)

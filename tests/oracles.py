@@ -128,6 +128,13 @@ def betti_diagram_by_contains(i: MonomialIdeal, f: FieldSpec = QQ) -> BettiDiagr
     return BettiDiagram(n, dict(beta))
 
 
+def first_violation_by_entries(mine: BettiDiagram, theirs: BettiDiagram) -> tuple[int, int] | None:
+    """The least (i, j) where ``mine`` is below ``theirs``, read entry by
+    entry from the decoded diagrams."""
+    get = mine.entries.get
+    return min((key for key, v in theirs.entries.items() if get(key, 0) < v), default=None)
+
+
 def monomials_of_degree(n: int, d: int):
     """Yield all degree-d monomials in n variables in lex-descending order."""
     for exps in _exps_of_degree(n, d):
@@ -771,7 +778,7 @@ def lpp_dominance_check_every_ideal(
     for ideal in harness.enumerate_ideals(h, a):
         count += 1
         b = betti_diagram(ideal, f)
-        violation = b_lpp.first_violation(b)
+        violation = first_violation_by_entries(b_lpp, b)
         if violation is not None:
             i, j = violation
             if i == 1:

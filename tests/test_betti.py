@@ -1,6 +1,8 @@
+import copy
 import itertools
 import json
 import math
+import pickle
 import random
 
 import pytest
@@ -19,12 +21,24 @@ from lppkit import (
     mapping_cone_check,
     parse_ideal,
 )
-from lppkit.betti import EMPTY_RUN, PRIME_LIMIT, _homology_of_mask, _is_prime, _rank
+from lppkit.betti import (
+    EMPTY_RUN,
+    LANE,
+    PAGE,
+    PRIME_LIMIT,
+    VALUE,
+    _homology_of_mask,
+    _is_prime,
+    _rank,
+)
 from lppkit.harness import enumerate_ideals, valid_hilbert_functions
+from lppkit.monomials import BOX_GUARD
 
 import oracles
 from oracles import (
+    betti_diagram_by_contains,
     betti_euler_by_multidegree,
+    first_violation_by_entries,
     last_betti_consequences,
     rank_by_fractions,
     reduced_homology_dims,
@@ -123,6 +137,109 @@ class TestBettiDiagram:
             f"{EMPTY_RUN + 3}:".rjust(6) + " . 1 .",
             f"{EMPTY_RUN + 4}:".rjust(6) + " . . 1",
         ]
+
+
+@st.composite
+def packed_entries(draw, n=None):
+    """``(n, entries)``: the entries (i, j) -> beta of a diagram in 1 <= n <= 6
+    variables, over degrees 0..40 (three pages), zeros included, with values
+    up to the largest that a lane holds."""
+    n = draw(st.integers(1, 6)) if n is None else n
+    values = st.one_of(st.integers(0, 3), st.integers(VALUE - 3, VALUE), st.integers(0, VALUE))
+    keys = st.tuples(st.integers(0, n), st.integers(0, 40))
+    return n, draw(st.dictionaries(keys, values, max_size=16))
+
+
+def nonzero(entries):
+    return {key: v for key, v in entries.items() if v}
+
+
+class TestPages:
+    """A diagram is kept as pages of packed lanes; what it answers must be
+    what its entries say."""
+
+    @given(packed_entries())
+    def test_round_trip(self, drawn):
+        n, entries = drawn
+        b = BettiDiagram(n, entries)
+        assert b.entries == nonzero(entries)
+        assert b.items() == sorted(nonzero(entries).items())
+        for i in range(-1, n + 2):
+            for j in range(-1, 42):
+                assert b.beta(i, j) == entries.get((i, j), 0), (i, j)
+        assert set(b.pages) == {j // PAGE for (_, j) in nonzero(entries)}
+        assert all(b.pages.values())
+
+    @given(packed_entries(), st.data())
+    def test_equal_and_hashed_by_their_entries(self, drawn, data):
+        n, entries = drawn
+        zeros = data.draw(st.dictionaries(st.tuples(st.integers(0, n), st.integers(0, 40)), st.just(0)))
+        same = {**zeros, **dict(reversed(entries.items()))}
+        a, b = BettiDiagram(n, entries), BettiDiagram(n, same)
+        assert a == b and hash(a) == hash(b)
+        other = BettiDiagram(n, data.draw(packed_entries(n))[1])
+        assert (a == other) == (a.entries == other.entries)
+        if a == other:
+            assert hash(a) == hash(other)
+        assert a != BettiDiagram(n + 1, entries)
+
+    @given(packed_entries(), st.data())
+    def test_first_violation_against_the_entries(self, drawn, data):
+        n, mine = drawn
+        step = st.integers(-1, 1)
+        theirs = {key: min(max(v + data.draw(step), 0), VALUE) for key, v in mine.items()}
+        theirs.update(data.draw(packed_entries(n))[1] if data.draw(st.booleans()) else {})
+        a, b = BettiDiagram(n, mine), BettiDiagram(n, theirs)
+        for x, y in ((a, b), (b, a)):
+            assert x.first_violation(y) == first_violation_by_entries(x, y)
+            below = sorted(key for key, v in y.entries.items() if x.beta(*key) < v)
+            assert x.below(y) == below
+            for i in range(n + 1):
+                assert x.below(y, i) == [key for key in below if key[0] == i]
+
+    def test_zero_entries_drop_and_equal_diagrams_hash_alike(self):
+        a, b = BettiDiagram(3, {(0, 0): 1}), BettiDiagram(3, {(0, 0): 1, (1, 2): 0})
+        assert a == b and hash(a) == hash(b) and b.entries == {(0, 0): 1}
+        assert len({a, b, betti_diagram(ideal("x1, x2, x3")), betti_diagram(ideal("x1^2, x2"))}) == 3
+        with pytest.raises(AttributeError, match="immutable"):
+            a.n = 2  # a hashed value does not change
+
+    def test_pickled_and_copied_alike(self):
+        b = betti_diagram(ideal("x1^2, x1*x2, x2^3"))
+        for twin in (pickle.loads(pickle.dumps(b)), copy.copy(b), copy.deepcopy(b)):
+            assert twin == b and hash(twin) == hash(b) and twin.items() == b.items()
+
+    @pytest.mark.parametrize(
+        "entries",
+        [{(1, 2): -1}, {(1, 2): 2 ** (LANE - 1)}, {(4, 2): 1}, {(-1, 2): 1}, {(1, -1): 1}],
+        ids=["negative", "past the value bits", "past column n", "column -1", "degree -1"],
+    )
+    def test_refuses_what_no_lane_holds(self, entries):
+        with pytest.raises(ValueError, match="is not a Betti number in 3 variables"):
+            BettiDiagram(3, entries)
+
+    def test_a_lane_holds_the_largest_betti_number(self):
+        # beta_{i,j} <= box points * 2^n, and 2^n <= points <= BOX_GUARD
+        n = BOX_GUARD.bit_length() - 1
+        top = BOX_GUARD << n
+        assert 2**n <= BOX_GUARD < 2 ** (n + 1)
+        b = BettiDiagram(n, {(i, j): top for i in range(n + 1) for j in (0, 15, 16)})
+        c = BettiDiagram(n, {**b.entries, (n, 15): top - 1})
+        assert b.beta(n, 15) == top and b.entries == {**c.entries, (n, 15): top}
+        assert c.first_violation(b) == (n, 15) and b.first_violation(c) is None
+
+    def test_first_violation_refuses_different_variable_counts(self):
+        # lanes are laid out by n, so diagrams in different rings do not compare
+        with pytest.raises(DimensionError, match="2 vs 3 variables"):
+            BettiDiagram(2, {(0, 0): 1}).first_violation(BettiDiagram(3, {(0, 0): 1}))
+
+    def test_a_block_across_a_page_boundary(self):
+        # the run at x1 = 1 starts in degree 1, and its one block's points
+        # reach degrees 15 (x1*x3^14) and 16, so its chunk is split
+        i = ideal("x1^2, x2^2, x3^16, x1*x3^14")
+        b = betti_diagram(i)
+        assert b == betti_diagram_by_contains(i)
+        assert b.beta(1, 15) == 1 and b.beta(2, 16) == 1 and set(b.pages) == {0, 1}
 
 
 class TestFieldSpec:

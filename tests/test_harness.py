@@ -26,7 +26,7 @@ from lppkit import (
     valid_hilbert_functions,
 )
 from lppkit import harness
-from lppkit.betti import FieldSpec
+from lppkit.betti import FieldSpec, betti_diagram
 from lppkit.growth import standard_monomials_of_degree
 from lppkit.harness import lpp_ideal_for
 from lppkit.vectors import INF, MISSING, Leaf, Node, _enumerate, format_vector, ideal_of_vector, parse_vector
@@ -35,6 +35,7 @@ from conftest import all_degree_lists, short_sequences
 from oracles import (
     contains,
     direct_lpp_ideal,
+    first_violation_by_entries,
     generator_orbit_key,
     is_lpp_sequence_with_ceiling,
     lpp_dominance_check_every_ideal,
@@ -491,6 +492,28 @@ class TestOrbitMemo:
             assert _without_orbits(check(h, a, f)) == expected.to_json(), str(h)
             witnesses += len(expected.witnesses)
         assert witnesses > 0
+
+    @pytest.mark.parametrize("degrees,orbits", [((3, 3, 4), 1535), ((2, 2, 3, 3), 2478)], ids=str)
+    def test_packed_comparisons_on_every_orbit(self, degrees, orbits):
+        # the dominance and socle rules compare page by page; each orbit's
+        # diagram against L_h's and against the first ideal of the class
+        a = DegreeList(degrees)
+        against_lpp = violated = 0
+        for h in valid_hilbert_functions(a, a.sigma_ci):
+            lpp = lpp_ideal_for(h, a)
+            others = [betti_diagram(next(enumerate_ideals(h, a)))]
+            others += [betti_diagram(lpp)] if lpp is not None else []
+            sides, stream = harness._walk(h, a, None, True)
+            for starts, _ in stream:
+                b = betti_diagram(harness._ideal_of_rows(a.n, sides, starts))
+                against_lpp += lpp is not None
+                for x, y in itertools.chain.from_iterable(((c, b), (b, c)) for c in others):
+                    first = first_violation_by_entries(x, y)
+                    assert x.first_violation(y) == first
+                    want = sorted((i, j) for (i, j), v in y.entries.items() if i == a.n and x.beta(i, j) < v)
+                    assert x.below(y, a.n) == want
+                    violated += first is not None
+        assert against_lpp == orbits and violated > 0
 
     @pytest.mark.parametrize(
         "degrees,orbits", [((3, 3, 4), 1535), ((2, 2, 3, 3), 2478), ((3, 4, 4), 10774)]

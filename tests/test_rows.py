@@ -215,9 +215,9 @@ class TestRowStarts:
         keys = []
         looked_up = betti._run_contribution
 
-        def recording(p, cont, width, starts):
+        def recording(p, n, cont, width, starts):
             keys.append((cont, width, len(starts)))
-            return looked_up(p, cont, width, starts)
+            return looked_up(p, n, cont, width, starts)
 
         monkeypatch.setattr(betti, "_run_contribution", recording)
         diagram = betti_diagram(i)
@@ -227,6 +227,15 @@ class TestRowStarts:
         for cont, width, length in keys:
             assert width <= betti.RUN_BLOCK and length == width + cont
 
+
+    def test_pages_far_apart(self):
+        # entries in degrees 0..3 and 600,000: two pages, none between built
+        i = parse_ideal("x2^600000, x1*x2, x1^2")
+        diagram = betti_diagram(i)
+        assert diagram.items() == [
+            ((0, 0), 1), ((1, 2), 2), ((1, 600000), 1), ((2, 3), 1), ((2, 600001), 1)
+        ]
+        assert set(diagram.pages) == {0, 600000 // betti.PAGE}
 
 def rows_below(sides: tuple[int, ...]):
     """Per row of the box prod [0, sides_k), in order: (row, |p|, the rows one
